@@ -20,15 +20,7 @@ from .problem import (
     validate,
 )
 from .fock import FockSpace, ManyBodyOperator, creation, annihilation, position, momentum, embed
-from .hamiltonian import (
-    HamiltonianBuildReport,
-    add_anharmonic,
-    build_hamiltonian,
-    build_harmonic_ladder,
-    build_harmonic_qp,
-    build_qBpB,
-    ladder_terms,
-)
+from .hamiltonian import HamiltonianBuildReport, build_hamiltonian, ladder_terms
 from .oracle import (
     BinnedSpectrum,
     BroadenedSpectrum,
@@ -49,7 +41,6 @@ from .qpe import (
     EvolutionBackend,
     PhaseMap,
     SampledSpectrum,
-    StateVector,
     choose_phase_map,
     outcome_distribution,
     prepare_thermal,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .hamiltonian import build_hamiltonian, ladder_terms
+from .hamiltonian import ladder_terms
 from .mapping import Encoding, QubitLayout, map_second_quantized, pauli_sum_to_text, resource_count
 from .problem import (
     ModeCutoffs,
@@ -25,7 +25,13 @@ from .problem import (
     load_problem,
     validate,
 )
-from .qpe import EvolutionBackend, QubitBudgetError, run_qpe_problem, run_qpe_thermal
+from .qpe import (
+    EvolutionBackend,
+    QubitBudgetError,
+    UnsupportedBackendError,
+    run_qpe_problem,
+    run_qpe_thermal,
+)
 
 OUTPUT_DIR_ENV = "VIBRONIC_OUTDIR"
 
@@ -229,7 +235,10 @@ def cmd_converge(args) -> int:
     if not 0 <= varied < problem.n_modes:
         raise CliError(f"--vary-mode {args.vary_mode} out of range 1..{problem.n_modes}")
     if args.fixed_cutoffs:
-        fixed_list = [int(x) for x in args.fixed_cutoffs.split(",")]
+        try:
+            fixed_list = [int(x) for x in args.fixed_cutoffs.split(",")]
+        except ValueError as exc:
+            raise CliError(f"invalid --fixed-cutoffs {args.fixed_cutoffs!r}: {exc}") from exc
         others = [m for m in range(problem.n_modes) if m != varied]
         if len(fixed_list) != len(others):
             raise CliError("--fixed-cutoffs must list one value per non-varied mode")
@@ -246,7 +255,6 @@ def cmd_converge(args) -> int:
         route=args.route,
         sigma=args.sigma,
         convention=args.sigma_convention,
-        jobs=args.jobs,
     )
     out = _out_dir(args)
     base = _slug(problem.label)
@@ -270,20 +278,19 @@ def cmd_converge(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    spectra = []
     for path in (args.spectrum_a, args.spectrum_b):
         if not os.path.exists(path):
             raise CliError(f"spectrum file not found: {path}")
-    ga, va = oracle.read_spectrum_csv(Path(args.spectrum_a).read_text())
-    gb, vb = oracle.read_spectrum_csv(Path(args.spectrum_b).read_text())
-    a = oracle.BroadenedSpectrum(
-        grid_start=ga[0], grid_step=ga[1] - ga[0] if len(ga) > 1 else 1.0,
-        values=va, sigma=0.0, convention="read",
-    )
-    b = oracle.BroadenedSpectrum(
-        grid_start=gb[0], grid_step=gb[1] - gb[0] if len(gb) > 1 else 1.0,
-        values=vb, sigma=0.0, convention="read",
-    )
-    value = oracle.l1_distance(a, b)
+        try:
+            grid, values = oracle.read_spectrum_csv(Path(path).read_text())
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
+        spectra.append(oracle.BroadenedSpectrum(
+            grid_start=grid[0], grid_step=grid[1] - grid[0] if len(grid) > 1 else 1.0,
+            values=values, sigma=0.0, convention="read",
+        ))
+    value = oracle.l1_distance(*spectra)
     print(f"L1 = {value:.10g}")
     return 0
 
@@ -348,53 +355,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_problem=True, needs_cutoffs=True):
-        if needs_problem:
+    def common(p, problem=True, cutoffs=True, route=True, sigma=True):
+        """Declare the shared flags that this subcommand reads."""
+        if problem:
             p.add_argument("--problem", required=True, help="problem JSON file")
-        if needs_problem and needs_cutoffs:
+        if problem and cutoffs:
             p.add_argument("--cutoffs", required=True,
                            help="per-mode L_max list '13,20' or uniform '13'")
-        p.add_argument("--route", choices=("qp", "ladder"), default="qp")
-        p.add_argument("--sigma", type=float, default=oracle.DEFAULT_SIGMA,
-                       help="Gaussian broadening width, cm^-1")
-        p.add_argument("--sigma-convention", choices=("stdev", "fwhm"), default="stdev")
+        if route:
+            p.add_argument("--route", choices=("qp", "ladder"), default="qp")
+        if sigma:
+            p.add_argument("--sigma", type=float, default=oracle.DEFAULT_SIGMA,
+                           help="Gaussian broadening width, cm^-1")
+            p.add_argument("--sigma-convention", choices=("stdev", "fwhm"), default="stdev")
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-        p.add_argument("--jobs", type=int, default=1, help="worker bound for sweeps")
+
+    def sampling(p):
+        p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
+        p.add_argument("--t", type=int, default=12, help="energy-register bits")
+        p.add_argument("--shots", type=int, default=100000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--backend", default="exact", help="'exact' or 'trotter:ORDER:STEPS'")
+        p.add_argument("--hist-width", type=float, default=1.0)
 
     p = sub.add_parser("exact", help="exact stick/binned/broadened spectra")
     common(p)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("qpe", help="zero-temperature QPE sampling")
-    common(p)
-    p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
-    p.add_argument("--t", type=int, default=12, help="energy-register bits")
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default="exact", help="'exact' or 'trotter:ORDER:STEPS'")
-    p.add_argument("--hist-width", type=float, default=1.0)
+    common(p, sigma=False)
+    sampling(p)
     p.set_defaults(func=cmd_qpe)
 
     p = sub.add_parser("thermal", help="finite-temperature QPE sampling")
-    common(p)
-    p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
-    p.add_argument("--t", type=int, default=12)
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default="exact")
-    p.add_argument("--hist-width", type=float, default=1.0)
+    common(p, sigma=False)
+    sampling(p)
     p.add_argument("--beta-invcm", type=float, default=None)
     p.add_argument("--temperature-K", dest="temperature_k", type=float, default=None)
     p.set_defaults(func=cmd_thermal)
 
-    p = sub.add_parser("map", help="compile the Hamiltonian to a Pauli-sum file")
-    common(p)
+    p = sub.add_parser("map", help="compile the harmonic ladder Hamiltonian to a Pauli-sum file")
+    common(p, route=False, sigma=False)
     p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("converge", help="varied-mode cutoff convergence sweep")
-    common(p, needs_cutoffs=False)
+    common(p, cutoffs=False)
     p.add_argument("--vary-mode", type=int, required=True,
                    help="1-based index of the varied mode")
     p.add_argument("--threshold", type=float, default=1e-4)
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("repro", help="reproduce the truncation-error study end to end")
-    common(p, needs_problem=False)
+    common(p, problem=False, route=False)
     p.set_defaults(func=cmd_repro)
 
     return parser
@@ -422,13 +429,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ProblemFormatError, ProblemValidationError, QubitBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except oracle.OracleScaleError as exc:
+    except (CliError, ProblemFormatError, ProblemValidationError, QubitBudgetError,
+            UnsupportedBackendError, oracle.OracleScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

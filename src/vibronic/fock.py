@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,11 +94,6 @@ def number(l_max: int) -> np.ndarray:
     return np.diag(np.arange(l_max + 1)).astype(complex)
 
 
-def identity(l_max: int) -> np.ndarray:
-    _check_cutoff(l_max)
-    return np.eye(l_max + 1, dtype=complex)
-
-
 def position(l_max: int) -> np.ndarray:
     """Dimensionless position q = (a + a^dag)/sqrt(2)."""
     a = annihilation(l_max)
@@ -138,23 +133,6 @@ class ManyBodyOperator:
             return np.asarray(self.matrix.todense())
         return np.asarray(self.matrix)
 
-    def to_sparse(self) -> sp.csr_array:
-        if self.is_sparse:
-            return sp.csr_array(self.matrix)
-        return sp.csr_array(np.asarray(self.matrix))
-
-    def with_representation(self, representation: str) -> "ManyBodyOperator":
-        """Return self converted to 'dense', 'sparse', or threshold-based 'auto'."""
-        if representation == "auto":
-            representation = (
-                "dense" if self.space.dimension < DENSE_DIM_THRESHOLD else "sparse"
-            )
-        if representation == "dense":
-            return ManyBodyOperator(self.space, self.to_dense(), self.hermitian)
-        if representation == "sparse":
-            return ManyBodyOperator(self.space, self.to_sparse(), self.hermitian)
-        raise ValueError(f"unknown representation {representation!r}")
-
     # -- algebra ---------------------------------------------------------
 
     def _check_space(self, other: "ManyBodyOperator") -> None:
@@ -192,14 +170,9 @@ class ManyBodyOperator:
             mat = mat.tocsr()
         return ManyBodyOperator(self.space, mat, self.hermitian)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def element(self, bra_levels: Sequence[int], ket_levels: Sequence[int]) -> complex:
         i = self.space.flat_index(bra_levels)
         j = self.space.flat_index(ket_levels)
-        if self.is_sparse:
-            return complex(self.matrix[i, j])
         return complex(self.matrix[i, j])
 
     def hermiticity_deviation(self) -> float:
@@ -210,13 +183,6 @@ class ManyBodyOperator:
 
     def verify_hermitian(self, atol: float = HERMITICITY_ATOL) -> bool:
         return self.hermiticity_deviation() <= atol
-
-    def symmetrized(self) -> "ManyBodyOperator":
-        """Hermitian part (self + self^dag)/2, flagged Hermitian."""
-        mat = (self.matrix + self.matrix.conj().T) * 0.5
-        if sp.issparse(mat):
-            mat = mat.tocsr()
-        return ManyBodyOperator(self.space, mat, hermitian=True)
 
 
 def embed(
@@ -253,16 +219,6 @@ def embed(
             format="csr",
         )
     return ManyBodyOperator(space, mat, hermitian=hermitian)
-
-
-def operator_sum(ops: Iterable[ManyBodyOperator]) -> ManyBodyOperator:
-    ops = list(ops)
-    if not ops:
-        raise ValueError("cannot sum an empty operator list")
-    total = ops[0]
-    for op in ops[1:]:
-        total = total + op
-    return total
 
 
 def identity_operator(space: FockSpace, representation: str = "auto") -> ManyBodyOperator:

@@ -1,28 +1,35 @@
 """Final-surface vibrational Hamiltonians in the truncated initial-surface basis.
 
-Two independent construction routes are provided and cross-checked by tests:
+Everything is expanded from the transformed creation operators
 
-* ``qp``     - H = 1/2 sum_k w_Bk (q_Bk^2 + p_Bk^2) with q_B/p_B built from
-               the transformed position/momentum operators plus displacement.
-* ``ladder`` - transform the creation operators directly,
-               b_k^dag = 1/2 (J - J^-T) a + 1/2 (J + J^-T) a^dag + delta/sqrt(2),
-               then H = sum_k w_Bk (b_k^dag b_k + 1/2).
+    b_k^dag = 1/2 (J - J^-T) a + 1/2 (J + J^-T) a^dag + delta/sqrt(2),
 
-Untruncated the two are algebraically identical; truncation makes them
-differ near the cutoff boundary, which is precisely the error this package
-studies.  The qp route is the default downstream; the ladder route also
-emits the grouped second-quantized term list consumed by the qubit mapper.
+written as ordered products of initial-surface ladder operators.  The two
+routes are two operator orderings of the same harmonic Hamiltonian:
+
+* ``qp``     - symmetric ordering H = sum_k w_Bk (b_k b_k^dag + b_k^dag b_k) / 2,
+               which as a matrix identity equals 1/2 sum_k w_Bk (q_Bk^2 + p_Bk^2)
+               with q_B = (b^dag + b)/sqrt(2) and p_B = i (b^dag - b)/sqrt(2);
+* ``ladder`` - normal ordering H = sum_k w_Bk (b_k^dag b_k + 1/2).
+
+They differ by sum_k w_Bk ([b_k, b_k^dag] - 1) / 2, which vanishes in the
+untruncated algebra; truncation makes it nonzero near the cutoff boundary,
+which is precisely the error this package studies.  Anharmonic monomials
+take q_B from the same expansion.  The qp route is the default downstream;
+the harmonic ladder term list is also what the qubit mapper compiles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fock
-from .fock import FockSpace, ManyBodyOperator, embed, identity_operator
+from .fock import FockSpace, ManyBodyOperator
 from .problem import ModeCutoffs, VibronicProblem, duschinsky_J, duschinsky_J_inv_T
 
 #: Ladder-operator factor kinds in second-quantized terms.
@@ -57,212 +64,172 @@ class HamiltonianBuildReport:
     hermiticity_deviation: float
 
 
-def build_qBpB(
-    problem: VibronicProblem,
-    space: FockSpace,
-    representation: str = "sparse",
-) -> tuple[list[ManyBodyOperator], list[ManyBodyOperator]]:
-    """Final-surface position/momentum operators over the initial-surface space.
-
-    q_Bk = sum_j J[k,j] q_Aj + delta_k,  p_Bk = sum_j J^-T[k,j] p_Aj.
-    """
-    j_mat = duschinsky_J(problem)
-    j_inv_t = duschinsky_J_inv_T(problem)
-    m = problem.n_modes
-    if space.n_modes != m:
-        raise ValueError(f"space has {space.n_modes} modes, problem has {m}")
-
-    q_embedded = [
-        embed(fock.position(space.cutoffs[j]), j, space, hermitian=True,
-              representation=representation)
-        for j in range(m)
-    ]
-    p_embedded = [
-        embed(fock.momentum(space.cutoffs[j]), j, space, hermitian=True,
-              representation=representation)
-        for j in range(m)
-    ]
-    ident = identity_operator(space, representation=representation)
-
-    q_b = []
-    p_b = []
-    for k in range(m):
-        qk = ident.scale(problem.delta[k])
-        pk = None
-        for j in range(m):
-            qk = qk + q_embedded[j].scale(j_mat[k, j])
-            pj = p_embedded[j].scale(j_inv_t[k, j])
-            pk = pj if pk is None else pk + pj
-        qk.hermitian = True
-        pk.hermitian = True
-        q_b.append(qk)
-        p_b.append(pk)
-    return q_b, p_b
+Terms = list[SecondQuantizedTerm]
 
 
-def _qp_term_count(problem: VibronicProblem) -> int:
-    """Distinct monomials in the expanded qp-route H, before matrix assembly."""
-    j_mat = duschinsky_J(problem)
-    j_inv_t = duschinsky_J_inv_T(problem)
-    delta = problem.delta
-    m = problem.n_modes
-    terms: dict[tuple, float] = {}
+def b_dagger_terms(problem: VibronicProblem) -> list[Terms]:
+    """b_k^dag per final-surface mode k as a term list.
 
-    def accumulate(key: tuple, coeff: float) -> None:
-        terms[key] = terms.get(key, 0.0) + coeff
-
-    for k in range(m):
-        w = problem.omega_B[k]
-        for i in range(m):
-            for j in range(m):
-                accumulate((("q", i), ("q", j)), 0.5 * w * j_mat[k, i] * j_mat[k, j])
-                accumulate((("p", i), ("p", j)), 0.5 * w * j_inv_t[k, i] * j_inv_t[k, j])
-            accumulate((("q", i),), w * delta[k] * j_mat[k, i])
-        accumulate((), 0.5 * w * delta[k] ** 2)
-    return sum(1 for c in terms.values() if abs(c) > _COEFF_PRUNE)
-
-
-def build_harmonic_qp(problem: VibronicProblem, space: FockSpace) -> HamiltonianBuildReport:
-    """Assemble H = 1/2 sum_k w_Bk (q_Bk^2 + p_Bk^2)."""
-    q_b, p_b = build_qBpB(problem, space, representation="sparse")
-    h = None
-    for k in range(problem.n_modes):
-        contrib = ((q_b[k] @ q_b[k]) + (p_b[k] @ p_b[k])).scale(0.5 * problem.omega_B[k])
-        h = contrib if h is None else h + contrib
-    h = h.with_representation("auto")
-    h.hermitian = True
-    return HamiltonianBuildReport(
-        route="qp",
-        space=space,
-        hamiltonian=h,
-        term_count=_qp_term_count(problem),
-        hermiticity_deviation=h.hermiticity_deviation(),
-    )
-
-
-def ladder_terms(problem: VibronicProblem) -> list[SecondQuantizedTerm]:
-    """Grouped second-quantized expansion of the ladder-route Hamiltonian.
-
-    Expands sum_k w_Bk (b_k^dag b_k + 1/2) into products of initial-surface
-    ladder operators; coefficients of identical ordered factor tuples are
-    summed and near-zero results pruned.  The length of this list is the
-    term-count observable for the quadratic scaling check.
+    The linear terms come first, mode by mode (a_i then a_i^dag); the
+    constant delta_k/sqrt(2) is always the last entry.
     """
     j_mat = duschinsky_J(problem)
     j_inv_t = duschinsky_J_inv_T(problem)
     c_minus = 0.5 * (j_mat - j_inv_t)
     c_plus = 0.5 * (j_mat + j_inv_t)
     m = problem.n_modes
-
-    terms: dict[tuple[tuple[str, int], ...], float] = {}
-
-    def accumulate(factors: tuple[tuple[str, int], ...], coeff: float) -> None:
-        terms[factors] = terms.get(factors, 0.0) + coeff
-
+    out = []
     for k in range(m):
-        w = problem.omega_B[k]
-        s = problem.delta[k] / math.sqrt(2)
-        # b_k^dag = sum_i cm[k,i] a_i + cp[k,i] a_i^dag + s
-        # b_k     = sum_j cm[k,j] a_j^dag + cp[k,j] a_j + s
+        terms = []
         for i in range(m):
-            for j in range(m):
-                accumulate(((DESTROY, i), (CREATE, j)), w * c_minus[k, i] * c_minus[k, j])
-                accumulate(((DESTROY, i), (DESTROY, j)), w * c_minus[k, i] * c_plus[k, j])
-                accumulate(((CREATE, i), (CREATE, j)), w * c_plus[k, i] * c_minus[k, j])
-                accumulate(((CREATE, i), (DESTROY, j)), w * c_plus[k, i] * c_plus[k, j])
-        for i in range(m):
-            accumulate(((DESTROY, i),), w * s * (c_minus[k, i] + c_plus[k, i]))
-            accumulate(((CREATE, i),), w * s * (c_minus[k, i] + c_plus[k, i]))
-        accumulate((), w * (s * s + 0.5))
+            terms.append(SecondQuantizedTerm(((DESTROY, i),), c_minus[k, i]))
+            terms.append(SecondQuantizedTerm(((CREATE, i),), c_plus[k, i]))
+        terms.append(SecondQuantizedTerm((), problem.delta[k] / math.sqrt(2)))
+        out.append(terms)
+    return out
 
+
+def _adjoint(terms: Terms) -> Terms:
+    """Hermitian conjugate of a real-coefficient term list."""
+    swap = {CREATE: DESTROY, DESTROY: CREATE}
     return [
-        SecondQuantizedTerm(factors, coeff)
-        for factors, coeff in terms.items()
-        if abs(coeff) > _COEFF_PRUNE
+        SecondQuantizedTerm(tuple((swap[kind], mode) for kind, mode in reversed(t.factors)),
+                            t.coefficient)
+        for t in terms
     ]
 
 
-def assemble_terms(
-    terms: list[SecondQuantizedTerm], space: FockSpace
-) -> ManyBodyOperator:
-    """Turn a second-quantized term list into a concrete matrix operator."""
-    single = {
-        CREATE: [fock.creation(space.cutoffs[j]) for j in range(space.n_modes)],
-        DESTROY: [fock.annihilation(space.cutoffs[j]) for j in range(space.n_modes)],
-    }
-    total = None
-    for term in terms:
-        op = identity_operator(space, representation="sparse").scale(term.coefficient)
-        for kind, mode in term.factors:
-            op = op @ embed(single[kind][mode], mode, space, representation="sparse")
-        total = op if total is None else total + op
-    if total is None:
+def _scaled(terms: Terms, factor: float) -> Terms:
+    return [SecondQuantizedTerm(t.factors, factor * t.coefficient) for t in terms]
+
+
+def _times(left: Terms, right: Terms, scale: float = 1.0) -> Terms:
+    """Ordered product scale * left * right, expanded term by term."""
+    return [
+        SecondQuantizedTerm(x.factors + y.factors, scale * x.coefficient * y.coefficient)
+        for x in left
+        for y in right
+    ]
+
+
+def _grouped(terms: Terms) -> Terms:
+    """Sum coefficients of identical ordered factor tuples; prune near-zero sums."""
+    sums: dict[tuple[tuple[str, int], ...], float] = {}
+    for t in terms:
+        sums[t.factors] = sums.get(t.factors, 0.0) + t.coefficient
+    return [SecondQuantizedTerm(f, c) for f, c in sums.items() if abs(c) > _COEFF_PRUNE]
+
+
+def hamiltonian_terms(
+    problem: VibronicProblem, route: str = "qp", include_anharmonic: bool = True
+) -> Terms:
+    """Grouped second-quantized expansion of H in the route's operator ordering.
+
+    With b_k^dag = L_k + s_k (L_k linear, s_k = delta_k/sqrt(2)) the two
+    orderings share the linear and constant parts:
+    b^dag b + 1/2 = L L^dag + s (L + L^dag) + s^2 + 1/2 and
+    (b b^dag + b^dag b)/2 = (L^dag L + L L^dag)/2 + s (L + L^dag) + s^2.
+
+    Each anharmonic monomial is the ordered product of q_B = (b^dag + b)/sqrt(2)
+    symmetrized as (P + P^dag)/2: the coordinates commute exactly only in the
+    untruncated algebra, and symmetrizing keeps H Hermitian at any cutoff.
+    """
+    if route not in ("qp", "ladder"):
+        raise ValueError(f"unknown route {route!r}, expected 'qp' or 'ladder'")
+    b_dag = b_dagger_terms(problem)
+    terms: Terms = []
+    # Term order and each coefficient's arithmetic stay fixed: with integer
+    # frequencies many sticks sit exactly on 1 cm^-1 bin edges, so the last
+    # bit of H decides their bin and with it the seed-recorded spectra.
+    for w, (*lin, shift) in zip(problem.omega_B, b_dag):
+        s = shift.coefficient
+        lin_dag = _adjoint(lin)
+        if route == "ladder":
+            terms += _times(lin, lin_dag, w)
+            constant = s * s + 0.5
+        else:
+            terms += _times(lin_dag, lin, 0.5 * w) + _times(lin, lin_dag, 0.5 * w)
+            constant = s * s
+        terms += _scaled(_grouped(lin + lin_dag), w * s)
+        terms.append(SecondQuantizedTerm((), w * constant))
+    if include_anharmonic and problem.anharmonic:
+        q_b = [_grouped(_scaled(bd + _adjoint(bd), 1.0 / math.sqrt(2))) for bd in b_dag]
+        for monomial in problem.anharmonic:
+            if any(i < 0 or i >= len(q_b) for i in monomial.indices):
+                raise IndexError(f"anharmonic term indices {monomial.indices} out of range")
+            prod = [SecondQuantizedTerm((), monomial.coefficient)]
+            for i in monomial.indices:
+                prod = _grouped(_times(prod, q_b[i]))
+            terms += _scaled(prod + _adjoint(prod), 0.5)
+    return _grouped(terms)
+
+
+def ladder_terms(problem: VibronicProblem) -> Terms:
+    """Grouped expansion of the harmonic sum_k w_Bk (b_k^dag b_k + 1/2).
+
+    For a dense J this is 4 M^2 quadratic, 2 M linear and 1 constant
+    ordered monomials; the length of this list is the term-count observable
+    for the quadratic scaling check, and the list is what the mapper compiles.
+    """
+    return hamiltonian_terms(problem, route="ladder", include_anharmonic=False)
+
+
+def assemble_terms(terms: Terms, space: FockSpace) -> ManyBodyOperator:
+    """Turn a second-quantized term list into a sparse (CSR) matrix operator.
+
+    A ladder factor moves its mode's level by one, so a term moves every
+    column multi-index by a fixed per-mode shift and scales it by the product
+    of its factors' matrix elements.  That product is a Kronecker product of
+    single-mode diagonals, taken factor by factor in the term's order, each
+    factor read at the level its right-hand neighbours on the same mode
+    leave.  Terms with equal shifts share one value grid over the D column
+    multi-indices, so no D x D product is ever formed.
+    """
+    if not terms:
         raise ValueError("empty term list")
-    return total
+    dims = space.local_dims
 
+    @functools.cache
+    def factor(kind: str, mode: int, offset: int) -> np.ndarray:
+        """<l'|factor|l> per column level, read at l + offset, shaped for broadcasting."""
+        level = np.arange(dims[mode]) + offset
+        target = level + (1 if kind == CREATE else -1)
+        inside = (level >= 0) & (level < dims[mode]) & (target >= 0) & (target < dims[mode])
+        shape = [1] * len(dims)
+        shape[mode] = dims[mode]
+        return np.sqrt(np.where(inside, np.maximum(level, target), 0)).reshape(shape)
 
-def build_harmonic_ladder(problem: VibronicProblem, space: FockSpace) -> HamiltonianBuildReport:
-    """Assemble H = sum_k w_Bk (b_k^dag b_k + 1/2) from the grouped term list."""
-    terms = ladder_terms(problem)
-    h = assemble_terms(terms, space).with_representation("auto")
-    h.hermitian = True
-    return HamiltonianBuildReport(
-        route="ladder",
-        space=space,
-        hamiltonian=h,
-        term_count=len(terms),
-        hermiticity_deviation=h.hermiticity_deviation(),
+    grids: dict[tuple[int, ...], np.ndarray] = {}
+    for term in terms:
+        shifts = [0] * len(dims)
+        offsets = []
+        for kind, mode in reversed(term.factors):
+            offsets.append(shifts[mode])
+            shifts[mode] += 1 if kind == CREATE else -1
+        grid = np.array(term.coefficient, dtype=float)
+        for (kind, mode), offset in zip(term.factors, reversed(offsets)):
+            grid = grid * factor(kind, mode, offset)
+        key = tuple(shifts)
+        grids[key] = grid + grids[key] if key in grids else grid
+
+    strides = np.array([math.prod(dims[m + 1:]) for m in range(len(dims))])
+    rows, cols, data = [], [], []
+    for shifts, grid in grids.items():
+        grid = np.broadcast_to(grid, dims)
+        flat = np.flatnonzero(grid)
+        cols.append(flat)
+        rows.append(flat + int(np.dot(shifts, strides)))
+        data.append(grid.ravel()[flat])
+    d = space.dimension
+    mat = sp.csr_array(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(d, d)
     )
+    return ManyBodyOperator(space, mat)
 
 
 def build_b_dagger(problem: VibronicProblem, space: FockSpace) -> list[ManyBodyOperator]:
     """Transformed creation operators b_k^dag as many-body matrices."""
-    j_mat = duschinsky_J(problem)
-    j_inv_t = duschinsky_J_inv_T(problem)
-    c_minus = 0.5 * (j_mat - j_inv_t)
-    c_plus = 0.5 * (j_mat + j_inv_t)
-    m = problem.n_modes
-
-    a_ops = [embed(fock.annihilation(space.cutoffs[j]), j, space, representation="sparse")
-             for j in range(m)]
-    ad_ops = [embed(fock.creation(space.cutoffs[j]), j, space, representation="sparse")
-              for j in range(m)]
-    ident = identity_operator(space, representation="sparse")
-
-    result = []
-    for k in range(m):
-        op = ident.scale(problem.delta[k] / math.sqrt(2))
-        for j in range(m):
-            op = op + a_ops[j].scale(c_minus[k, j]) + ad_ops[j].scale(c_plus[k, j])
-        result.append(op)
-    return result
-
-
-def add_anharmonic(
-    h0: ManyBodyOperator,
-    problem: VibronicProblem,
-    q_b: list[ManyBodyOperator],
-) -> ManyBodyOperator:
-    """H0 plus the force-constant monomials in final-surface coordinates.
-
-    Each monomial is the ordered product of q_B operators symmetrized as
-    (P + P^dag)/2: the coordinates commute exactly only in the untruncated
-    algebra, and symmetrizing keeps H Hermitian at any cutoff.
-    """
-    if not problem.anharmonic:
-        return h0
-    space = h0.space
-    h = h0
-    for term in problem.anharmonic:
-        if any(i < 0 or i >= len(q_b) for i in term.indices):
-            raise IndexError(f"anharmonic term indices {term.indices} out of range")
-        prod = q_b[term.indices[0]]
-        for i in term.indices[1:]:
-            prod = prod @ q_b[i]
-        h = h + prod.symmetrized().scale(term.coefficient)
-    h = h.with_representation("auto")
-    h.hermitian = True
-    return h
+    return [assemble_terms(terms, space) for terms in b_dagger_terms(problem)]
 
 
 def build_hamiltonian(
@@ -271,19 +238,21 @@ def build_hamiltonian(
     route: str = "qp",
     include_anharmonic: bool = True,
 ) -> HamiltonianBuildReport:
-    """One-call builder: harmonic route plus optional anharmonic terms."""
-    space = FockSpace.from_cutoffs(cutoffs)
-    if route == "qp":
-        report = build_harmonic_qp(problem, space)
-    elif route == "ladder":
-        report = build_harmonic_ladder(problem, space)
-    else:
-        raise ValueError(f"unknown route {route!r}, expected 'qp' or 'ladder'")
+    """Assemble H in the route's ordering, anharmonic terms optional.
 
-    if include_anharmonic and problem.anharmonic:
-        q_b, _ = build_qBpB(problem, space, representation="sparse")
-        h = add_anharmonic(report.hamiltonian.with_representation("sparse"), problem, q_b)
-        report.hamiltonian = h.with_representation("auto")
-        report.term_count += len(problem.anharmonic)
-        report.hermiticity_deviation = report.hamiltonian.hermiticity_deviation()
-    return report
+    H is stored dense below ``fock.DENSE_DIM_THRESHOLD`` and as CSR above it;
+    ``term_count`` is the number of grouped second-quantized terms.
+    """
+    if len(cutoffs) != problem.n_modes:
+        raise ValueError(f"{len(cutoffs)} cutoffs for a {problem.n_modes}-mode problem")
+    space = FockSpace.from_cutoffs(cutoffs)
+    terms = hamiltonian_terms(problem, route, include_anharmonic)
+    h = assemble_terms(terms, space)
+    matrix = h.to_dense() if space.dimension < fock.DENSE_DIM_THRESHOLD else h.matrix
+    return HamiltonianBuildReport(
+        route=route,
+        space=space,
+        hamiltonian=ManyBodyOperator(space, matrix, hermitian=True),
+        term_count=len(terms),
+        hermiticity_deviation=h.hermiticity_deviation(),
+    )

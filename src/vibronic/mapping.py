@@ -35,8 +35,12 @@ PAULI_MATRICES = {
 #: Terms with |coefficient| below this are dropped when pruning.
 COEFF_PRUNE = 1e-14
 
-#: pauli_to_matrix refuses to build anything wider than this.
-MATRIX_QUBIT_GUARD = 24
+#: Total qubits (system + energy + initial-state registers) the emulator accepts.
+DEFAULT_QUBIT_BUDGET = 26
+
+#: Largest dense complex array any step may allocate: one statevector that
+#: fills the default qubit budget, 16 * 2^26 B = 1 GiB.
+MAX_DENSE_BYTES = 16 * 2**DEFAULT_QUBIT_BUDGET
 
 # |b><b'| decompositions on one qubit: (letter, coefficient) pairs.
 _LEVEL_PAIR_FACTORS = {
@@ -49,6 +53,18 @@ _LEVEL_PAIR_FACTORS = {
 
 class EncodingError(ValueError):
     """Raised for out-of-range levels or mismatched layouts."""
+
+
+class QubitBudgetError(EncodingError):
+    """Raised when a run would exceed the qubit budget or the dense-array byte cap."""
+
+
+def check_dense_bytes(n_bytes: int, what: str) -> None:
+    """Raise QubitBudgetError, before allocating, if ``what`` needs over MAX_DENSE_BYTES."""
+    if n_bytes > MAX_DENSE_BYTES:
+        raise QubitBudgetError(
+            f"{what} would take {n_bytes / 2**30:.4g} GiB > {MAX_DENSE_BYTES / 2**30:g} GiB cap"
+        )
 
 
 @dataclass(frozen=True)
@@ -127,11 +143,6 @@ class PauliSum:
     def scaled(self, factor: complex) -> "PauliSum":
         out = PauliSum(self.n_qubits)
         out.terms = {s: factor * c for s, c in self.terms.items()}
-        return out
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        out = PauliSum(self.n_qubits, dict(self.terms))
-        out.merge(other)
         return out
 
     def sorted_terms(self) -> list[tuple[str, complex]]:
@@ -313,9 +324,6 @@ def map_second_quantized(
             )
             for kind, mode in term.factors
         ]
-        if not factors:
-            out.add_term(_identity_string(layout.total_qubits), term.coefficient)
-            continue
         out.merge(map_term_factors(factors, term.coefficient, encoding, layout))
     return out.pruned()
 
@@ -323,8 +331,7 @@ def map_second_quantized(
 def pauli_to_matrix(ps: PauliSum) -> np.ndarray:
     """Dense 2^N matrix of the sum (verification back-end, N capped)."""
     n = ps.n_qubits
-    if n > MATRIX_QUBIT_GUARD:
-        raise EncodingError(f"refusing to build a 2^{n} matrix (guard is {MATRIX_QUBIT_GUARD})")
+    check_dense_bytes(16 << (2 * n), f"a dense 2^{n} x 2^{n} Pauli matrix")
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
     for string, coeff in ps.terms.items():

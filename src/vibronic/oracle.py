@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock
 from .fock import FockSpace, ManyBodyOperator
 from .hamiltonian import build_b_dagger, build_hamiltonian
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem
@@ -112,15 +111,10 @@ def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(mat)
 
 
-def diagonalize_fcp(
-    h: ManyBodyOperator,
-    space: FockSpace | None = None,
-    initial_flat_index: int = 0,
-    metadata: dict | None = None,
-) -> StickSpectrum:
-    """Stick spectrum of H: eigenvalues vs |<initial|psi_i>|^2.
+def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickSpectrum:
+    """Stick spectrum of H: eigenvalues vs |<0|psi_i>|^2.
 
-    The default initial state is the vacuum (flat index 0), giving the
+    The initial state is the vacuum (flat index 0), giving the
     zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
     separate sticks.
     """
@@ -128,10 +122,9 @@ def diagonalize_fcp(
         raise ValueError(
             f"Hamiltonian is not Hermitian (deviation {h.hermiticity_deviation():.2e})"
         )
-    space = space or h.space
     evals, evecs = eigensolve(h)
-    fcf = np.abs(evecs[initial_flat_index, :]) ** 2
-    meta = {"cutoffs": list(space.cutoffs)}
+    fcf = np.abs(evecs[0, :]) ** 2
+    meta = {"cutoffs": list(h.space.cutoffs)}
     meta.update(metadata or {})
     return StickSpectrum(energies=evals, intensities=fcf, metadata=meta)
 
@@ -231,9 +224,7 @@ def spectrum_pipeline(
     """Build H, diagonalize, bin and broaden in one call."""
     report = build_hamiltonian(problem, cutoffs, route=route)
     sticks = diagonalize_fcp(
-        report.hamiltonian,
-        report.space,
-        metadata={"problem": problem.label, "route": route},
+        report.hamiltonian, metadata={"problem": problem.label, "route": route}
     )
     binned = bin_spectrum(sticks, width=bin_width)
     broad = broaden(binned, sigma=sigma, convention=convention)
@@ -262,7 +253,6 @@ def converge_sweep(
     route: str = "qp",
     sigma: float = DEFAULT_SIGMA,
     convention: str = "stdev",
-    jobs: int = 1,
 ) -> SweepResult:
     """Increase the varied mode's L_max until successive broadened spectra agree.
 
@@ -285,48 +275,19 @@ def converge_sweep(
         levels[varied_mode] = l_max
         return ModeCutoffs(tuple(levels))
 
-    def broadened_at(l_max: int) -> BroadenedSpectrum:
-        _, _, broad = spectrum_pipeline(
-            problem, cutoffs_for(l_max), route=route, sigma=sigma, convention=convention
+    spectra: dict[int, BroadenedSpectrum] = {}
+    trace: list[tuple[int, float]] = []
+    converged = None
+    for l in range(l_start, l_cap + 1):
+        _, _, spectra[l] = spectrum_pipeline(
+            problem, cutoffs_for(l), route=route, sigma=sigma, convention=convention
         )
-        return broad
-
-    levels = list(range(l_start, l_cap + 1))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        spectra: dict[int, BroadenedSpectrum] = {}
-        converged = None
-        trace: list[tuple[int, float]] = []
-        chunk = max(2 * jobs, 4)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for base in range(0, len(levels), chunk):
-                batch = levels[base : base + chunk]
-                for l, spec in zip(batch, pool.map(broadened_at, batch)):
-                    spectra[l] = spec
-                for l in batch:
-                    if l - 1 in spectra:
-                        d = l1_distance(spectra[l], spectra[l - 1])
-                        trace.append((l, d))
-                        if converged is None and d < threshold:
-                            converged = l - 1
-                if converged is not None:
-                    break
-    else:
-        spectra = {}
-        trace = []
-        converged = None
-        prev = None
-        for l in levels:
-            spec = broadened_at(l)
-            spectra[l] = spec
-            if prev is not None:
-                d = l1_distance(spec, prev)
-                trace.append((l, d))
-                if d < threshold:
-                    converged = l - 1
-                    break
-            prev = spec
+        if l - 1 in spectra:
+            d = l1_distance(spectra[l], spectra[l - 1])
+            trace.append((l, d))
+            if d < threshold:
+                converged = l - 1
+                break
 
     top = max(spectra)
     vs_exact = [
@@ -497,7 +458,10 @@ def read_spectrum_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or len(rows[0]) < 2:
         raise ValueError("spectrum CSV must have a two-column header")
-    data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
+    try:
+        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"spectrum CSV has a malformed data row: {exc}") from exc
     if data.size == 0:
         raise ValueError("spectrum CSV has no data rows")
     return data[:, 0], data[:, 1]

@@ -156,18 +156,20 @@ def validate(problem: VibronicProblem) -> ValidationReport:
     """Check all problem invariants and return a report (never raises)."""
     violations: list[str] = []
     warnings: list[str] = []
-    m = problem.n_modes
+    m = problem.omega_A.size
 
-    if problem.omega_B.shape != (m,):
-        violations.append(
-            f"omega_B has length {len(problem.omega_B)}, expected {m}"
-        )
-    if problem.delta.shape != (m,):
-        violations.append(f"delta has length {len(problem.delta)}, expected {m}")
-    if problem.duschinsky_S.shape != (m, m):
-        violations.append(
-            f"S has shape {problem.duschinsky_S.shape}, expected ({m}, {m})"
-        )
+    for name, values, shape in (
+        ("omega_A", problem.omega_A, (m,)),
+        ("omega_B", problem.omega_B, (m,)),
+        ("S", problem.duschinsky_S, (m, m)),
+        ("delta", problem.delta, (m,)),
+    ):
+        if values.shape != shape:
+            violations.append(f"{name} has shape {values.shape}, expected {shape}")
+        elif not np.all(np.isfinite(values)):
+            violations.append(f"{name} must be finite")
+    if not all(math.isfinite(t.coefficient) for t in problem.anharmonic):
+        violations.append("anharmonic coefficients must be finite")
 
     if np.any(problem.omega_A <= 0) or (
         problem.omega_B.shape == (m,) and np.any(problem.omega_B <= 0)
@@ -265,10 +267,18 @@ def parse_problem(text: str) -> VibronicProblem:
         raise ProblemFormatError("problem file must contain a JSON object")
 
     label = str(_require(raw, "label", "problem"))
-    omega_a = np.asarray(_require(raw, "omega_A", label), dtype=float)
-    omega_b = np.asarray(_require(raw, "omega_B", label), dtype=float)
-    s_matrix = np.asarray(_require(raw, "S", label), dtype=float)
-    delta = np.asarray(_require(raw, "delta", label), dtype=float)
+
+    def numeric(key: str) -> np.ndarray:
+        value = _require(raw, key, label)
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFormatError(f"{label}: '{key}' is not a numeric array: {exc}") from exc
+
+    omega_a = numeric("omega_A")
+    omega_b = numeric("omega_B")
+    s_matrix = numeric("S")
+    delta = numeric("delta")
 
     terms = []
     for i, entry in enumerate(raw.get("anharmonic", [])):

@@ -20,24 +20,26 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import fock
 from .fock import FockSpace, ManyBodyOperator
-from .hamiltonian import build_hamiltonian
+from .hamiltonian import build_hamiltonian, ladder_terms
 from .mapping import (
+    DEFAULT_QUBIT_BUDGET,
     Encoding,
     PauliSum,
+    QubitBudgetError,
     QubitLayout,
+    check_dense_bytes,
     codespace_indices,
+    map_second_quantized,
     pauli_to_matrix,
 )
 from .oracle import BinnedSpectrum, eigensolve
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem
 
-#: Total qubits (system + energy + initial-state registers) the emulator accepts.
-DEFAULT_QUBIT_BUDGET = 26
 
-
-class QubitBudgetError(ValueError):
-    """Raised when a run would exceed the configured qubit budget."""
+class UnsupportedBackendError(ValueError):
+    """Raised when the evolution backend cannot represent the problem's Hamiltonian."""
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,8 @@ class PhaseMap:
 
 def gershgorin_bounds(h: ManyBodyOperator) -> tuple[float, float]:
     """Cheap spectral interval from Gershgorin row sums."""
-    if h.is_sparse:
-        mat = h.to_sparse()
-        diag = mat.diagonal().real
-        radii = np.abs(mat).sum(axis=1).ravel() - np.abs(diag)
-    else:
-        mat = h.to_dense()
-        diag = np.diag(mat).real
-        radii = np.abs(mat).sum(axis=1) - np.abs(np.diag(mat))
+    diag = h.matrix.diagonal().real
+    radii = np.asarray(abs(h.matrix).sum(axis=1)).ravel() - np.abs(diag)
     return float((diag - radii).min()), float((diag + radii).max())
 
 
@@ -128,18 +124,6 @@ class EvolutionBackend:
     @classmethod
     def trotter(cls, order: int, steps: int) -> "EvolutionBackend":
         return cls(kind="trotter", order=order, steps=steps)
-
-
-@dataclass
-class StateVector:
-    """Dense multi-register amplitude vector with a layout tag."""
-
-    amps: np.ndarray
-    registers: tuple[tuple[str, int], ...]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 @dataclass
@@ -259,12 +243,6 @@ def trotter_unitary(ps: PauliSum, time: float, order: int, steps: int) -> np.nda
     return np.linalg.matrix_power(step, steps)
 
 
-def apply_trotter(ps: PauliSum, time: float, order: int, steps: int, state: StateVector) -> StateVector:
-    """Apply the Trotterized propagator to a statevector."""
-    u = trotter_unitary(ps, time, order, steps)
-    return StateVector(amps=u @ state.amps, registers=state.registers)
-
-
 # -- core QPE engine ---------------------------------------------------
 
 
@@ -275,10 +253,63 @@ def _embed_unitary(u_fock: np.ndarray, code: np.ndarray, n_qubits: int) -> np.nd
     return u
 
 
-def _exact_step_unitary(h: ManyBodyOperator, phase_map: PhaseMap) -> np.ndarray:
-    evals, evecs = eigensolve(h)
-    phases = np.exp(-1j * phase_map.tau * (evals + phase_map.energy_shift))
-    return (evecs * phases) @ evecs.conj().T
+def _step_unitary(
+    h: ManyBodyOperator,
+    phase_map: PhaseMap,
+    backend: EvolutionBackend,
+    pauli: PauliSum | None,
+    code: np.ndarray,
+    n_s: int,
+) -> np.ndarray:
+    """U = exp(-i tau (H + shift)) on the full 2^n_s system register.
+
+    The exact backend embeds the Fock-space propagator on the code space; the
+    Trotter backend evolves under the mapped Pauli sum.
+    """
+    if backend.kind == "exact":
+        evals, evecs = eigensolve(h)
+        phases = np.exp(-1j * phase_map.tau * (evals + phase_map.energy_shift))
+        return _embed_unitary((evecs * phases) @ evecs.conj().T, code, n_s)
+    if pauli is None:
+        raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
+    u_step = trotter_step_unitary(pauli, phase_map.tau / backend.steps, backend.order)
+    u = np.linalg.matrix_power(u_step, backend.steps)
+    u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
+    return u
+
+
+def _problem_hamiltonian(
+    problem: VibronicProblem,
+    cutoffs: ModeCutoffs,
+    t: int,
+    encoding: Encoding,
+    backend: EvolutionBackend,
+    route: str,
+    phase_map: PhaseMap | None = None,
+) -> tuple[str, ManyBodyOperator, PauliSum | None, PhaseMap]:
+    """(route, H, mapped Pauli sum or None, phase map) for a problem-level run.
+
+    The Trotter backend evolves under the mapped harmonic ladder expansion,
+    so anharmonic problems are rejected and the reference H (hence the phase
+    map) is the ladder route too: the routes differ near the cutoff.
+    """
+    pauli = None
+    if backend.kind == "trotter":
+        if problem.anharmonic:
+            raise UnsupportedBackendError(
+                "the Trotter backend compiles the harmonic ladder Hamiltonian only; "
+                "use the exact backend for anharmonic problems"
+            )
+        route = "ladder"
+        pauli = map_second_quantized(
+            ladder_terms(problem), encoding, QubitLayout.for_encoding(encoding)
+        )
+    h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian
+    if phase_map is None:
+        # harmonic H is a sum of squares, so 0 is a tight lower bound
+        lower = 0.0 if not problem.anharmonic else None
+        phase_map = choose_phase_map(h, t, lower_bound=lower)
+    return route, h, pauli, phase_map
 
 
 def _controlled_power_sweep(amps: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
@@ -307,7 +338,7 @@ def run_qpe(
     encoding: Encoding,
     t: int,
     shots: int,
-    backend: EvolutionBackend | None = None,
+    backend: EvolutionBackend = EvolutionBackend.exact(),
     seed: int = 0,
     initial_state: np.ndarray | None = None,
     phase_map: PhaseMap | None = None,
@@ -323,32 +354,22 @@ def run_qpe(
     the phase map.  With the exact backend the evolution never leaves the
     code space, so every outcome decodes cleanly.
 
-    Returns the SampledSpectrum; with ``return_state`` also the
-    post-measurement system-register state of the last shot, and with
+    Returns the SampledSpectrum; with ``return_state`` also the normalized
+    post-measurement system-register amplitudes of the last shot, and with
     ``return_distribution`` the emulator's exact pre-measurement outcome
     probabilities (for kernel cross-checks).
     """
-    backend = backend or EvolutionBackend.exact()
     layout = QubitLayout.for_encoding(encoding)
     n_s = layout.total_qubits
     if n_s + t > qubit_budget:
         raise QubitBudgetError(
             f"run needs {n_s} system + {t} energy qubits > budget {qubit_budget}"
         )
+    check_dense_bytes(16 << max(2 * n_s, n_s + t), f"a {n_s}-qubit system-register run")
     if phase_map is None:
         phase_map = choose_phase_map(h, t)
     code = codespace_indices(encoding, layout)
-
-    if backend.kind == "exact":
-        u = _embed_unitary(_exact_step_unitary(h, phase_map), code, n_s)
-    else:
-        if pauli_hamiltonian is None:
-            raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
-        u_step = trotter_step_unitary(
-            pauli_hamiltonian, phase_map.tau / backend.steps, backend.order
-        )
-        u = np.linalg.matrix_power(u_step, backend.steps)
-        u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
+    u = _step_unitary(h, phase_map, backend, pauli_hamiltonian, code, n_s)
 
     e_dim = 2**t
     amps = np.zeros((e_dim, 1 << n_s), dtype=complex)
@@ -384,10 +405,8 @@ def run_qpe(
         return spectrum
     extras: list = [spectrum]
     if return_state:
-        last = int(outcomes[-1])
-        post = amps[last, :]
-        post = post / np.linalg.norm(post)
-        extras.append(StateVector(amps=post, registers=(("S", n_s),)))
+        post = amps[int(outcomes[-1]), :]
+        extras.append(post / np.linalg.norm(post))
     if return_distribution:
         extras.append(probs)
     return tuple(extras)
@@ -417,13 +436,10 @@ def prepare_thermal(
         kappa[0, 0] = 1.0
         return kappa
     thetas = thermal_angles(problem, thermal.beta)
-
-    from . import fock as fk
-
     per_mode = []
     for d, theta in zip(dims, thetas):
-        a = fk.annihilation(d - 1)
-        ad = fk.creation(d - 1)
+        a = fock.annihilation(d - 1)
+        ad = fock.creation(d - 1)
         gen = (theta / 2.0) * (np.kron(ad, ad) - np.kron(a, a))
         col = scipy.linalg.expm(gen)[:, 0]
         per_mode.append(col.reshape(d, d).real)
@@ -450,7 +466,7 @@ def run_qpe_thermal(
     shots: int,
     thermal: ThermalConfig,
     encoding_variant: str = "binary",
-    backend: EvolutionBackend | None = None,
+    backend: EvolutionBackend = EvolutionBackend.exact(),
     seed: int = 0,
     route: str = "qp",
     phase_map: PhaseMap | None = None,
@@ -463,7 +479,6 @@ def run_qpe_thermal(
     initial-register outcomes (possible only with Trotter leakage) are
     counted and discarded.
     """
-    backend = backend or EvolutionBackend.exact()
     encoding = Encoding(encoding_variant, cutoffs)
     layout = QubitLayout.for_encoding(encoding)
     n_s = layout.total_qubits
@@ -472,24 +487,11 @@ def run_qpe_thermal(
             f"thermal run needs {2 * n_s} register + {t} energy qubits > budget {qubit_budget}"
         )
 
-    report = build_hamiltonian(problem, cutoffs, route=route)
-    h = report.hamiltonian
-    if phase_map is None:
-        # harmonic H is a sum of squares, so 0 is a tight lower bound
-        lower = 0.0 if not problem.anharmonic else None
-        phase_map = choose_phase_map(h, t, lower_bound=lower)
+    route, h, pauli, phase_map = _problem_hamiltonian(
+        problem, cutoffs, t, encoding, backend, route, phase_map
+    )
     code = codespace_indices(encoding, layout)
-
-    if backend.kind == "exact":
-        u = _embed_unitary(_exact_step_unitary(h, phase_map), code, n_s)
-    else:
-        from .hamiltonian import ladder_terms
-        from .mapping import map_second_quantized
-
-        ps = map_second_quantized(ladder_terms(problem), encoding, layout)
-        u_step = trotter_step_unitary(ps, phase_map.tau / backend.steps, backend.order)
-        u = np.linalg.matrix_power(u_step, backend.steps)
-        u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
+    u = _step_unitary(h, phase_map, backend, pauli, code, n_s)
 
     kappa = prepare_thermal(problem, cutoffs, thermal)
     e_dim = 2**t
@@ -546,37 +548,25 @@ def run_qpe_problem(
     t: int,
     shots: int,
     encoding_variant: str = "binary",
-    backend: EvolutionBackend | None = None,
+    backend: EvolutionBackend = EvolutionBackend.exact(),
     seed: int = 0,
     route: str = "qp",
     qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> SampledSpectrum:
     """Problem-level convenience wrapper: build H, map if needed, run QPE."""
-    backend = backend or EvolutionBackend.exact()
     encoding = Encoding(encoding_variant, cutoffs)
-    layout = QubitLayout.for_encoding(encoding)
-    pauli = None
-    if backend.kind == "trotter":
-        from .hamiltonian import ladder_terms
-        from .mapping import map_second_quantized
-
-        if problem.anharmonic:
-            raise ValueError("Trotter runs support harmonic Hamiltonians only")
-        # the mapped term list is the ladder expansion, so the reference H
-        # must be the ladder route too (the routes differ near the cutoff)
-        route = "ladder"
-        pauli = map_second_quantized(ladder_terms(problem), encoding, layout)
-    report = build_hamiltonian(problem, cutoffs, route=route)
-    lower = 0.0 if not problem.anharmonic else None
+    route, h, pauli, phase_map = _problem_hamiltonian(
+        problem, cutoffs, t, encoding, backend, route
+    )
     spectrum = run_qpe(
-        report.hamiltonian,
+        h,
         encoding,
         t,
         shots,
         backend=backend,
         seed=seed,
         pauli_hamiltonian=pauli,
-        phase_map=choose_phase_map(report.hamiltonian, t, lower_bound=lower),
+        phase_map=phase_map,
         qubit_budget=qubit_budget,
     )
     spectrum.metadata["problem"] = problem.label

@@ -171,6 +171,55 @@ def test_compare_missing_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["map", "--cutoffs", "2", "--route", "qp"],
+    ["map", "--cutoffs", "2", "--sigma", "5"],
+    ["qpe", "--cutoffs", "2", "--sigma", "5"],
+    ["thermal", "--cutoffs", "2", "--sigma-convention", "fwhm"],
+    ["exact", "--cutoffs", "2", "--jobs", "9"],
+])
+def test_unread_flags_rejected_exit_2(argv, toy_file):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--problem", toy_file])
+    assert exc.value.code == 2
+
+
+def test_repro_rejects_route_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["repro", "--route", "qp"])
+    assert exc.value.code == 2
+
+
+def test_converge_bad_fixed_cutoffs_exit_2(so2_file, tmp_path, capsys):
+    code = main(["converge", "--problem", so2_file, "--vary-mode", "1",
+                 "--fixed-cutoffs", "x", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--fixed-cutoffs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["100.0", "100.0,abc"])
+def test_compare_malformed_row_exit_2(row, tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("energy_cm1,density\n100.0,0.5\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"energy_cm1,density\n100.0,0.5\n{row}\n")
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("qpe", []),
+    ("thermal", ["--temperature-K", "300"]),
+])
+def test_trotter_rejects_anharmonic_exit_2(command, extra, tmp_path, capsys):
+    path = tmp_path / "anharmonic.json"
+    path.write_text(serialize_problem(bundled_problem("so2_anharmonic")))
+    code = main([command, "--problem", str(path), "--cutoffs", "1,1,1", "--t", "6",
+                 "--shots", "10", "--backend", "trotter:1:2", "--out", str(tmp_path), *extra])
+    assert code == 2
+    assert "anharmonic" in capsys.readouterr().err
+
+
 def test_output_dir_env_var(toy_file, tmp_path, monkeypatch):
     env_out = tmp_path / "envout"
     monkeypatch.setenv("VIBRONIC_OUTDIR", str(env_out))

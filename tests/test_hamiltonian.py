@@ -1,3 +1,6 @@
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,20 +9,68 @@ from vibronic.fock import FockSpace
 from vibronic.hamiltonian import (
     CREATE,
     DESTROY,
-    add_anharmonic,
     assemble_terms,
     build_b_dagger,
     build_hamiltonian,
-    build_harmonic_ladder,
-    build_harmonic_qp,
-    build_qBpB,
+    hamiltonian_terms,
     ladder_terms,
 )
-from vibronic.problem import AnharmonicTerm, ModeCutoffs, VibronicProblem, bundled_problem
+from vibronic.problem import (
+    AnharmonicTerm,
+    ModeCutoffs,
+    VibronicProblem,
+    bundled_problem,
+    duschinsky_J,
+    duschinsky_J_inv_T,
+)
 
 
 def toy_problem(delta=0.0, omega=1000.0):
     return VibronicProblem("toy", [omega], [omega], [[1.0]], [delta])
+
+
+def build_qBpB(problem, space):
+    """q_B = (b^dag + b)/sqrt(2) and p_B = i (b^dag - b)/sqrt(2) from the expansion's b^dag."""
+    b_dag = build_b_dagger(problem, space)
+    q_b = [(bd + bd.dagger()).scale(1 / math.sqrt(2)) for bd in b_dag]
+    p_b = [(bd - bd.dagger()).scale(1j / math.sqrt(2)) for bd in b_dag]
+    return q_b, p_b
+
+
+def dense_reference(problem, cutoffs, route):
+    """Today's definitions of both routes, from embedded single-mode matrices.
+
+    qp: 1/2 sum_k w_k (q_Bk^2 + p_Bk^2) with q_B = J q + delta, p_B = J^-T p;
+    ladder: sum_k w_k (b_k^dag b_k + 1/2); both plus the symmetrized
+    anharmonic monomials in q_B.
+    """
+    space = FockSpace.from_cutoffs(cutoffs)
+    m = problem.n_modes
+    j, j_inv_t = duschinsky_J(problem), duschinsky_J_inv_T(problem)
+    eye = np.eye(space.dimension)
+
+    def embedded(single):
+        return [fock.embed(single(space.cutoffs[i]), i, space, representation="dense").to_dense()
+                for i in range(m)]
+
+    q, p = embedded(fock.position), embedded(fock.momentum)
+    q_b = [sum(j[k, i] * q[i] for i in range(m)) + problem.delta[k] * eye for k in range(m)]
+    h = np.zeros_like(eye, dtype=complex)
+    if route == "qp":
+        p_b = [sum(j_inv_t[k, i] * p[i] for i in range(m)) for k in range(m)]
+        for k, w in enumerate(problem.omega_B):
+            h += 0.5 * w * (q_b[k] @ q_b[k] + p_b[k] @ p_b[k])
+    else:
+        a, ad = embedded(fock.annihilation), embedded(fock.creation)
+        c_minus, c_plus = 0.5 * (j - j_inv_t), 0.5 * (j + j_inv_t)
+        for k, w in enumerate(problem.omega_B):
+            bd = sum(c_minus[k, i] * a[i] + c_plus[k, i] * ad[i] for i in range(m))
+            bd = bd + problem.delta[k] / math.sqrt(2) * eye
+            h += w * (bd @ bd.conj().T + 0.5 * eye)
+    for term in problem.anharmonic:
+        prod = reduce(np.matmul, [q_b[i] for i in term.indices])
+        h += term.coefficient * 0.5 * (prod + prod.conj().T)
+    return h
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +103,7 @@ def test_qbpb_so2_vacuum_diagonal_is_delta(so2):
 
 
 def test_harmonic_qp_identity_eigenvalues():
-    space = FockSpace((7,))
-    rep = build_harmonic_qp(toy_problem(), space)
+    rep = build_hamiltonian(toy_problem(), ModeCutoffs((6,)), route="qp")
     evals = np.linalg.eigvalsh(rep.hamiltonian.to_dense().real)
     # interior levels w(n + 1/2) are all present exactly; the one boundary
     # level is deficient (it lands at 3000 rather than 6500)
@@ -64,16 +114,14 @@ def test_harmonic_qp_identity_eigenvalues():
 
 
 def test_displacement_does_not_change_spectrum():
-    space = FockSpace((21,))
-    rep = build_harmonic_qp(toy_problem(delta=1.0), space)
+    rep = build_hamiltonian(toy_problem(delta=1.0), ModeCutoffs((20,)), route="qp")
     evals = np.linalg.eigvalsh(rep.hamiltonian.to_dense().real)
     assert evals[0] == pytest.approx(500.0, abs=1e-6)
     assert np.allclose(evals[:8], 1000.0 * (np.arange(8) + 0.5), atol=1e-5)
 
 
 def test_so2_zero_point_energy(so2):
-    space = FockSpace((14, 21))  # L_max = [13, 20]
-    rep = build_harmonic_qp(so2, space)
+    rep = build_hamiltonian(so2, ModeCutoffs((13, 20)), route="qp")
     evals = np.linalg.eigvalsh(rep.hamiltonian.to_dense().real)
     assert evals[0] == pytest.approx(0.5 * (1178.1 + 518.8), abs=0.01)
 
@@ -86,7 +134,7 @@ def test_hermiticity(route, so2):
 
 
 def test_harmonic_psd(so2):
-    rep = build_harmonic_qp(so2, FockSpace((12, 12)))
+    rep = build_hamiltonian(so2, ModeCutoffs((11, 11)), route="qp")
     evals = np.linalg.eigvalsh(rep.hamiltonian.to_dense().real)
     assert evals.min() >= -1e-9
 
@@ -97,7 +145,7 @@ def test_ladder_identity_transform():
     bd = build_b_dagger(p, space)
     ref = fock.embed(fock.creation(4), 0, space).to_dense()
     assert np.abs(bd[0].to_dense() - ref).max() < 1e-14
-    rep = build_harmonic_ladder(p, space)
+    rep = build_hamiltonian(p, ModeCutoffs((4,)), route="ladder")
     h = rep.hamiltonian.to_dense()
     assert np.abs(h - np.diag(np.diag(h))).max() < 1e-12
 
@@ -106,8 +154,8 @@ def test_ladder_identity_transform():
 def test_qp_vs_ladder_interior_agreement(name):
     problem = bundled_problem(name)
     space = FockSpace((8, 8))
-    h_qp = build_harmonic_qp(problem, space).hamiltonian.to_dense()
-    h_ld = build_harmonic_ladder(problem, space).hamiltonian.to_dense()
+    h_qp = build_hamiltonian(problem, ModeCutoffs((7, 7)), route="qp").hamiltonian.to_dense()
+    h_ld = build_hamiltonian(problem, ModeCutoffs((7, 7)), route="ladder").hamiltonian.to_dense()
     interior = [space.flat_index((i, j)) for i in range(6) for j in range(6)]
     diff = np.abs(h_qp[np.ix_(interior, interior)] - h_ld[np.ix_(interior, interior)])
     assert diff.max() < 1e-9
@@ -122,7 +170,7 @@ def test_ladder_term_count_so2(so2):
 def test_ladder_terms_assemble_matches_builder(so2):
     space = FockSpace((6, 6))
     h1 = assemble_terms(ladder_terms(so2), space).to_dense()
-    h2 = build_harmonic_ladder(so2, space).hamiltonian.to_dense()
+    h2 = build_hamiltonian(so2, ModeCutoffs((5, 5)), route="ladder").hamiltonian.to_dense()
     assert np.abs(h1 - h2).max() < 1e-9
 
 
@@ -137,11 +185,7 @@ def test_ladder_terms_structure(so2):
 
 def test_add_anharmonic_empty_is_identity_operation():
     p = toy_problem()
-    space = FockSpace((6,))
-    rep = build_harmonic_qp(p, space)
-    q_b, _ = build_qBpB(p, space)
-    h = add_anharmonic(rep.hamiltonian, p, q_b)
-    assert h is rep.hamiltonian
+    assert hamiltonian_terms(p) == hamiltonian_terms(p, include_anharmonic=False)
 
 
 def test_anharmonic_quartic_perturbation():
@@ -180,16 +224,23 @@ def test_anharmonic_zero_coefficients_equals_harmonic():
 
 
 def test_anharmonic_index_out_of_range():
-    p = toy_problem()
-    space = FockSpace((4,))
-    rep = build_harmonic_qp(p, space)
-    q_b, _ = build_qBpB(p, space)
     bad = VibronicProblem("bad-idx", [1000.0], [1000.0], [[1.0]], [0.0],
                           anharmonic=(AnharmonicTerm((0, 0, 1), 5.0),))
     with pytest.raises(IndexError):
-        add_anharmonic(rep.hamiltonian, bad, q_b)
+        build_hamiltonian(bad, ModeCutoffs((3,)))
 
 
 def test_unknown_route():
     with pytest.raises(ValueError):
         build_hamiltonian(toy_problem(), ModeCutoffs((4,)), route="magic")
+
+
+@pytest.mark.parametrize("route", ["qp", "ladder"])
+@pytest.mark.parametrize("name,levels", [
+    ("so2", (8, 8)), ("h2o", (8, 8)), ("no2", (8, 8)), ("so2_anharmonic", (4, 3, 3)),
+])
+def test_routes_match_dense_reference(name, levels, route):
+    problem = bundled_problem(name)
+    cutoffs = ModeCutoffs(levels)
+    h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian.to_dense()
+    assert np.abs(h - dense_reference(problem, cutoffs, route)).max() < 1e-9

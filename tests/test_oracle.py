@@ -5,7 +5,7 @@ import pytest
 
 from vibronic import oracle
 from vibronic.fock import FockSpace, identity_operator
-from vibronic.hamiltonian import build_hamiltonian, build_harmonic_qp
+from vibronic.hamiltonian import build_hamiltonian
 from vibronic.oracle import (
     BroadenedSpectrum,
     OracleScaleError,
@@ -184,15 +184,6 @@ def test_converge_sweep_displaced_progresses():
 def test_converge_sweep_not_converged_within_cap():
     result = converge_sweep(toy_problem(delta=2.5), 0, {}, threshold=1e-12, l_cap=6)
     assert result.converged_l_max is None
-
-
-def test_converge_sweep_parallel_matches_serial():
-    serial = converge_sweep(toy_problem(delta=1.2), 0, {}, threshold=1e-5, l_cap=24)
-    parallel = converge_sweep(toy_problem(delta=1.2), 0, {}, threshold=1e-5, l_cap=24, jobs=4)
-    assert serial.converged_l_max == parallel.converged_l_max
-    for (l1_, d1), (l2_, d2) in zip(serial.trace, parallel.trace):
-        assert l1_ == l2_
-        assert d1 == pytest.approx(d2, abs=1e-13)
 
 
 def test_thermal_oracle_zero_temperature_matches_shifted():

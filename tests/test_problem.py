@@ -56,6 +56,20 @@ def test_parse_missing_field():
         parse_problem(json.dumps({"label": "x", "omega_A": [1.0], "S": [[1.0]], "delta": [0]}))
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("omega_A", [math.nan], ProblemValidationError),
+    ("delta", [math.inf], ProblemValidationError),
+    ("anharmonic", [{"indices": [1, 1, 1], "coeff": math.nan}], ProblemValidationError),
+    ("omega_A", [[1000.0]], ProblemValidationError),
+    ("S", [[1.0], [1.0, 0.0]], ProblemFormatError),
+])
+def test_parse_rejects_non_finite_and_misshaped(field, value, error):
+    doc = {"label": "bad", "omega_A": [1000.0], "omega_B": [1000.0],
+           "S": [[1.0]], "delta": [0.0], field: value}
+    with pytest.raises(error, match="finite|shape|numeric array"):
+        parse_problem(json.dumps(doc))
+
+
 def test_anharmonic_indices_converted_to_zero_based():
     p = bundled_problem("so2_anharmonic")
     assert p.anharmonic[0] == AnharmonicTerm((0, 0, 0), 44.0)

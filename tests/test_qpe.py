@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from vibronic import qpe
 from vibronic.fock import FockSpace, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
 from vibronic.mapping import Encoding, PauliSum, QubitLayout, map_second_quantized, pauli_to_matrix
@@ -165,10 +167,10 @@ def test_norm_preserved_and_post_measurement_state():
     init = np.array([1.0, 1.0]) / math.sqrt(2)
     spec, state = run_qpe(h, enc, t=4, shots=50, seed=9, phase_map=pmap,
                           initial_state=init, return_state=True)
-    assert state.norm == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
     j_last = spec.j_outcomes[-1]
     expected_level = 0 if j_last == 1 else 1
-    fidelity = abs(state.amps[expected_level]) ** 2
+    fidelity = abs(state[expected_level]) ** 2
     assert fidelity >= 1 - 1e-8
 
 
@@ -188,6 +190,24 @@ def test_qubit_budget_enforced():
     enc = Encoding("binary", ModeCutoffs((3,)))
     with pytest.raises(QubitBudgetError):
         run_qpe(rep.hamiltonian, enc, t=25, shots=1, seed=0)
+
+
+@pytest.mark.parametrize("backend", [EvolutionBackend.exact(), EvolutionBackend.trotter(1, 1)])
+def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
+    # unary (9,9) has 20 system qubits, so n_s + t = 26 fits the qubit budget
+    # but the 2^20 x 2^20 step unitary would take 16 TiB
+    def refuse(*args, **kwargs):
+        pytest.fail("dense step unitary built despite the byte estimate")
+
+    monkeypatch.setattr(qpe, "_embed_unitary", refuse)
+    monkeypatch.setattr(qpe, "trotter_step_unitary", refuse)
+    cuts = ModeCutoffs((9, 9))
+    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(100, format="csr"),
+                         hermitian=True)
+    with pytest.raises(QubitBudgetError, match="GiB"):
+        run_qpe(h, Encoding("unary", cuts), t=6, shots=1, backend=backend,
+                phase_map=PhaseMap(tau=1.0, energy_shift=0.0, t=6),
+                pauli_hamiltonian=PauliSum(20))
 
 
 def test_unary_encoding_agrees_with_binary():
@@ -350,6 +370,20 @@ def test_thermal_qpe_budget():
     with pytest.raises(QubitBudgetError):
         run_qpe_thermal(p, ModeCutoffs((15,)), t=20, shots=1,
                         thermal=ThermalConfig(beta=0.01), seed=0)
+
+
+def test_thermal_trotter_backend_matches_exact_ladder():
+    p = toy_problem(delta=0.6, omega=600.0)
+    thermal = ThermalConfig(beta=0.003)
+    trotter = run_qpe_thermal(p, ModeCutoffs((3,)), t=8, shots=2000, thermal=thermal,
+                              seed=2, backend=EvolutionBackend.trotter(2, 32))
+    exact = run_qpe_thermal(p, ModeCutoffs((3,)), t=8, shots=2000, thermal=thermal,
+                            seed=2, route="ladder")
+    # the reference H, hence the phase map, comes from the ladder route
+    assert trotter.metadata["route"] == "ladder"
+    assert trotter.phase_map == exact.phase_map
+    pa, pb = _aligned(trotter.histogram(width=200.0), exact.histogram(width=200.0))
+    assert tv_distance(pa, pb) < 0.05
 
 
 def test_thermal_qpe_histogram_metadata():
