@@ -187,24 +187,24 @@ def bits_to_string(bits: np.ndarray) -> str:
     return "".join(str(int(b)) for b in bits[::-1])
 
 
+def _level_word(l: int, mode: int, encoding: Encoding, layout: QubitLayout) -> int:
+    """Basis-index bits of level l on its mode's qubits."""
+    bits = encode_level(l, mode, encoding)
+    return sum(1 << (layout.mode_starts[mode] + p) for p, b in enumerate(bits) if b)
+
+
 def codeword_index(levels: tuple[int, ...], encoding: Encoding, layout: QubitLayout) -> int:
     """Global basis-state index of an encoded multi-mode level tuple."""
-    index = 0
-    for mode, l in enumerate(levels):
-        bits = encode_level(l, mode, encoding)
-        for p, b in enumerate(bits):
-            if b:
-                index |= 1 << (layout.mode_starts[mode] + p)
-    return index
+    return sum(_level_word(l, mode, encoding, layout) for mode, l in enumerate(levels))
 
 
 def codespace_indices(encoding: Encoding, layout: QubitLayout) -> np.ndarray:
     """Basis indices of all encoded Fock states, in flat Fock-index order."""
-    dims = encoding.cutoffs.local_dims
-    out = []
-    for levels in itertools.product(*(range(d) for d in dims)):
-        out.append(codeword_index(levels, encoding, layout))
-    return np.array(out, dtype=np.int64)
+    index = np.zeros(1, dtype=np.int64)
+    for mode, d in enumerate(encoding.cutoffs.local_dims):
+        words = np.array([_level_word(l, mode, encoding, layout) for l in range(d)], dtype=np.int64)
+        index = (index[:, None] | words[None, :]).ravel()  # mode 0 slowest
+    return index
 
 
 def levelpair_to_pauli(
@@ -341,26 +341,24 @@ def pauli_to_matrix(ps: PauliSum) -> np.ndarray:
     return out
 
 
-def apply_pauli_string(string: str, vec: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to a statevector without building its matrix.
+def apply_pauli_string(string: str, arr: np.ndarray) -> np.ndarray:
+    """Apply one Pauli string along axis 0 without building its matrix.
 
-    The state index has qubit 0 as the least significant bit, so qubit q
-    lives on axis n-1-q after reshaping to n binary axes.
+    ``arr`` is a statevector or a matrix whose rows are basis states (qubit 0
+    the least significant bit).  The string sends |r ^ x> to phase(r) |r>:
+    X and Y flip their qubit (mask x), Z and Y give (-1)^bit, and each Y a
+    further -i.  Costs one gather and one multiply over ``arr``.
     """
-    n = len(string)
-    psi = vec.reshape((2,) * n)
+    rows = np.arange(1 << len(string))
+    x_mask = 0
+    parity = np.zeros_like(rows)
     for q, letter in enumerate(string):
-        if letter == "I":
-            continue
-        ax = n - 1 - q
-        if letter in ("X", "Y"):
-            psi = np.flip(psi, axis=ax)
-        if letter in ("Y", "Z"):
-            shape = [1] * n
-            shape[ax] = 2
-            diag = np.array([-1j, 1j]) if letter == "Y" else np.array([1.0, -1.0])
-            psi = psi * diag.reshape(shape)
-    return psi.reshape(-1)
+        if letter in "XY":
+            x_mask |= 1 << q
+        if letter in "YZ":
+            parity ^= (rows >> q) & 1
+    phase = (-1j) ** string.count("Y") * (1.0 - 2.0 * parity)
+    return phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[rows ^ x_mask]
 
 
 @dataclass
@@ -377,19 +375,26 @@ def resource_count(ps: PauliSum) -> ResourceReport:
 
     The depth is one concrete schedule (first-fit layering of terms whose
     qubit supports do not overlap), an upper-bound realization rather than
-    an optimized circuit schedule.
+    an optimized circuit schedule.  Supports and layers are qubit bitmasks;
+    a support resumes its scan at the layer its last copy joined, which is
+    exact because layers only gain qubits.
     """
     weights: dict[int, int] = {}
-    layers: list[set[int]] = []
+    layers: list[int] = []
+    resume: dict[int, int] = {}
+    to_bits = str.maketrans("IXYZ", "0111")
     for string, _ in ps.sorted_terms():
-        support = {q for q, letter in enumerate(string) if letter != "I"}
-        weights[len(support)] = weights.get(len(support), 0) + 1
-        for layer in layers:
-            if not layer & support:
-                layer |= support
-                break
+        support = int(string[::-1].translate(to_bits), 2)
+        weight = support.bit_count()
+        weights[weight] = weights.get(weight, 0) + 1
+        i = resume.get(support, 0)
+        while i < len(layers) and layers[i] & support:
+            i += 1
+        if i == len(layers):
+            layers.append(support)
         else:
-            layers.append(set(support))
+            layers[i] |= support
+        resume[support] = i
     return ResourceReport(
         term_count=len(ps),
         weight_histogram=dict(sorted(weights.items())),

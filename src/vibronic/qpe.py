@@ -29,10 +29,10 @@ from .mapping import (
     PauliSum,
     QubitBudgetError,
     QubitLayout,
+    apply_pauli_string,
     check_dense_bytes,
     codespace_indices,
     map_second_quantized,
-    pauli_to_matrix,
 )
 from .oracle import BinnedSpectrum, eigensolve
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem
@@ -215,25 +215,22 @@ def outcome_distribution(
 
 
 def trotter_step_unitary(ps: PauliSum, dt: float, order: int) -> np.ndarray:
-    """Dense unitary of one Trotter substep in the mapper's stable term order."""
+    """Dense unitary of one Trotter substep in the mapper's stable term order.
+
+    Each term's rotation exp(-i theta P) = cos(theta) - i sin(theta) P is
+    applied to the rows of the running product, never built as a matrix.
+    """
     if ps.max_imag_coeff() > 1e-10:
         raise ValueError("Trotter evolution requires a Hermitian Pauli sum (real coefficients)")
-    dim = 1 << ps.n_qubits
     terms = ps.sorted_terms()
     if order == 2:
-        sequence = [(s, c, dt / 2) for s, c in terms]
-        sequence += [(s, c, dt / 2) for s, c in reversed(terms)]
+        sequence = [(s, c, dt / 2) for s, c in terms + terms[::-1]]
     else:
         sequence = [(s, c, dt) for s, c in terms]
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(1 << ps.n_qubits, dtype=complex)
     for string, coeff, step in sequence:
         theta = float(coeff.real) * step
-        if string == "I" * ps.n_qubits:
-            u = math.cos(theta) * u - 1j * math.sin(theta) * u
-            continue
-        pmat = pauli_to_matrix(PauliSum(ps.n_qubits, {string: 1.0}))
-        factor = math.cos(theta) * np.eye(dim) - 1j * math.sin(theta) * pmat
-        u = factor @ u
+        u = math.cos(theta) * u - 1j * math.sin(theta) * apply_pauli_string(string, u)
     return u
 
 
@@ -246,13 +243,6 @@ def trotter_unitary(ps: PauliSum, time: float, order: int, steps: int) -> np.nda
 # -- core QPE engine ---------------------------------------------------
 
 
-def _embed_unitary(u_fock: np.ndarray, code: np.ndarray, n_qubits: int) -> np.ndarray:
-    dim = 1 << n_qubits
-    u = np.eye(dim, dtype=complex)
-    u[np.ix_(code, code)] = u_fock
-    return u
-
-
 def _step_unitary(
     h: ManyBodyOperator,
     phase_map: PhaseMap,
@@ -260,22 +250,28 @@ def _step_unitary(
     pauli: PauliSum | None,
     code: np.ndarray,
     n_s: int,
-) -> np.ndarray:
-    """U = exp(-i tau (H + shift)) on the full 2^n_s system register.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, basis, columns) for U = exp(-i tau (H + shift)).
 
-    The exact backend embeds the Fock-space propagator on the code space; the
-    Trotter backend evolves under the mapped Pauli sum.
+    U acts on the system-register states ``basis`` and Fock state k sits in
+    column ``columns[k]``.  The exact propagator never leaves the code space,
+    so it is the D x D Fock-space matrix with basis ``code``; the Trotter
+    backend evolves the whole 2^n_s register under the mapped Pauli sum,
+    where it may leak out of the code space.  Each byte estimate is checked
+    before its unitary is built.
     """
     if backend.kind == "exact":
+        check_dense_bytes(16 * len(code) ** 2, f"a {len(code)}-state step unitary")
         evals, evecs = eigensolve(h)
         phases = np.exp(-1j * phase_map.tau * (evals + phase_map.energy_shift))
-        return _embed_unitary((evecs * phases) @ evecs.conj().T, code, n_s)
+        return (evecs * phases) @ evecs.conj().T, code, np.arange(len(code))
     if pauli is None:
         raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
+    check_dense_bytes(16 << (2 * n_s), f"a {n_s}-qubit step unitary")
     u_step = trotter_step_unitary(pauli, phase_map.tau / backend.steps, backend.order)
     u = np.linalg.matrix_power(u_step, backend.steps)
     u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
-    return u
+    return u, np.arange(1 << n_s), code
 
 
 def _problem_hamiltonian(
@@ -365,20 +361,20 @@ def run_qpe(
         raise QubitBudgetError(
             f"run needs {n_s} system + {t} energy qubits > budget {qubit_budget}"
         )
-    check_dense_bytes(16 << max(2 * n_s, n_s + t), f"a {n_s}-qubit system-register run")
     if phase_map is None:
         phase_map = choose_phase_map(h, t)
     code = codespace_indices(encoding, layout)
-    u = _step_unitary(h, phase_map, backend, pauli_hamiltonian, code, n_s)
+    u, basis, columns = _step_unitary(h, phase_map, backend, pauli_hamiltonian, code, n_s)
 
     e_dim = 2**t
-    amps = np.zeros((e_dim, 1 << n_s), dtype=complex)
+    check_dense_bytes(16 * e_dim * len(basis), f"a {t}-qubit x {len(basis)}-state QPE state")
+    amps = np.zeros((e_dim, len(basis)), dtype=complex)
     if initial_state is None:
-        amps[:, code[0]] = 1.0 / math.sqrt(e_dim)
+        amps[:, columns[0]] = 1.0 / math.sqrt(e_dim)
     else:
         vec = np.asarray(initial_state, dtype=complex)
         vec = vec / np.linalg.norm(vec)
-        amps[:, code] = vec[None, :] / math.sqrt(e_dim)
+        amps[:, columns] = vec[None, :] / math.sqrt(e_dim)
 
     amps = _controlled_power_sweep(amps, u, t)
     amps = _inverse_qft_energy_axis(amps)
@@ -406,7 +402,9 @@ def run_qpe(
     extras: list = [spectrum]
     if return_state:
         post = amps[int(outcomes[-1]), :]
-        extras.append(post / np.linalg.norm(post))
+        state = np.zeros(1 << n_s, dtype=complex)
+        state[basis] = post / np.linalg.norm(post)
+        extras.append(state)
     if return_distribution:
         extras.append(probs)
     return tuple(extras)
@@ -491,13 +489,17 @@ def run_qpe_thermal(
         problem, cutoffs, t, encoding, backend, route, phase_map
     )
     code = codespace_indices(encoding, layout)
-    u = _step_unitary(h, phase_map, backend, pauli, code, n_s)
+    u, basis, columns = _step_unitary(h, phase_map, backend, pauli, code, n_s)
 
     kappa = prepare_thermal(problem, cutoffs, thermal)
     e_dim = 2**t
     q_dim = 1 << n_s
-    amps = np.zeros((e_dim, q_dim, q_dim), dtype=complex)
-    amps[np.ix_(np.arange(e_dim), code, code)] = kappa[None, :, :] / math.sqrt(e_dim)
+    # only the evolved system axis shrinks to the basis; the measured initial
+    # register keeps all 2^n_s states, so the (j, i) category order is fixed
+    check_dense_bytes(16 * e_dim * q_dim * len(basis),
+                      f"a {t}-qubit x {q_dim}-state x {len(basis)}-state thermal state")
+    amps = np.zeros((e_dim, q_dim, len(basis)), dtype=complex)
+    amps[np.ix_(np.arange(e_dim), code, columns)] = kappa[None, :, :] / math.sqrt(e_dim)
 
     amps = _controlled_power_sweep(amps, u, t)
     amps = _inverse_qft_energy_axis(amps)
@@ -507,20 +509,13 @@ def run_qpe_thermal(
     j_out = outcomes // q_dim
     i_out = outcomes % q_dim
 
-    space = FockSpace.from_cutoffs(cutoffs)
-    decode = {int(c): space.multi_index(flat) for flat, c in enumerate(code)}
-    kept_j = []
-    kept_levels = []
-    discarded = 0
-    for j, iq in zip(j_out, i_out):
-        levels = decode.get(int(iq))
-        if levels is None:
-            discarded += 1
-            continue
-        kept_j.append(int(j))
-        kept_levels.append(levels)
-    kept_j = np.array(kept_j, dtype=int)
-    kept_levels = np.array(kept_levels, dtype=int).reshape(len(kept_j), space.n_modes)
+    fock_index = np.full(q_dim, -1, dtype=np.int64)  # flat Fock index, -1 off the code
+    fock_index[code] = np.arange(len(code))
+    flat = fock_index[i_out]
+    kept = flat >= 0
+    discarded = int(np.count_nonzero(~kept))
+    kept_j = j_out[kept]
+    kept_levels = FockSpace.from_cutoffs(cutoffs).all_multi_indices()[flat[kept]]
     energies = phase_map.energy(kept_j) - fock_state_energy(problem, kept_levels)
 
     return SampledSpectrum(

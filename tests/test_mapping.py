@@ -9,6 +9,7 @@ from vibronic.mapping import (
     EncodingError,
     PauliSum,
     QubitLayout,
+    ResourceReport,
     apply_pauli_string,
     bits_to_string,
     codespace_indices,
@@ -288,12 +289,44 @@ def test_resource_count_single_term():
     assert report.greedy_depth == 1
 
 
+def _set_first_fit_report(ps):
+    weights = {}
+    layers = []
+    for string, _ in ps.sorted_terms():
+        support = {q for q, letter in enumerate(string) if letter != "I"}
+        weights[len(support)] = weights.get(len(support), 0) + 1
+        for layer in layers:
+            if not layer & support:
+                layer |= support
+                break
+        else:
+            layers.append(set(support))
+    return ResourceReport(len(ps), dict(sorted(weights.items())), len(layers))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_resource_count_matches_set_first_fit(n):
+    # few distinct supports (the empty one included), each carrying many
+    # strings, so the resumed first-fit scans are exercised
+    rng = np.random.default_rng(n)
+    supports = [rng.random(n) < 0.5 for _ in range(9)] + [np.zeros(n, dtype=bool)]
+    ps = PauliSum(n)
+    for _ in range(800):
+        mask = supports[rng.integers(len(supports))]
+        ps.add_term("".join(rng.choice(list("XYZ")) if m else "I" for m in mask), 1.0)
+    report = resource_count(ps)
+    assert report == _set_first_fit_report(ps)
+    assert report.term_count > 100
+
+
 def test_apply_pauli_string_matches_matrix():
     rng = np.random.default_rng(10)
     for s in ("XIZ", "YYI", "IZY", "ZXY", "III"):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        block = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
         m = pauli_to_matrix(PauliSum(3, {s: 1.0}))
         assert np.abs(m @ v - apply_pauli_string(s, v)).max() < 1e-12
+        assert np.abs(m @ block - apply_pauli_string(s, block)).max() < 1e-12
 
 
 def test_codeword_index_orderings():

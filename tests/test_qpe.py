@@ -7,7 +7,14 @@ import scipy.sparse as sp
 from vibronic import qpe
 from vibronic.fock import FockSpace, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
-from vibronic.mapping import Encoding, PauliSum, QubitLayout, map_second_quantized, pauli_to_matrix
+from vibronic.mapping import (
+    Encoding,
+    PauliSum,
+    QubitLayout,
+    codespace_indices,
+    map_second_quantized,
+    pauli_to_matrix,
+)
 from vibronic.oracle import rebin, tv_distance
 from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem, bundled_problem
 from vibronic.qpe import (
@@ -194,20 +201,30 @@ def test_qubit_budget_enforced():
 
 @pytest.mark.parametrize("backend", [EvolutionBackend.exact(), EvolutionBackend.trotter(1, 1)])
 def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
-    # unary (9,9) has 20 system qubits, so n_s + t = 26 fits the qubit budget
-    # but the 2^20 x 2^20 step unitary would take 16 TiB
+    # unary (9,9) has 20 system qubits, so n_s + t = 26 fits the qubit budget.
+    # The Trotter step unitary on that register would take 16 TiB; the exact
+    # backend evolves on the D = 100 code space and runs.
     def refuse(*args, **kwargs):
         pytest.fail("dense step unitary built despite the byte estimate")
 
-    monkeypatch.setattr(qpe, "_embed_unitary", refuse)
     monkeypatch.setattr(qpe, "trotter_step_unitary", refuse)
+    pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=6)
     cuts = ModeCutoffs((9, 9))
     h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(100, format="csr"),
                          hermitian=True)
+    if backend.kind == "trotter":
+        with pytest.raises(QubitBudgetError, match="GiB"):
+            run_qpe(h, Encoding("unary", cuts), t=6, shots=1, backend=backend,
+                    phase_map=pmap, pauli_hamiltonian=PauliSum(20))
+        return
+    assert len(run_qpe(h, Encoding("unary", cuts), t=6, shots=7, phase_map=pmap).j_outcomes) == 7
+    # binary (1023,1023) has D = 2^20, so the D x D propagator would take 16 TiB
+    monkeypatch.setattr(qpe, "eigensolve", refuse)
+    cuts = ModeCutoffs((1023, 1023))
+    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(1 << 20, format="csr"),
+                         hermitian=True)
     with pytest.raises(QubitBudgetError, match="GiB"):
-        run_qpe(h, Encoding("unary", cuts), t=6, shots=1, backend=backend,
-                phase_map=PhaseMap(tau=1.0, energy_shift=0.0, t=6),
-                pauli_hamiltonian=PauliSum(20))
+        run_qpe(h, Encoding("binary", cuts), t=6, shots=1, phase_map=pmap)
 
 
 def test_unary_encoding_agrees_with_binary():
@@ -241,6 +258,25 @@ def test_trotter_commuting_terms_exact():
     exact = (evecs * np.exp(-1j * 1.3 * evals)) @ evecs.conj().T
     u = trotter_unitary(ps, time=1.3, order=1, steps=1)
     assert np.abs(u - exact).max() < 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_trotter_step_matches_dense_rotation_product(order):
+    rng = np.random.default_rng(order)
+    strings = {"IIII", "YIII", "IXYZ", "YYZX"}
+    strings |= {"".join(rng.choice(list("IXYZ"), 4)) for _ in range(12)}
+    ps = PauliSum(4, {s: rng.normal() for s in strings})
+    dt = 0.37
+    terms = ps.sorted_terms()
+    if order == 2:
+        sequence = [(s, c, dt / 2) for s, c in terms + terms[::-1]]
+    else:
+        sequence = [(s, c, dt) for s, c in terms]
+    expected = np.eye(16, dtype=complex)
+    for string, coeff, step in sequence:
+        pmat = pauli_to_matrix(PauliSum(4, {string: 1.0}))
+        expected = (np.cos(coeff * step) * np.eye(16) - 1j * np.sin(coeff * step) * pmat) @ expected
+    assert np.abs(trotter_step_unitary(ps, dt, order) - expected).max() < 1e-13
 
 
 def test_trotter_rejects_complex_coefficients():
@@ -386,6 +422,49 @@ def test_thermal_trotter_backend_matches_exact_ladder():
     assert tv_distance(pa, pb) < 0.05
 
 
+def test_thermal_decode_matches_per_shot_lookup(monkeypatch):
+    # a unary Trotter run leaks out of the code space.  The initial register
+    # is never evolved, so its sampled outcomes are codewords; every fourth
+    # shot is replaced by a uniform category so non-codewords are decoded too.
+    p = bundled_problem("so2")
+    cuts = ModeCutoffs((2, 2))
+    enc = Encoding("unary", cuts)
+    layout = QubitLayout.for_encoding(enc)
+    code = codespace_indices(enc, layout)
+    q_dim = 1 << layout.total_qubits
+    sampled = []
+    real_sample = qpe._sample_from_probabilities
+
+    def sample(probs, seed, shots):
+        outcomes = real_sample(probs, seed, shots)
+        outcomes[::4] = np.random.default_rng(seed).integers(0, probs.size, outcomes[::4].size)
+        sampled.append(outcomes)
+        return outcomes
+
+    monkeypatch.setattr(qpe, "_sample_from_probabilities", sample)
+    spec = run_qpe_thermal(p, cuts, t=6, shots=3000, thermal=ThermalConfig(beta=0.002),
+                           encoding_variant="unary", seed=5,
+                           backend=EvolutionBackend.trotter(1, 1))
+    step = trotter_step_unitary(map_second_quantized(ladder_terms(p), enc, layout),
+                                spec.phase_map.tau, 1)
+    assert np.abs(np.delete(step, code, axis=0)[:, code]).max() > 1e-3
+
+    decode = {int(c): FockSpace.from_cutoffs(cuts).multi_index(flat) for flat, c in enumerate(code)}
+    kept_j, kept_levels, discarded = [], [], 0
+    for outcome in sampled[0]:
+        j, iq = divmod(int(outcome), q_dim)
+        if iq not in decode:
+            discarded += 1
+            continue
+        kept_j.append(j)
+        kept_levels.append(decode[iq])
+    assert discarded > 0
+    assert spec.discarded == discarded
+    assert np.array_equal(spec.j_outcomes, kept_j)
+    assert np.array_equal(spec.initial_levels, kept_levels)
+    assert spec.initial_levels.dtype == spec.j_outcomes.dtype == np.int64
+
+
 def test_thermal_qpe_histogram_metadata():
     p = toy_problem(delta=0.5, omega=600.0)
     spec = run_qpe_thermal(p, ModeCutoffs((4,)), t=8, shots=500,
@@ -396,16 +475,21 @@ def test_thermal_qpe_histogram_metadata():
     assert (spec.energies < -1.0).sum() > 0  # hot bands present
 
 
-@pytest.mark.parametrize("name,cuts", [("so2", (3, 3)), ("h2o", (2, 3)),
-                                       ("d2o", (2, 3)), ("no2", (3, 3))])
-def test_emulator_distribution_equals_kernel_mixture(name, cuts):
+@pytest.mark.parametrize(
+    "name,cuts,variant",
+    [("so2", (3, 3), "binary"), ("h2o", (2, 3), "binary"), ("d2o", (2, 3), "binary"),
+     ("no2", (3, 3), "binary"), ("so2", (5, 5), "unary")],
+    ids=["so2-cuts0", "h2o-cuts1", "d2o-cuts2", "no2-cuts3", "so2-unary-5-5"],
+)
+def test_emulator_distribution_equals_kernel_mixture(name, cuts, variant):
     # with the exact backend the emulated E-register distribution must equal
-    # the analytic t-bit kernel mixture for every bundled problem
+    # the analytic t-bit kernel mixture for every bundled problem; unary (5,5)
+    # has 12 system qubits, which the code-space ladder never allocates
     problem = bundled_problem(name)
     cutoffs = ModeCutoffs(cuts)
     h = build_hamiltonian(problem, cutoffs).hamiltonian
     pmap = choose_phase_map(h, t=7, lower_bound=0.0)
-    _, probs = run_qpe(h, Encoding("binary", cutoffs), t=7, shots=10, seed=1,
+    _, probs = run_qpe(h, Encoding(variant, cutoffs), t=7, shots=10, seed=1,
                        phase_map=pmap, return_distribution=True)
     analytic = outcome_distribution(h, pmap)
     assert np.abs(probs - analytic).max() < 1e-8
