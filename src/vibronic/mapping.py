@@ -2,21 +2,24 @@
 
 Two level encodings are supported: ``binary`` packs level l into
 ceil(log2(L_max+1)) qubits as the little-endian bits of l; ``unary`` uses
-one-hot strings over L_max+1 qubits with a dedicated vacuum qubit.  Matrix
-elements |l><l'| become Pauli products via the standard single-qubit
-identities; unary additionally uses the sparse one-qubit (diagonal) and
-two-qubit (level-pair) forms, which keep the one-hot code sector invariant.
+one-hot strings over L_max+1 qubits with a dedicated vacuum qubit.  A matrix
+element |l><l'| is one closed-form sum of Pauli products (``_transition``) on
+the mode's qubits in binary, and on the one or two qubits where the unary
+codewords are set, which keeps the one-hot code sector invariant.
+
+Pauli products are built as symplectic (x, z) integer masks: a qubit with
+x=1 is flipped (X or Y) and one with z=1 gets a sign (Z or Y).  Products on
+disjoint supports are the OR of the masks.  Each finished term is rendered
+once to the string key of ``PauliSum``.
 
 Conventions fixed here and relied on elsewhere: global basis index x has
 qubit p as bit (x >> p) & 1 (qubit 0 least significant); Pauli strings are
-rendered with qubit 0 leftmost; level bitstrings are rendered with qubit 0
-rightmost (so binary level 3 on 3 qubits reads "011").
+rendered with qubit 0 leftmost.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -35,20 +38,13 @@ PAULI_MATRICES = {
 #: Terms with |coefficient| below this are dropped when pruning.
 COEFF_PRUNE = 1e-14
 
-#: Total qubits (system + energy + initial-state registers) the emulator accepts.
-DEFAULT_QUBIT_BUDGET = 26
+#: Largest dense complex array any step may allocate (1 GiB).
+MAX_DENSE_BYTES = 1 << 30
 
-#: Largest dense complex array any step may allocate: one statevector that
-#: fills the default qubit budget, 16 * 2^26 B = 1 GiB.
-MAX_DENSE_BYTES = 16 * 2**DEFAULT_QUBIT_BUDGET
-
-# |b><b'| decompositions on one qubit: (letter, coefficient) pairs.
-_LEVEL_PAIR_FACTORS = {
-    (0, 0): (("I", 0.5), ("Z", 0.5)),
-    (1, 1): (("I", 0.5), ("Z", -0.5)),
-    (0, 1): (("X", 0.5), ("Y", 0.5j)),
-    (1, 0): (("X", 0.5), ("Y", -0.5j)),
-}
+# i^k for k = 0..3
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 class EncodingError(ValueError):
@@ -56,14 +52,14 @@ class EncodingError(ValueError):
 
 
 class QubitBudgetError(EncodingError):
-    """Raised when a run would exceed the qubit budget or the dense-array byte cap."""
+    """Raised when a run would exceed the dense-array byte budget."""
 
 
 def check_dense_bytes(n_bytes: int, what: str) -> None:
     """Raise QubitBudgetError, before allocating, if ``what`` needs over MAX_DENSE_BYTES."""
     if n_bytes > MAX_DENSE_BYTES:
         raise QubitBudgetError(
-            f"{what} would take {n_bytes / 2**30:.4g} GiB > {MAX_DENSE_BYTES / 2**30:g} GiB cap"
+            f"{what} would take {n_bytes / 2**30:.4g} GiB > the 1 GiB dense-array budget"
         )
 
 
@@ -129,22 +125,6 @@ class PauliSum:
             )
         self.terms[string] = self.terms.get(string, 0.0) + coeff
 
-    def merge(self, other: "PauliSum", factor: complex = 1.0) -> None:
-        if other.n_qubits != self.n_qubits:
-            raise EncodingError("cannot merge Pauli sums over different qubit counts")
-        for string, coeff in other.terms.items():
-            self.add_term(string, factor * coeff)
-
-    def pruned(self, tol: float = COEFF_PRUNE) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        out.terms = {s: c for s, c in self.terms.items() if abs(c) > tol}
-        return out
-
-    def scaled(self, factor: complex) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        out.terms = {s: factor * c for s, c in self.terms.items()}
-        return out
-
     def sorted_terms(self) -> list[tuple[str, complex]]:
         """Terms in stable string order (the interchange and Trotter order)."""
         return sorted(self.terms.items(), key=lambda item: item[0])
@@ -156,41 +136,13 @@ class PauliSum:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)
 
 
-def _identity_string(n: int) -> str:
-    return "I" * n
-
-
-def _with_letters(base: str, placements: dict[int, str]) -> str:
-    chars = list(base)
-    for pos, letter in placements.items():
-        chars[pos] = letter
-    return "".join(chars)
-
-
-def encode_level(l: int, mode: int, encoding: Encoding) -> np.ndarray:
-    """Bit pattern of level l on the mode's qubits, index p = qubit p."""
+def _level_word(l: int, mode: int, encoding: Encoding, layout: QubitLayout) -> int:
+    """Basis-index bits of level l on its mode's qubits."""
     l_max = encoding.cutoffs.levels[mode]
     if not 0 <= l <= l_max:
         raise EncodingError(f"level {l} out of range [0, {l_max}] for mode {mode}")
-    width = encoding.qubits_for_mode(mode)
-    bits = np.zeros(width, dtype=int)
-    if encoding.variant == "binary":
-        for p in range(width):
-            bits[p] = (l >> p) & 1
-    else:
-        bits[l] = 1
-    return bits
-
-
-def bits_to_string(bits: np.ndarray) -> str:
-    """Render bits as text with qubit 0 rightmost (so binary 3 reads '011')."""
-    return "".join(str(int(b)) for b in bits[::-1])
-
-
-def _level_word(l: int, mode: int, encoding: Encoding, layout: QubitLayout) -> int:
-    """Basis-index bits of level l on its mode's qubits."""
-    bits = encode_level(l, mode, encoding)
-    return sum(1 << (layout.mode_starts[mode] + p) for p, b in enumerate(bits) if b)
+    start = layout.mode_starts[mode]
+    return l << start if encoding.variant == "binary" else 1 << (start + l)
 
 
 def codeword_index(levels: tuple[int, ...], encoding: Encoding, layout: QubitLayout) -> int:
@@ -207,102 +159,74 @@ def codespace_indices(encoding: Encoding, layout: QubitLayout) -> np.ndarray:
     return index
 
 
-def levelpair_to_pauli(
-    l: int, l_prime: int, mode: int, encoding: Encoding, layout: QubitLayout
-) -> PauliSum:
-    """Pauli expansion of |l><l'| on one mode, identity elsewhere."""
-    n = layout.total_qubits
-    start = layout.mode_starts[mode]
-    base = _identity_string(n)
+def pauli_masks(string: str) -> tuple[int, int]:
+    """(x, z) masks of a Pauli string: X and Y set x, Z and Y set z (bit q = qubit q)."""
+    reverse = string[::-1]
+    return int(reverse.translate(_X_BITS), 2), int(reverse.translate(_Z_BITS), 2)
+
+
+def _render(x: int, z: int, n: int) -> str:
+    """Pauli string of masks (x, z) on n qubits, qubit 0 leftmost."""
+    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
+
+
+def _transition(bra: int, ket: int, qubits: tuple[int, ...]) -> dict[tuple[int, int], complex]:
+    """|bra><ket| on the one-bit masks ``qubits`` as {(x, z): coefficient}.
+
+    Per qubit |b><b| = (I + (-1)^b Z)/2 and |b><1-b| = (X + i (-1)^b Y)/2, so
+    with x = bra ^ ket and w qubits the product is
+    2^-w sum_{z in support} (-1)^|z & bra| i^|z & x| P(x, z).
+    The z run in product order, the first qubit slowest; it fixes the
+    insertion order of the mapped sums, hence the rounding of dense
+    matrices summed from them.
+    """
+    x = bra ^ ket
+    scale = 0.5 ** len(qubits)
+    zs = [0]
+    for q in qubits:
+        zs = [z | b for z in zs for b in (0, q)]
+    return {(x, z): _PHASES[(2 * (z & bra).bit_count() + (z & x).bit_count()) % 4] * scale
+            for z in zs}
+
+
+def _mode_terms(
+    matrix: np.ndarray, mode: int, encoding: Encoding, layout: QubitLayout
+) -> dict[tuple[int, int], complex]:
+    """Masks and coefficients of a single-mode matrix, summed over (l, l') row-major."""
+    d = encoding.cutoffs.local_dims[mode]
+    if matrix.shape != (d, d):
+        raise EncodingError(
+            f"matrix shape {matrix.shape} does not match mode {mode} dimension {d}"
+        )
+    words = [_level_word(l, mode, encoding, layout) for l in range(d)]
+    mode_qubits = tuple(1 << q for q in layout.mode_range(mode))
+    out: dict[tuple[int, int], complex] = {}
+    for l in range(d):
+        for lp in range(d):
+            coeff = complex(matrix[l, lp])
+            if abs(coeff) <= COEFF_PRUNE:
+                continue
+            if encoding.variant == "binary":
+                qubits = mode_qubits
+            else:  # the codewords' set qubits, bra first
+                qubits = (words[l],) if l == lp else (words[l], words[lp])
+            for key, c in _transition(words[l], words[lp], qubits).items():
+                out[key] = out.get(key, 0.0) + coeff * c
+    return {key: c for key, c in out.items() if abs(c) > COEFF_PRUNE}
+
+
+def _pauli_sum(terms: dict[tuple[int, int], complex], n: int) -> PauliSum:
+    """Render the terms above COEFF_PRUNE as a PauliSum on n qubits."""
     out = PauliSum(n)
-
-    if encoding.variant == "binary":
-        bits = encode_level(l, mode, encoding)
-        bits_p = encode_level(l_prime, mode, encoding)
-        factor_lists = [
-            _LEVEL_PAIR_FACTORS[(int(b), int(bp))] for b, bp in zip(bits, bits_p)
-        ]
-        for combo in itertools.product(*factor_lists):
-            coeff = 1.0 + 0.0j
-            placements = {}
-            for p, (letter, c) in enumerate(combo):
-                coeff *= c
-                if letter != "I":
-                    placements[start + p] = letter
-            out.add_term(_with_letters(base, placements), coeff)
-        return out
-
-    # Unary: one-qubit diagonal and two-qubit transfer forms.  Both leave the
-    # one-hot code sector invariant (they conserve the number of set bits),
-    # which is what the emulator relies on.
-    encode_level(l, mode, encoding)
-    encode_level(l_prime, mode, encoding)
-    if l == l_prime:
-        out.add_term(base, 0.5)
-        out.add_term(_with_letters(base, {start + l: "Z"}), -0.5)
-        return out
-    raise_q = start + l
-    lower_q = start + l_prime
-    for letter_r, coeff_r in (("X", 0.5), ("Y", -0.5j)):
-        for letter_l, coeff_l in (("X", 0.5), ("Y", 0.5j)):
-            out.add_term(
-                _with_letters(base, {raise_q: letter_r, lower_q: letter_l}),
-                coeff_r * coeff_l,
-            )
+    out.terms = {_render(x, z, n): c for (x, z), c in terms.items() if abs(c) > COEFF_PRUNE}
     return out
 
 
 def map_single_mode(
     matrix: np.ndarray, mode: int, encoding: Encoding, layout: QubitLayout
 ) -> PauliSum:
-    """Linear extension of levelpair_to_pauli over all matrix elements."""
-    d = encoding.cutoffs.local_dims[mode]
-    if matrix.shape != (d, d):
-        raise EncodingError(
-            f"matrix shape {matrix.shape} does not match mode {mode} dimension {d}"
-        )
-    out = PauliSum(layout.total_qubits)
-    for l in range(d):
-        for lp in range(d):
-            coeff = complex(matrix[l, lp])
-            if abs(coeff) <= COEFF_PRUNE:
-                continue
-            out.merge(levelpair_to_pauli(l, lp, mode, encoding, layout), coeff)
-    return out.pruned()
-
-
-def _tensor_terms(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Product of two sums with disjoint supports (letterwise merge)."""
-    out = PauliSum(a.n_qubits)
-    for sa, ca in a.terms.items():
-        for sb, cb in b.terms.items():
-            merged = []
-            for la, lb in zip(sa, sb):
-                if la != "I" and lb != "I":
-                    raise EncodingError("tensor composition requires disjoint supports")
-                merged.append(la if la != "I" else lb)
-            out.add_term("".join(merged), ca * cb)
-    return out
-
-
-def map_term_factors(
-    factors: list[tuple[np.ndarray, int]],
-    coefficient: complex,
-    encoding: Encoding,
-    layout: QubitLayout,
-) -> PauliSum:
-    """Map a product of single-mode matrices (matrix, mode) to qubit space.
-
-    Same-mode factors are multiplied as matrices first; distinct modes are
-    tensor-composed, which is exact because their supports are disjoint.
-    """
-    by_mode: dict[int, np.ndarray] = {}
-    for matrix, mode in factors:
-        by_mode[mode] = matrix if mode not in by_mode else by_mode[mode] @ matrix
-    result = PauliSum(layout.total_qubits, {_identity_string(layout.total_qubits): 1.0})
-    for mode in sorted(by_mode):
-        result = _tensor_terms(result, map_single_mode(by_mode[mode], mode, encoding, layout))
-    return result.scaled(coefficient).pruned()
+    """Pauli sum of a single-mode matrix, identity on the other modes."""
+    return _pauli_sum(_mode_terms(matrix, mode, encoding, layout), layout.total_qubits)
 
 
 def map_second_quantized(
@@ -310,22 +234,35 @@ def map_second_quantized(
     encoding: Encoding,
     layout: QubitLayout,
 ) -> PauliSum:
-    """Map a list of SecondQuantizedTerm to one deduplicated Pauli sum."""
+    """Map a list of SecondQuantizedTerm to one deduplicated Pauli sum.
+
+    Same-mode factors are multiplied as matrices first.  Distinct modes have
+    disjoint supports, so their product terms OR the masks and multiply the
+    coefficients.
+    """
     from . import fock
     from .hamiltonian import CREATE
 
-    out = PauliSum(layout.total_qubits)
     cutoffs = encoding.cutoffs.levels
+    total: dict[tuple[int, int], complex] = {}
     for term in terms:
-        factors = [
-            (
-                fock.creation(cutoffs[mode]) if kind == CREATE else fock.annihilation(cutoffs[mode]),
-                mode,
-            )
-            for kind, mode in term.factors
-        ]
-        out.merge(map_term_factors(factors, term.coefficient, encoding, layout))
-    return out.pruned()
+        by_mode: dict[int, np.ndarray] = {}
+        for kind, mode in term.factors:
+            m = fock.creation(cutoffs[mode]) if kind == CREATE else fock.annihilation(cutoffs[mode])
+            by_mode[mode] = m if mode not in by_mode else by_mode[mode] @ m
+        product = {(0, 0): 1.0}
+        for mode in sorted(by_mode):
+            single = _mode_terms(by_mode[mode], mode, encoding, layout)
+            product = {
+                (xa | xb, za | zb): ca * cb
+                for (xa, za), ca in product.items()
+                for (xb, zb), cb in single.items()
+            }
+        for key, c in product.items():
+            c = term.coefficient * c
+            if abs(c) > COEFF_PRUNE:
+                total[key] = total.get(key, 0.0) + c
+    return _pauli_sum(total, layout.total_qubits)
 
 
 def pauli_to_matrix(ps: PauliSum) -> np.ndarray:
@@ -349,16 +286,11 @@ def apply_pauli_string(string: str, arr: np.ndarray) -> np.ndarray:
     X and Y flip their qubit (mask x), Z and Y give (-1)^bit, and each Y a
     further -i.  Costs one gather and one multiply over ``arr``.
     """
+    x, z = pauli_masks(string)
     rows = np.arange(1 << len(string))
-    x_mask = 0
-    parity = np.zeros_like(rows)
-    for q, letter in enumerate(string):
-        if letter in "XY":
-            x_mask |= 1 << q
-        if letter in "YZ":
-            parity ^= (rows >> q) & 1
-    phase = (-1j) ** string.count("Y") * (1.0 - 2.0 * parity)
-    return phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[rows ^ x_mask]
+    parity = np.bitwise_count(rows & z) & 1
+    phase = (-1j) ** (x & z).bit_count() * (1.0 - 2.0 * parity)
+    return phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[rows ^ x]
 
 
 @dataclass
@@ -382,9 +314,9 @@ def resource_count(ps: PauliSum) -> ResourceReport:
     weights: dict[int, int] = {}
     layers: list[int] = []
     resume: dict[int, int] = {}
-    to_bits = str.maketrans("IXYZ", "0111")
     for string, _ in ps.sorted_terms():
-        support = int(string[::-1].translate(to_bits), 2)
+        x, z = pauli_masks(string)
+        support = x | z
         weight = support.bit_count()
         weights[weight] = weights.get(weight, 0) + 1
         i = resume.get(support, 0)

@@ -24,7 +24,6 @@ from . import fock
 from .fock import FockSpace, ManyBodyOperator
 from .hamiltonian import build_hamiltonian, ladder_terms
 from .mapping import (
-    DEFAULT_QUBIT_BUDGET,
     Encoding,
     PauliSum,
     QubitBudgetError,
@@ -339,7 +338,6 @@ def run_qpe(
     initial_state: np.ndarray | None = None,
     phase_map: PhaseMap | None = None,
     pauli_hamiltonian: PauliSum | None = None,
-    qubit_budget: int = DEFAULT_QUBIT_BUDGET,
     return_state: bool = False,
     return_distribution: bool = False,
 ):
@@ -357,10 +355,8 @@ def run_qpe(
     """
     layout = QubitLayout.for_encoding(encoding)
     n_s = layout.total_qubits
-    if n_s + t > qubit_budget:
-        raise QubitBudgetError(
-            f"run needs {n_s} system + {t} energy qubits > budget {qubit_budget}"
-        )
+    if return_state:
+        check_dense_bytes(16 << n_s, f"a {n_s}-qubit post-measurement state")
     if phase_map is None:
         phase_map = choose_phase_map(h, t)
     code = codespace_indices(encoding, layout)
@@ -468,22 +464,18 @@ def run_qpe_thermal(
     seed: int = 0,
     route: str = "qp",
     phase_map: PhaseMap | None = None,
-    qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> SampledSpectrum:
     """Finite-temperature QPE sampling with the initial-state register.
 
     Each shot measures both the energy register and the initial-state
-    register; the histogram entry is eps_j - E_A(n_I).  Non-codeword
-    initial-register outcomes (possible only with Trotter leakage) are
-    counted and discarded.
+    register; the histogram entry is eps_j - E_A(n_I).  The initial register
+    is never evolved, so it holds the D code states only, kept in
+    basis-index order.  Trotter leakage lives in the system register, which
+    is summed over.
     """
     encoding = Encoding(encoding_variant, cutoffs)
     layout = QubitLayout.for_encoding(encoding)
     n_s = layout.total_qubits
-    if 2 * n_s + t > qubit_budget:
-        raise QubitBudgetError(
-            f"thermal run needs {2 * n_s} register + {t} energy qubits > budget {qubit_budget}"
-        )
 
     route, h, pauli, phase_map = _problem_hamiltonian(
         problem, cutoffs, t, encoding, backend, route, phase_map
@@ -493,39 +485,31 @@ def run_qpe_thermal(
 
     kappa = prepare_thermal(problem, cutoffs, thermal)
     e_dim = 2**t
-    q_dim = 1 << n_s
-    # only the evolved system axis shrinks to the basis; the measured initial
-    # register keeps all 2^n_s states, so the (j, i) category order is fixed
-    check_dense_bytes(16 * e_dim * q_dim * len(basis),
-                      f"a {t}-qubit x {q_dim}-state x {len(basis)}-state thermal state")
-    amps = np.zeros((e_dim, q_dim, len(basis)), dtype=complex)
-    amps[np.ix_(np.arange(e_dim), code, columns)] = kappa[None, :, :] / math.sqrt(e_dim)
+    d = len(code)
+    # register row r holds Fock state register[r]: increasing basis index, so
+    # the (j, register) categories keep the order of the full register
+    register = np.argsort(code)
+    check_dense_bytes(16 * e_dim * d * len(basis),
+                      f"a {t}-qubit x {d}-state x {len(basis)}-state thermal state")
+    amps = np.zeros((e_dim, d, len(basis)), dtype=complex)
+    amps[:, :, columns] = kappa[None, register, :] / math.sqrt(e_dim)
 
     amps = _controlled_power_sweep(amps, u, t)
     amps = _inverse_qft_energy_axis(amps)
 
-    joint = (np.abs(amps) ** 2).sum(axis=2).reshape(-1)  # over (j, i_register)
+    joint = (np.abs(amps) ** 2).sum(axis=2).reshape(-1)  # over (j, register)
     outcomes = _sample_from_probabilities(joint, seed, shots)
-    j_out = outcomes // q_dim
-    i_out = outcomes % q_dim
-
-    fock_index = np.full(q_dim, -1, dtype=np.int64)  # flat Fock index, -1 off the code
-    fock_index[code] = np.arange(len(code))
-    flat = fock_index[i_out]
-    kept = flat >= 0
-    discarded = int(np.count_nonzero(~kept))
-    kept_j = j_out[kept]
-    kept_levels = FockSpace.from_cutoffs(cutoffs).all_multi_indices()[flat[kept]]
-    energies = phase_map.energy(kept_j) - fock_state_energy(problem, kept_levels)
+    j_out = outcomes // d
+    levels = FockSpace.from_cutoffs(cutoffs).all_multi_indices()[register[outcomes % d]]
+    energies = phase_map.energy(j_out) - fock_state_energy(problem, levels)
 
     return SampledSpectrum(
-        j_outcomes=kept_j,
+        j_outcomes=j_out,
         energies=energies,
         phase_map=phase_map,
         shots=shots,
         seed=seed,
-        initial_levels=kept_levels,
-        discarded=discarded,
+        initial_levels=levels,
         metadata={
             "encoding": encoding_variant,
             "backend": backend.kind,
@@ -546,7 +530,6 @@ def run_qpe_problem(
     backend: EvolutionBackend = EvolutionBackend.exact(),
     seed: int = 0,
     route: str = "qp",
-    qubit_budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> SampledSpectrum:
     """Problem-level convenience wrapper: build H, map if needed, run QPE."""
     encoding = Encoding(encoding_variant, cutoffs)
@@ -562,7 +545,6 @@ def run_qpe_problem(
         seed=seed,
         pauli_hamiltonian=pauli,
         phase_map=phase_map,
-        qubit_budget=qubit_budget,
     )
     spectrum.metadata["problem"] = problem.label
     spectrum.metadata["route"] = route

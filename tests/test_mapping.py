@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,15 @@ from vibronic import fock
 from vibronic.fock import FockSpace
 from vibronic.hamiltonian import ladder_terms
 from vibronic.mapping import (
+    COEFF_PRUNE,
     Encoding,
     EncodingError,
     PauliSum,
     QubitLayout,
     ResourceReport,
     apply_pauli_string,
-    bits_to_string,
     codespace_indices,
     codeword_index,
-    encode_level,
-    levelpair_to_pauli,
     map_second_quantized,
     map_single_mode,
     pauli_sum_from_text,
@@ -23,7 +23,7 @@ from vibronic.mapping import (
     pauli_to_matrix,
     resource_count,
 )
-from vibronic.problem import ModeCutoffs, VibronicProblem
+from vibronic.problem import ModeCutoffs, VibronicProblem, bundled_problem
 
 
 def random_orthogonal(m, rng):
@@ -31,24 +31,36 @@ def random_orthogonal(m, rng):
     return q * np.sign(np.diag(r))
 
 
+def level_bits(l, enc):
+    """Codeword of level l on a one-mode encoding, qubit 0 rightmost."""
+    layout = QubitLayout.for_encoding(enc)
+    return format(codeword_index((l,), enc, layout), f"0{layout.total_qubits}b")
+
+
+def one_hot(d, l, lp):
+    m = np.zeros((d, d), dtype=complex)
+    m[l, lp] = 1.0
+    return m
+
+
 def test_encode_level_binary():
     enc = Encoding("binary", ModeCutoffs((7,)))
-    assert bits_to_string(encode_level(3, 0, enc)) == "011"
-    assert list(encode_level(3, 0, enc)) == [1, 1, 0]  # qubit p carries 2^p
-    assert bits_to_string(encode_level(5, 0, enc)) == "101"
+    assert level_bits(3, enc) == "011"
+    assert [int(b) for b in level_bits(3, enc)[::-1]] == [1, 1, 0]  # qubit p carries 2^p
+    assert level_bits(5, enc) == "101"
 
 
 def test_encode_level_unary():
     enc = Encoding("unary", ModeCutoffs((4,)))
-    assert bits_to_string(encode_level(2, 0, enc)) == "00100"
-    assert bits_to_string(encode_level(0, 0, enc)) == "00001"
-    assert bits_to_string(encode_level(4, 0, enc)) == "10000"
+    assert level_bits(2, enc) == "00100"
+    assert level_bits(0, enc) == "00001"
+    assert level_bits(4, enc) == "10000"
 
 
 def test_encode_level_out_of_range():
     enc = Encoding("binary", ModeCutoffs((3,)))
     with pytest.raises(EncodingError):
-        encode_level(4, 0, enc)
+        level_bits(4, enc)
 
 
 def test_qubit_counts():
@@ -71,17 +83,17 @@ def test_layout_ranges_disjoint_and_covering():
 def test_levelpair_binary_single_qubit():
     enc = Encoding("binary", ModeCutoffs((1,)))
     layout = QubitLayout.for_encoding(enc)
-    ps = levelpair_to_pauli(0, 1, 0, enc, layout)
+    ps = map_single_mode(one_hot(2, 0, 1), 0, enc, layout)
     assert ps.terms == {"X": 0.5, "Y": 0.5j}
     assert np.allclose(pauli_to_matrix(ps), [[0, 1], [0, 0]])
-    ps11 = levelpair_to_pauli(1, 1, 0, enc, layout)
+    ps11 = map_single_mode(one_hot(2, 1, 1), 0, enc, layout)
     assert ps11.terms == {"I": 0.5, "Z": -0.5}
 
 
 def test_levelpair_unary_two_qubit_form():
     enc = Encoding("unary", ModeCutoffs((3,)))
     layout = QubitLayout.for_encoding(enc)
-    ps = levelpair_to_pauli(2, 1, 0, enc, layout)  # |2><1| = sigma+_2 sigma-_1
+    ps = map_single_mode(one_hot(4, 2, 1), 0, enc, layout)  # |2><1| = sigma+_2 sigma-_1
     assert len(ps) == 4
     m = pauli_to_matrix(ps)
     ket = np.zeros(16); ket[1 << 1] = 1.0
@@ -201,32 +213,34 @@ def test_linearity_of_mapping():
     b = rng.normal(size=(4, 4)).astype(complex)
     alpha, beta = 1.7, -0.3
     combo = map_single_mode(alpha * a + beta * b, 0, enc, layout)
-    separate = map_single_mode(a, 0, enc, layout).scaled(alpha)
-    separate.merge(map_single_mode(b, 0, enc, layout), beta)
-    separate = separate.pruned()
-    assert set(combo.terms) == set(separate.terms)
+    ta = map_single_mode(a, 0, enc, layout).terms
+    tb = map_single_mode(b, 0, enc, layout).terms
+    separate = {s: alpha * ta.get(s, 0.0) + beta * tb.get(s, 0.0) for s in ta.keys() | tb.keys()}
+    separate = {s: c for s, c in separate.items() if abs(c) > COEFF_PRUNE}
+    assert set(combo.terms) == set(separate)
     for s in combo.terms:
-        assert combo.terms[s] == pytest.approx(separate.terms[s], abs=1e-12)
+        assert combo.terms[s] == pytest.approx(separate[s], abs=1e-12)
 
 
 def test_map_second_quantized_matches_fock_assembly():
-    problem = VibronicProblem(
+    two_mode = VibronicProblem(
         "twomode", [900.0, 500.0], [1100.0, 520.0],
         [[0.9962, 0.0872], [-0.0872, 0.9962]], [-1.2, 0.4],
     )
-    cuts = ModeCutoffs((3, 3))
-    terms = ladder_terms(problem)
-    space = FockSpace.from_cutoffs(cuts)
+    # three modes compose each product term over three disjoint supports
+    three_mode = bundled_problem("so2_anharmonic")  # ladder_terms: harmonic part
     from vibronic.hamiltonian import assemble_terms
-    h_ref = assemble_terms(terms, space).to_dense()
-    for variant in ("binary", "unary"):
-        enc = Encoding(variant, cuts)
-        layout = QubitLayout.for_encoding(enc)
-        ps = map_second_quantized(terms, enc, layout)
-        assert ps.max_imag_coeff() < 1e-10  # Hermitian H -> real Pauli sum
-        m = pauli_to_matrix(ps)
-        code = codespace_indices(enc, layout)
-        assert np.abs(m[np.ix_(code, code)] - h_ref).max() < 1e-9
+    for problem, cuts in ((two_mode, ModeCutoffs((3, 3))), (three_mode, ModeCutoffs((2, 2, 1)))):
+        terms = ladder_terms(problem)
+        h_ref = assemble_terms(terms, FockSpace.from_cutoffs(cuts)).to_dense()
+        for variant in ("binary", "unary"):
+            enc = Encoding(variant, cuts)
+            layout = QubitLayout.for_encoding(enc)
+            ps = map_second_quantized(terms, enc, layout)
+            assert ps.max_imag_coeff() < 1e-10  # Hermitian H -> real Pauli sum
+            m = pauli_to_matrix(ps)
+            code = codespace_indices(enc, layout)
+            assert np.abs(m[np.ix_(code, code)] - h_ref).max() < 1e-9
 
 
 def test_second_quantized_term_count_scales_quadratically():
@@ -321,7 +335,7 @@ def test_resource_count_matches_set_first_fit(n):
 
 def test_apply_pauli_string_matches_matrix():
     rng = np.random.default_rng(10)
-    for s in ("XIZ", "YYI", "IZY", "ZXY", "III"):
+    for s in map("".join, itertools.product("IXYZ", repeat=3)):
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         block = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
         m = pauli_to_matrix(PauliSum(3, {s: 1.0}))

@@ -199,11 +199,34 @@ def test_qubit_budget_enforced():
         run_qpe(rep.hamiltonian, enc, t=25, shots=1, seed=0)
 
 
+def test_many_system_qubits_small_code_space_runs():
+    # unary (12,12) has 26 system qubits but D = 169, so the exact state is
+    # 2^4 x 169 amplitudes; no qubit count is capped, only array bytes
+    spec = run_qpe_problem(bundled_problem("so2"), ModeCutoffs((12, 12)), t=4, shots=50,
+                           encoding_variant="unary")
+    assert spec.metadata["system_qubits"] == 26
+    assert len(spec.j_outcomes) == 50
+
+
+def test_return_state_bytes_checked_before_run(monkeypatch):
+    # unary (13,13) has 28 system qubits: the returned 2^28 state needs 4 GiB
+    def refuse(*args, **kwargs):
+        pytest.fail("QPE ran although the returned state exceeds the byte budget")
+
+    monkeypatch.setattr(qpe, "eigensolve", refuse)
+    cuts = ModeCutoffs((13, 13))
+    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(196, format="csr"),
+                         hermitian=True)
+    pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
+    with pytest.raises(QubitBudgetError, match="GiB"):
+        run_qpe(h, Encoding("unary", cuts), t=4, shots=1, phase_map=pmap, return_state=True)
+
+
 @pytest.mark.parametrize("backend", [EvolutionBackend.exact(), EvolutionBackend.trotter(1, 1)])
 def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
-    # unary (9,9) has 20 system qubits, so n_s + t = 26 fits the qubit budget.
-    # The Trotter step unitary on that register would take 16 TiB; the exact
-    # backend evolves on the D = 100 code space and runs.
+    # unary (9,9) has 20 system qubits.  The Trotter step unitary on that
+    # register would take 16 TiB; the exact backend evolves on the D = 100
+    # code space and runs.
     def refuse(*args, **kwargs):
         pytest.fail("dense step unitary built despite the byte estimate")
 
@@ -423,21 +446,20 @@ def test_thermal_trotter_backend_matches_exact_ladder():
 
 
 def test_thermal_decode_matches_per_shot_lookup(monkeypatch):
-    # a unary Trotter run leaks out of the code space.  The initial register
-    # is never evolved, so its sampled outcomes are codewords; every fourth
-    # shot is replaced by a uniform category so non-codewords are decoded too.
+    # a unary Trotter run leaks out of the code space, but only the system
+    # register is evolved; the initial register holds the codewords in
+    # basis-index order, and each sampled (j, register) category decodes
+    # to the codeword's Fock levels
     p = bundled_problem("so2")
     cuts = ModeCutoffs((2, 2))
     enc = Encoding("unary", cuts)
     layout = QubitLayout.for_encoding(enc)
     code = codespace_indices(enc, layout)
-    q_dim = 1 << layout.total_qubits
     sampled = []
     real_sample = qpe._sample_from_probabilities
 
     def sample(probs, seed, shots):
         outcomes = real_sample(probs, seed, shots)
-        outcomes[::4] = np.random.default_rng(seed).integers(0, probs.size, outcomes[::4].size)
         sampled.append(outcomes)
         return outcomes
 
@@ -450,16 +472,13 @@ def test_thermal_decode_matches_per_shot_lookup(monkeypatch):
     assert np.abs(np.delete(step, code, axis=0)[:, code]).max() > 1e-3
 
     decode = {int(c): FockSpace.from_cutoffs(cuts).multi_index(flat) for flat, c in enumerate(code)}
-    kept_j, kept_levels, discarded = [], [], 0
+    register = sorted(decode)
+    kept_j, kept_levels = [], []
     for outcome in sampled[0]:
-        j, iq = divmod(int(outcome), q_dim)
-        if iq not in decode:
-            discarded += 1
-            continue
+        j, r = divmod(int(outcome), len(register))
         kept_j.append(j)
-        kept_levels.append(decode[iq])
-    assert discarded > 0
-    assert spec.discarded == discarded
+        kept_levels.append(decode[register[r]])
+    assert spec.discarded == 0
     assert np.array_equal(spec.j_outcomes, kept_j)
     assert np.array_equal(spec.initial_levels, kept_levels)
     assert spec.initial_levels.dtype == spec.j_outcomes.dtype == np.int64
