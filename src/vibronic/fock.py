@@ -21,8 +21,11 @@ from .problem import ModeCutoffs
 #: Spaces smaller than this default to dense storage; larger ones to CSR.
 DENSE_DIM_THRESHOLD = 4096
 
-#: Absolute tolerance for on-demand Hermiticity verification.
-HERMITICITY_ATOL = 1e-10
+#: Hermiticity tolerance relative to max|H|.  Assembly round-off leaves an
+#: asymmetry below one ulp of max|H| (about 1e-17 of it on the bundled
+#: problems); a genuinely non-Hermitian matrix deviates at the size of its
+#: entries.
+HERMITICITY_RTOL = 1e-12
 
 Matrix = Union[np.ndarray, sp.spmatrix, sp.csr_array]
 
@@ -176,13 +179,16 @@ class ManyBodyOperator:
         return complex(self.matrix[i, j])
 
     def hermiticity_deviation(self) -> float:
-        diff = self.matrix - self.matrix.conj().T
-        if sp.issparse(diff):
-            return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-        return float(np.max(np.abs(diff))) if diff.size else 0.0
+        return _max_abs(self.matrix - self.matrix.conj().T)
 
-    def verify_hermitian(self, atol: float = HERMITICITY_ATOL) -> bool:
-        return self.hermiticity_deviation() <= atol
+    def verify_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
+        """Whether max|H - H^dag| <= rtol * max|H|."""
+        return self.hermiticity_deviation() <= rtol * _max_abs(self.matrix)
+
+
+def _max_abs(matrix: Matrix) -> float:
+    values = matrix.data if sp.issparse(matrix) else matrix
+    return float(np.abs(values).max(initial=0.0))
 
 
 def embed(

@@ -236,7 +236,8 @@ def map_second_quantized(
 ) -> PauliSum:
     """Map a list of SecondQuantizedTerm to one deduplicated Pauli sum.
 
-    Same-mode factors are multiplied as matrices first.  Distinct modes have
+    Same-mode factors are multiplied as matrices first, and each distinct
+    (mode, factor kinds) pair is mapped once per call.  Distinct modes have
     disjoint supports, so their product terms OR the masks and multiply the
     coefficients.
     """
@@ -244,15 +245,20 @@ def map_second_quantized(
     from .hamiltonian import CREATE
 
     cutoffs = encoding.cutoffs.levels
+    mapped: dict[tuple[int, tuple[str, ...]], dict[tuple[int, int], complex]] = {}
     total: dict[tuple[int, int], complex] = {}
     for term in terms:
-        by_mode: dict[int, np.ndarray] = {}
+        by_mode: dict[int, tuple[str, ...]] = {}
         for kind, mode in term.factors:
-            m = fock.creation(cutoffs[mode]) if kind == CREATE else fock.annihilation(cutoffs[mode])
-            by_mode[mode] = m if mode not in by_mode else by_mode[mode] @ m
+            by_mode[mode] = by_mode.get(mode, ()) + (kind,)
         product = {(0, 0): 1.0}
-        for mode in sorted(by_mode):
-            single = _mode_terms(by_mode[mode], mode, encoding, layout)
+        for mode_kinds in sorted(by_mode.items()):
+            if mode_kinds not in mapped:
+                mode, kinds = mode_kinds
+                ladder = [fock.creation(cutoffs[mode]) if kind == CREATE
+                          else fock.annihilation(cutoffs[mode]) for kind in kinds]
+                mapped[mode_kinds] = _mode_terms(reduce(np.matmul, ladder), mode, encoding, layout)
+            single = mapped[mode_kinds]
             product = {
                 (xa | xb, za | zb): ca * cb
                 for (xa, za), ca in product.items()

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .fock import FockSpace, ManyBodyOperator
 from .hamiltonian import build_b_dagger, build_hamiltonian
@@ -97,8 +98,8 @@ class BroadenedSpectrum:
         return float(self.values.sum() * self.grid_step)
 
 
-def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Full Hermitian eigendecomposition, real-symmetric fast path."""
+def _dense_matrix(h: ManyBodyOperator) -> np.ndarray:
+    """H as a dense array, real when it has no imaginary part above 1e-12."""
     d = h.space.dimension
     if d > DENSE_EIG_LIMIT:
         raise OracleScaleError(
@@ -106,9 +107,45 @@ def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
             f"{DENSE_EIG_LIMIT}; reduce the cutoffs"
         )
     mat = h.to_dense()
-    if np.abs(mat.imag).max(initial=0.0) < 1e-12:
-        return np.linalg.eigh(mat.real)
-    return np.linalg.eigh(mat)
+    if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) < 1e-12:
+        return mat.real
+    return mat
+
+
+def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Full Hermitian eigendecomposition, real-symmetric fast path."""
+    return np.linalg.eigh(_dense_matrix(h))
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
+
+
+def _vacuum_sticks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a Hermitian matrix and |<0|psi_i>|^2, without eigenvectors.
+
+    ``np.linalg.eigh`` is LAPACK ?syevd/?heevd: the lower-storage tridiagonal
+    reduction T = Q^H mat Q (?sytrd/?hetrd), dstedc('I') for T = Z diag(w) Z^T,
+    then the back-transform Q Z (?ormtr/?unmtr).  None of the lower
+    reduction's Householder reflectors touches row 0, so row 0 of Q Z is row
+    0 of Z bit for bit.  This runs the first two steps (dstevd calls the same
+    dstedc('I') on T, whose d and e are real in both cases) and skips the
+    back-transform, so the sticks equal ?syevd's bit for bit when both come
+    from the same LAPACK, as with ``scipy.linalg.eigh(driver="evd")``.
+    """
+    if np.iscomplexobj(mat):
+        trd, trd_lwork, name = lapack.zhetrd, lapack.zhetrd_lwork, "zhetrd"
+    else:
+        trd, trd_lwork, name = lapack.dsytrd, lapack.dsytrd_lwork, "dsytrd"
+    lwork, info = trd_lwork(mat.shape[0], lower=1)
+    _check_info(name + "_lwork", info)
+    _, d, e, _, info = trd(mat, lower=1, lwork=int(lwork.real))
+    _check_info(name, info)
+    # The f2py wrapper wants len(e) >= 1 even for a 1x1 T.
+    vals, z, info = lapack.dstevd(d, e if e.size else np.zeros(1))
+    _check_info("dstevd", info)
+    return vals, z[0] ** 2
 
 
 def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickSpectrum:
@@ -116,14 +153,13 @@ def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickS
 
     The initial state is the vacuum (flat index 0), giving the
     zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
-    separate sticks.
+    separate sticks.  No eigenvector matrix of H is formed (``_vacuum_sticks``).
     """
     if not h.verify_hermitian():
         raise ValueError(
             f"Hamiltonian is not Hermitian (deviation {h.hermiticity_deviation():.2e})"
         )
-    evals, evecs = eigensolve(h)
-    fcf = np.abs(evecs[0, :]) ** 2
+    evals, fcf = _vacuum_sticks(_dense_matrix(h))
     meta = {"cutoffs": list(h.space.cutoffs)}
     meta.update(metadata or {})
     return StickSpectrum(energies=evals, intensities=fcf, metadata=meta)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vibronic import oracle
-from vibronic.fock import FockSpace, identity_operator
+from vibronic.fock import FockSpace, ManyBodyOperator, identity_operator
 from vibronic.hamiltonian import build_hamiltonian
 from vibronic.oracle import (
     BroadenedSpectrum,
@@ -65,6 +66,76 @@ def test_non_hermitian_rejected():
     op.matrix = np.triu(np.ones((3, 3))) + 0j
     with pytest.raises(ValueError, match="Hermitian"):
         diagonalize_fcp(op)
+
+
+STICK_CASES = [
+    pytest.param("so2", (8, 8), "qp", id="so2-8,8-qp"),
+    pytest.param("so2", (8, 8), "ladder", id="so2-8,8-ladder"),
+    pytest.param("no2", (20, 30), "qp", id="no2-20,30-qp"),
+    pytest.param("no2", (20, 30), "ladder", id="no2-20,30-ladder"),
+    pytest.param("so2_anharmonic", (4, 3, 3), "qp", id="so2_anharmonic-4,3,3-qp"),
+    pytest.param("so2_anharmonic", (4, 3, 3), "ladder", id="so2_anharmonic-4,3,3-ladder"),
+    pytest.param("toy", (1,), "qp", id="toy-D2-qp"),
+]
+
+
+@pytest.mark.parametrize("name,cutoffs,route", STICK_CASES)
+def test_sticks_bit_identical_to_dsyevd(name, cutoffs, route):
+    problem = toy_problem(delta=0.7) if name == "toy" else bundled_problem(name)
+    h = build_hamiltonian(problem, ModeCutoffs(cutoffs), route=route).hamiltonian
+    sticks = diagonalize_fcp(h)
+    mat = h.to_dense()
+    evals, evecs = scipy.linalg.eigh(mat, driver="evd")
+    assert np.array_equal(sticks.energies, evals)
+    assert np.array_equal(sticks.intensities, np.abs(evecs[0]) ** 2)
+    evals, evecs = np.linalg.eigh(mat)
+    assert np.abs(sticks.energies - evals).max() <= 1e-12 * np.abs(evals).max()
+    assert np.abs(sticks.intensities - np.abs(evecs[0]) ** 2).max() <= 1e-12
+
+
+def test_complex_hermitian_sticks_match_eigh():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    h = ManyBodyOperator(FockSpace((12,)), m + m.conj().T)
+    sticks = diagonalize_fcp(h)
+    evals, evecs = np.linalg.eigh(h.matrix)
+    assert np.abs(sticks.energies - evals).max() <= 1e-12 * np.abs(evals).max()
+    assert np.abs(sticks.intensities - np.abs(evecs[0]) ** 2).max() <= 1e-12
+    assert sticks.total_intensity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_single_state_space_is_one_stick():
+    sticks = diagonalize_fcp(ManyBodyOperator(FockSpace((1,)), np.array([[3.0]])))
+    assert sticks.energies.tolist() == [3.0]
+    assert sticks.intensities.tolist() == [1.0]
+
+
+def test_sticks_form_no_eigenvector_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagonalize_fcp must not compute eigenvectors of H")
+
+    monkeypatch.setattr(oracle, "eigensolve", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    rep = build_hamiltonian(bundled_problem("so2"), ModeCutoffs((6, 6)))
+    sticks = diagonalize_fcp(rep.hamiltonian)
+    assert sticks.total_intensity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lapack_failure_raises(monkeypatch):
+    monkeypatch.setattr(oracle.lapack, "dstevd", lambda d, e: (d, np.eye(len(d)), 3))
+    rep = build_hamiltonian(bundled_problem("so2"), ModeCutoffs((2, 2)))
+    with pytest.raises(np.linalg.LinAlgError, match="dstevd"):
+        diagonalize_fcp(rep.hamiltonian)
+
+
+def test_scaled_roundoff_asymmetry_passes_hermiticity_gate():
+    rep = build_hamiltonian(bundled_problem("h2o"), ModeCutoffs((8, 8)), route="qp")
+    h = rep.hamiltonian
+    scaled = ManyBodyOperator(h.space, h.matrix * 1e3)
+    assert scaled.hermiticity_deviation() > 1e-10  # above the old absolute gate
+    sticks = diagonalize_fcp(scaled)
+    assert sticks.total_intensity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigensolver_dimension_guard():
