@@ -28,8 +28,7 @@ for n in range(4):
 # sampled finite-temperature spectrum vs the classical thermal oracle
 spec = run_qpe_thermal(mode, ModeCutoffs((7,)), t=12, shots=50000,
                        thermal=thermal, seed=5)
-print(f"\n{spec.shots} shots, {spec.discarded} discarded; "
-      f"initial-register marginals:")
+print(f"\n{spec.shots} shots; initial-register marginals:")
 counts = np.bincount(spec.initial_levels[:, 0], minlength=4)[:4]
 for n, c in enumerate(counts):
     print(f"  n_I={n}: {c / spec.shots:.4f}")

@@ -19,7 +19,7 @@ from .problem import (
     serialize_problem,
     validate,
 )
-from .fock import FockSpace, ManyBodyOperator, creation, annihilation, position, momentum, embed
+from .fock import FockSpace, ManyBodyOperator, creation, annihilation
 from .hamiltonian import HamiltonianBuildReport, build_hamiltonian, ladder_terms
 from .oracle import (
     BinnedSpectrum,
@@ -42,7 +42,6 @@ from .qpe import (
     PhaseMap,
     SampledSpectrum,
     choose_phase_map,
-    outcome_distribution,
     prepare_thermal,
     run_qpe,
     run_qpe_problem,

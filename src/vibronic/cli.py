@@ -8,6 +8,7 @@ deterministic for a fixed (config, seed); no timestamps are written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -70,6 +71,22 @@ def _parse_cutoffs(text: str, n_modes: int) -> ModeCutoffs:
         return ModeCutoffs(tuple(values))
     except ProblemValidationError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _parse_backend(text: str) -> EvolutionBackend:
@@ -190,13 +207,11 @@ def _write_sampled(args, problem: VibronicProblem, spectrum) -> int:
         "phase_map": spectrum.phase_map.as_dict(),
         "shots": spectrum.shots,
         "seed": spectrum.seed,
-        "discarded": spectrum.discarded,
         "histogram_bin_width": args.hist_width,
         **spectrum.metadata,
     }
     (out / f"{base}_metadata.json").write_text(oracle.metadata_json(meta))
-    print(f"wrote {base}_histogram.csv to {out} ({spectrum.shots} shots, "
-          f"{spectrum.discarded} discarded)")
+    print(f"wrote {base}_histogram.csv to {out} ({spectrum.shots} shots)")
     return 0
 
 
@@ -365,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         if route:
             p.add_argument("--route", choices=("qp", "ladder"), default="qp")
         if sigma:
-            p.add_argument("--sigma", type=float, default=oracle.DEFAULT_SIGMA,
+            p.add_argument("--sigma", type=_positive_float, default=oracle.DEFAULT_SIGMA,
                            help="Gaussian broadening width, cm^-1")
             p.add_argument("--sigma-convention", choices=("stdev", "fwhm"), default="stdev")
         p.add_argument("--out", default=None,
@@ -373,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sampling(p):
         p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
-        p.add_argument("--t", type=int, default=12, help="energy-register bits")
-        p.add_argument("--shots", type=int, default=100000)
+        p.add_argument("--t", type=_positive_int, default=12, help="energy-register bits")
+        p.add_argument("--shots", type=_positive_int, default=100000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--backend", default="exact", help="'exact' or 'trotter:ORDER:STEPS'")
-        p.add_argument("--hist-width", type=float, default=1.0)
+        p.add_argument("--hist-width", type=_positive_float, default=1.0)
 
     p = sub.add_parser("exact", help="exact stick/binned/broadened spectra")
     common(p)
@@ -404,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cutoffs=False)
     p.add_argument("--vary-mode", type=int, required=True,
                    help="1-based index of the varied mode")
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--threshold", type=_positive_float, default=1e-4)
     p.add_argument("--l-start", type=int, default=1)
     p.add_argument("--l-cap", type=int, default=100)
     p.add_argument("--fixed-cutoffs", default=None,

@@ -126,7 +126,7 @@ class PauliSum:
         self.terms[string] = self.terms.get(string, 0.0) + coeff
 
     def sorted_terms(self) -> list[tuple[str, complex]]:
-        """Terms in stable string order (the interchange and Trotter order)."""
+        """Terms in stable string order (the text-output and Trotter order)."""
         return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __len__(self) -> int:
@@ -143,11 +143,6 @@ def _level_word(l: int, mode: int, encoding: Encoding, layout: QubitLayout) -> i
         raise EncodingError(f"level {l} out of range [0, {l_max}] for mode {mode}")
     start = layout.mode_starts[mode]
     return l << start if encoding.variant == "binary" else 1 << (start + l)
-
-
-def codeword_index(levels: tuple[int, ...], encoding: Encoding, layout: QubitLayout) -> int:
-    """Global basis-state index of an encoded multi-mode level tuple."""
-    return sum(_level_word(l, mode, encoding, layout) for mode, l in enumerate(levels))
 
 
 def codespace_indices(encoding: Encoding, layout: QubitLayout) -> np.ndarray:
@@ -340,7 +335,7 @@ def resource_count(ps: PauliSum) -> ResourceReport:
     )
 
 
-# -- text interchange format ------------------------------------------
+# -- text output -------------------------------------------------------
 
 
 def pauli_sum_to_text(ps: PauliSum, header: dict | None = None) -> str:
@@ -352,19 +347,3 @@ def pauli_sum_to_text(ps: PauliSum, header: dict | None = None) -> str:
     for string, coeff in ps.sorted_terms():
         buf.write(f"{coeff.real:.16g},{coeff.imag:.16g},{string}\n")
     return buf.getvalue()
-
-
-def pauli_sum_from_text(text: str) -> PauliSum:
-    terms: dict[str, complex] = {}
-    n_qubits = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("re,"):
-            continue
-        re_part, im_part, string = line.split(",")
-        if n_qubits is None:
-            n_qubits = len(string)
-        terms[string] = complex(float(re_part), float(im_part))
-    if n_qubits is None:
-        raise EncodingError("no Pauli terms found in text")
-    return PauliSum(n_qubits, terms)

@@ -165,17 +165,22 @@ def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickS
     return StickSpectrum(energies=evals, intensities=fcf, metadata=meta)
 
 
+def _bin_index(energies: np.ndarray, width: float, origin: float) -> np.ndarray:
+    """Integer bin of each energy: floor((E - origin) / width)."""
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"bin width must be finite and positive, got {width}")
+    return np.floor((energies - origin) / width).astype(int)
+
+
 def bin_spectrum(
     sticks: StickSpectrum,
     width: float = DEFAULT_BIN_WIDTH,
     origin: float = 0.0,
 ) -> BinnedSpectrum:
     """Histogram stick intensity into bins of the given width."""
-    if width <= 0:
-        raise ValueError(f"bin width must be positive, got {width}")
     if len(sticks.energies) == 0:
         raise ValueError("cannot bin an empty stick spectrum")
-    idx = np.floor((sticks.energies - origin) / width).astype(int)
+    idx = _bin_index(sticks.energies, width, origin)
     first = int(idx.min())
     last = int(idx.max())
     values = np.zeros(last - first + 1)
@@ -444,19 +449,12 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def rebin(binned: BinnedSpectrum, new_width: float, origin: float = 0.0) -> BinnedSpectrum:
-    """Aggregate a histogram into coarser bins (new width need not divide evenly)."""
-    centers = binned.bin_centers
-    idx = np.floor((centers - origin) / new_width).astype(int)
-    first = int(idx.min())
-    values = np.zeros(int(idx.max()) - first + 1)
-    np.add.at(values, idx - first, binned.values)
-    return BinnedSpectrum(
-        width=new_width,
-        origin=origin,
-        first_bin=first,
-        values=values,
-        metadata=dict(binned.metadata),
-    )
+    """Aggregate a histogram into coarser bins (new width need not divide evenly).
+
+    Each old bin moves whole into the new bin holding its centre.
+    """
+    centers = StickSpectrum(binned.bin_centers, binned.values, binned.metadata)
+    return bin_spectrum(centers, new_width, origin)
 
 
 # -- file output -------------------------------------------------------

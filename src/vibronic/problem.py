@@ -53,9 +53,6 @@ class AnharmonicTerm:
                 f"anharmonic term must have 3 or 4 indices, got {len(self.indices)}"
             )
 
-    def order(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class ModeCutoffs:

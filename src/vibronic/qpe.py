@@ -33,7 +33,7 @@ from .mapping import (
     codespace_indices,
     map_second_quantized,
 )
-from .oracle import BinnedSpectrum, eigensolve
+from .oracle import BinnedSpectrum, _bin_index, eigensolve
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem
 
 
@@ -135,22 +135,20 @@ class SampledSpectrum:
     shots: int
     seed: int
     initial_levels: np.ndarray | None = None
-    discarded: int = 0
     metadata: dict = field(default_factory=dict)
 
     def histogram(self, width: float = 1.0, origin: float = 0.0) -> BinnedSpectrum:
         """Probability histogram of decoded energies (intensity = count/shots)."""
-        kept = len(self.energies)
-        idx = np.floor((self.energies - origin) / width).astype(int)
+        idx = _bin_index(self.energies, width, origin)
         first = int(idx.min(initial=0))
         values = np.zeros(int(idx.max(initial=0)) - first + 1)
-        np.add.at(values, idx - first, 1.0 / max(kept, 1))
+        np.add.at(values, idx - first, 1.0 / max(len(self.energies), 1))
         return BinnedSpectrum(
             width=width,
             origin=origin,
             first_bin=first,
             values=values,
-            metadata={"shots": self.shots, "discarded": self.discarded, **self.metadata},
+            metadata={"shots": self.shots, **self.metadata},
         )
 
 
@@ -168,46 +166,6 @@ def _sample_from_probabilities(probs: np.ndarray, seed: int, shots: int) -> np.n
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     return np.searchsorted(cdf, shot_uniforms(seed, shots), side="right")
-
-
-def qpe_kernel_sq(delta: np.ndarray, t: int) -> np.ndarray:
-    """Squared magnitude of the t-bit QPE kernel at phase offset delta.
-
-    |K_t(d)|^2 = sin^2(pi 2^t d) / (4^t sin^2(pi d)), with the removable
-    singularity at integer d equal to 1.
-    """
-    n = 2**t
-    delta = np.asarray(delta, dtype=float)
-    num = np.sin(np.pi * n * delta)
-    den = np.sin(np.pi * delta)
-    out = np.empty_like(delta)
-    tiny = np.abs(den) < 1e-12
-    out[~tiny] = (num[~tiny] / den[~tiny]) ** 2 / n**2
-    out[tiny] = 1.0
-    return out
-
-
-def outcome_distribution(
-    h: ManyBodyOperator,
-    phase_map: PhaseMap,
-    initial_state: np.ndarray | None = None,
-) -> np.ndarray:
-    """Analytic QPE outcome probabilities P(j) for sample-free testing."""
-    evals, evecs = eigensolve(h)
-    if initial_state is None:
-        weights = np.abs(evecs[0, :]) ** 2
-    else:
-        weights = np.abs(evecs.conj().T @ initial_state) ** 2
-    n = 2**phase_map.t
-    phases = phase_map.phase(evals)
-    j = np.arange(n)
-    probs = np.zeros(n)
-    chunk = max(1, int(2e7) // n)
-    for base in range(0, len(phases), chunk):
-        sub = phases[base : base + chunk]
-        delta = sub[:, None] - j[None, :] / n
-        probs += weights[base : base + chunk] @ qpe_kernel_sq(delta, phase_map.t)
-    return probs
 
 
 # -- Trotterized propagation ------------------------------------------
@@ -267,8 +225,7 @@ def _step_unitary(
     if pauli is None:
         raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
     check_dense_bytes(16 << (2 * n_s), f"a {n_s}-qubit step unitary")
-    u_step = trotter_step_unitary(pauli, phase_map.tau / backend.steps, backend.order)
-    u = np.linalg.matrix_power(u_step, backend.steps)
+    u = trotter_unitary(pauli, phase_map.tau, backend.order, backend.steps)
     u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
     return u, np.arange(1 << n_s), code
 

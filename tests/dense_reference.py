@@ -1,0 +1,76 @@
+"""Dense references that tests compare the package against.
+
+The package builds operators only through its ladder-term assembler and
+never needs these: the single-mode q and p, a single-mode operator embedded
+as identity on the other modes, and the analytic QPE outcome distribution.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from vibronic import fock
+from vibronic.fock import FockSpace, ManyBodyOperator
+from vibronic.oracle import eigensolve
+from vibronic.qpe import PhaseMap
+
+
+def position(l_max: int) -> np.ndarray:
+    """Dimensionless position q = (a + a^dag)/sqrt(2)."""
+    a = fock.annihilation(l_max)
+    return (a + a.conj().T) / math.sqrt(2)
+
+
+def momentum(l_max: int) -> np.ndarray:
+    """Dimensionless momentum p = (a - a^dag)/(i sqrt(2)); purely imaginary entries."""
+    a = fock.annihilation(l_max)
+    return (a - a.conj().T) / (1j * math.sqrt(2))
+
+
+def embed(op: np.ndarray, mode: int, space: FockSpace) -> np.ndarray:
+    """Dense matrix of a single-mode operator, identity on every other mode."""
+    left = int(np.prod(space.local_dims[:mode], initial=1))
+    right = int(np.prod(space.local_dims[mode + 1 :], initial=1))
+    return np.kron(np.kron(np.eye(left), op), np.eye(right)).astype(complex)
+
+
+def qpe_kernel_sq(delta: np.ndarray, t: int) -> np.ndarray:
+    """Squared magnitude of the t-bit QPE kernel at phase offset delta.
+
+    |K_t(d)|^2 = sin^2(pi 2^t d) / (4^t sin^2(pi d)), with the removable
+    singularity at integer d equal to 1.
+    """
+    n = 2**t
+    delta = np.asarray(delta, dtype=float)
+    num = np.sin(np.pi * n * delta)
+    den = np.sin(np.pi * delta)
+    out = np.empty_like(delta)
+    tiny = np.abs(den) < 1e-12
+    out[~tiny] = (num[~tiny] / den[~tiny]) ** 2 / n**2
+    out[tiny] = 1.0
+    return out
+
+
+def outcome_distribution(
+    h: ManyBodyOperator,
+    phase_map: PhaseMap,
+    initial_state: np.ndarray | None = None,
+) -> np.ndarray:
+    """Analytic QPE outcome probabilities P(j) for sample-free testing."""
+    evals, evecs = eigensolve(h)
+    if initial_state is None:
+        weights = np.abs(evecs[0, :]) ** 2
+    else:
+        weights = np.abs(evecs.conj().T @ initial_state) ** 2
+    n = 2**phase_map.t
+    phases = phase_map.phase(evals)
+    j = np.arange(n)
+    probs = np.zeros(n)
+    chunk = max(1, int(2e7) // n)
+    for base in range(0, len(phases), chunk):
+        sub = phases[base : base + chunk]
+        delta = sub[:, None] - j[None, :] / n
+        probs += weights[base : base + chunk] @ qpe_kernel_sq(delta, phase_map.t)
+    return probs

@@ -184,6 +184,22 @@ def test_unread_flags_rejected_exit_2(argv, toy_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--cutoffs", "2", "--sigma", "nan"],
+    ["qpe", "--cutoffs", "2", "--hist-width", "-5"],
+    ["converge", "--vary-mode", "1", "--threshold", "nan"],
+    ["qpe", "--cutoffs", "2", "--shots", "0"],
+    ["qpe", "--cutoffs", "2", "--t", "-1"],
+], ids=["sigma", "hist-width", "threshold", "shots", "t"])
+def test_bad_numeric_flags_exit_2(argv, toy_file, tmp_path, capsys):
+    # each value used to end in a traceback or in silently wrong output
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--problem", toy_file, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_repro_rejects_route_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["repro", "--route", "qp"])

@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from dense_reference import embed, momentum, position
 from vibronic import fock
 from vibronic.fock import FockSpace
 from vibronic.hamiltonian import (
@@ -30,10 +31,10 @@ def toy_problem(delta=0.0, omega=1000.0):
 
 
 def build_qBpB(problem, space):
-    """q_B = (b^dag + b)/sqrt(2) and p_B = i (b^dag - b)/sqrt(2) from the expansion's b^dag."""
-    b_dag = build_b_dagger(problem, space)
-    q_b = [(bd + bd.dagger()).scale(1 / math.sqrt(2)) for bd in b_dag]
-    p_b = [(bd - bd.dagger()).scale(1j / math.sqrt(2)) for bd in b_dag]
+    """Dense q_B = (b^dag + b)/sqrt(2) and p_B = i (b^dag - b)/sqrt(2) from the expansion."""
+    pairs = [(bd.to_dense(), bd.dagger().to_dense()) for bd in build_b_dagger(problem, space)]
+    q_b = [(bd + b) / math.sqrt(2) for bd, b in pairs]
+    p_b = [1j * (bd - b) / math.sqrt(2) for bd, b in pairs]
     return q_b, p_b
 
 
@@ -50,10 +51,9 @@ def dense_reference(problem, cutoffs, route):
     eye = np.eye(space.dimension)
 
     def embedded(single):
-        return [fock.embed(single(space.cutoffs[i]), i, space, representation="dense").to_dense()
-                for i in range(m)]
+        return [embed(single(space.cutoffs[i]), i, space) for i in range(m)]
 
-    q, p = embedded(fock.position), embedded(fock.momentum)
+    q, p = embedded(position), embedded(momentum)
     q_b = [sum(j[k, i] * q[i] for i in range(m)) + problem.delta[k] * eye for k in range(m)]
     h = np.zeros_like(eye, dtype=complex)
     if route == "qp":
@@ -83,23 +83,24 @@ def test_qbpb_identity_transform():
     space = FockSpace((4, 4))
     q_b, p_b = build_qBpB(p, space)
     for k in range(2):
-        ref_q = fock.embed(fock.position(3), k, space).to_dense()
-        ref_p = fock.embed(fock.momentum(3), k, space).to_dense()
-        assert np.abs(q_b[k].to_dense() - ref_q).max() < 1e-14
-        assert np.abs(p_b[k].to_dense() - ref_p).max() < 1e-14
+        ref_q = embed(position(3), k, space)
+        ref_p = embed(momentum(3), k, space)
+        assert np.abs(q_b[k] - ref_q).max() < 1e-14
+        assert np.abs(p_b[k] - ref_p).max() < 1e-14
 
 
 def test_qbpb_displacement_shifts_diagonal():
     space = FockSpace((6,))
     q_b, _ = build_qBpB(toy_problem(delta=2.0), space)
-    assert q_b[0].element((0,), (0,)) == pytest.approx(2.0)
+    assert q_b[0][0, 0] == pytest.approx(2.0)
 
 
 def test_qbpb_so2_vacuum_diagonal_is_delta(so2):
     space = FockSpace((11, 11))
     q_b, _ = build_qBpB(so2, space)
-    assert q_b[0].element((0, 0), (0, 0)) == pytest.approx(-1.8830)
-    assert q_b[1].element((0, 0), (0, 0)) == pytest.approx(0.4551)
+    vac = space.flat_index((0, 0))
+    assert q_b[0][vac, vac] == pytest.approx(-1.8830)
+    assert q_b[1][vac, vac] == pytest.approx(0.4551)
 
 
 def test_harmonic_qp_identity_eigenvalues():
@@ -143,7 +144,7 @@ def test_ladder_identity_transform():
     p = VibronicProblem("id", [700.0], [700.0], [[1.0]], [0.0])
     space = FockSpace((5,))
     bd = build_b_dagger(p, space)
-    ref = fock.embed(fock.creation(4), 0, space).to_dense()
+    ref = embed(fock.creation(4), 0, space)
     assert np.abs(bd[0].to_dense() - ref).max() < 1e-14
     rep = build_hamiltonian(p, ModeCutoffs((4,)), route="ladder")
     h = rep.hamiltonian.to_dense()

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from vibronic import oracle
-from vibronic.fock import FockSpace, ManyBodyOperator, identity_operator
+from vibronic.fock import FockSpace, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian
 from vibronic.oracle import (
     BroadenedSpectrum,
@@ -22,6 +23,7 @@ from vibronic.oracle import (
     tv_distance,
 )
 from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem, bundled_problem
+from vibronic.qpe import PhaseMap, SampledSpectrum
 
 
 def toy_problem(delta=0.0, omega=1000.0, label="toy"):
@@ -62,8 +64,7 @@ def test_fcf_completeness_is_exact_for_full_eigenbasis():
 
 def test_non_hermitian_rejected():
     space = FockSpace((3,))
-    op = identity_operator(space)
-    op.matrix = np.triu(np.ones((3, 3))) + 0j
+    op = ManyBodyOperator(space, np.triu(np.ones((3, 3))) + 0j)
     with pytest.raises(ValueError, match="Hermitian"):
         diagonalize_fcp(op)
 
@@ -141,7 +142,8 @@ def test_scaled_roundoff_asymmetry_passes_hermiticity_gate():
 def test_eigensolver_dimension_guard():
     space = FockSpace((101, 101))
     with pytest.raises(OracleScaleError):
-        oracle.eigensolve(identity_operator(space, representation="sparse"))
+        identity = sp.identity(space.dimension, dtype=complex, format="csr")
+        oracle.eigensolve(ManyBodyOperator(space, identity, hermitian=True))
 
 
 def test_bin_single_stick():
@@ -298,6 +300,21 @@ def test_cumulative_fcf_so2_level8():
 def test_tv_distance():
     assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
     assert tv_distance(np.array([0.5, 0.5]), np.array([1.0, 1.0])) == 0.0
+
+
+@pytest.mark.parametrize("width", [0.0, -5.0, math.nan])
+@pytest.mark.parametrize("binner", ["bin_spectrum", "rebin", "histogram"])
+def test_bin_width_must_be_finite_and_positive(binner, width):
+    sticks = oracle.StickSpectrum(np.array([10.2, 20.7]), np.array([0.5, 0.5]))
+    sampled = SampledSpectrum(np.array([0, 1]), sticks.energies, PhaseMap(1.0, 0.0, 4),
+                              shots=2, seed=0)
+    calls = {
+        "bin_spectrum": lambda: bin_spectrum(sticks, width=width),
+        "rebin": lambda: rebin(bin_spectrum(sticks), width),
+        "histogram": lambda: sampled.histogram(width=width),
+    }
+    with pytest.raises(ValueError, match="bin width"):
+        calls[binner]()
 
 
 def test_rebin_conserves():
