@@ -89,6 +89,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: an integer in [0, 2**64 - 1], the range of a Philox key."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64 - 1], got {text!r}")
+    return value
+
+
 def _parse_backend(text: str) -> EvolutionBackend:
     if text == "exact":
         return EvolutionBackend.exact()
@@ -245,6 +253,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    if args.l_cap < args.l_start:
+        raise CliError(f"--l-cap {args.l_cap} is below --l-start {args.l_start}")
     problem = _load(args.problem)
     varied = args.vary_mode - 1
     if not 0 <= varied < problem.n_modes:
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
         p.add_argument("--t", type=_positive_int, default=12, help="energy-register bits")
         p.add_argument("--shots", type=_positive_int, default=100000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--backend", default="exact", help="'exact' or 'trotter:ORDER:STEPS'")
         p.add_argument("--hist-width", type=_positive_float, default=1.0)
 

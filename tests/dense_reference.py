@@ -3,6 +3,9 @@
 The package builds operators only through its ladder-term assembler and
 never needs these: the single-mode q and p, a single-mode operator embedded
 as identity on the other modes, and the analytic QPE outcome distribution.
+It also keeps the dense spectrum post-processing that ``oracle`` replaced:
+Gaussian broadening by ``np.convolve`` over every bin, and the L1 distance
+that resamples both spectra onto their union grid with ``np.interp``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ import numpy as np
 
 from vibronic import fock
 from vibronic.fock import FockSpace, ManyBodyOperator
-from vibronic.oracle import eigensolve
+from vibronic.oracle import (
+    BinnedSpectrum,
+    BroadenedSpectrum,
+    eigensolve,
+    sigma_from_convention,
+)
 from vibronic.qpe import PhaseMap
 
 
@@ -74,3 +82,44 @@ def outcome_distribution(
         delta = sub[:, None] - j[None, :] / n
         probs += weights[base : base + chunk] @ qpe_kernel_sq(delta, phase_map.t)
     return probs
+
+
+def broaden_dense(
+    binned: BinnedSpectrum,
+    sigma: float,
+    convention: str = "stdev",
+) -> BroadenedSpectrum:
+    """Convolve the histogram with a unit-area Gaussian sampled on the grid."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    sig = sigma_from_convention(sigma, convention)
+    width = binned.width
+    half = int(math.ceil(6.0 * sig / width))
+    x = np.arange(-half, half + 1) * width
+    kernel = np.exp(-(x**2) / (2.0 * sig**2)) / (sig * math.sqrt(2.0 * math.pi))
+    values = np.convolve(binned.values, kernel, mode="full")
+    start_bin = binned.first_bin - half
+    meta = dict(binned.metadata)
+    meta.update({"sigma": sigma, "sigma_convention": convention})
+    return BroadenedSpectrum(
+        grid_start=binned.origin + (start_bin + 0.5) * width,
+        grid_step=width,
+        values=values,
+        sigma=sigma,
+        convention=convention,
+        metadata=meta,
+    )
+
+
+def _resample(spec: BroadenedSpectrum, grid: np.ndarray) -> np.ndarray:
+    return np.interp(grid, spec.grid, spec.values, left=0.0, right=0.0)
+
+
+def l1_distance_interp(a: BroadenedSpectrum, b: BroadenedSpectrum) -> float:
+    """Integral of |a - b| with both resampled onto the union grid at the finer step."""
+    step = min(a.grid_step, b.grid_step)
+    lo = min(a.grid_start, b.grid_start)
+    hi = max(a.grid[-1], b.grid[-1])
+    n = int(round((hi - lo) / step)) + 1
+    grid = lo + step * np.arange(n)
+    return float(np.abs(_resample(a, grid) - _resample(b, grid)).sum() * step)

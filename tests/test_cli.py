@@ -74,6 +74,13 @@ def test_qpe_deterministic_rerun(toy_file, tmp_path):
     assert meta["phase_map"]["t"] == 8
 
 
+def test_qpe_seed_takes_largest_philox_key(toy_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["qpe", "--problem", toy_file, "--cutoffs", "2", "--t", "4", "--shots", "10",
+                 "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert json.loads((out / "toy_qpe_metadata.json").read_text())["seed"] == 2**64 - 1
+
+
 def test_qpe_budget_exceeded_exit_2(so2_file, tmp_path, capsys):
     code = main(["qpe", "--problem", so2_file, "--cutoffs", "3,3", "--t", "40",
                  "--shots", "10", "--out", str(tmp_path)])
@@ -146,6 +153,15 @@ def test_converge_vary_mode_out_of_range(toy_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_converge_cap_below_start_exit_2(so2_file, tmp_path, capsys):
+    # used to end in "max() arg is an empty sequence" after running no cutoff
+    code = main(["converge", "--problem", so2_file, "--vary-mode", "1",
+                 "--l-cap", "0", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--l-cap 0" in err and "--l-start 1" in err
+
+
 def test_converge_not_converged_exit_1(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text(json.dumps({
@@ -190,7 +206,9 @@ def test_unread_flags_rejected_exit_2(argv, toy_file):
     ["converge", "--vary-mode", "1", "--threshold", "nan"],
     ["qpe", "--cutoffs", "2", "--shots", "0"],
     ["qpe", "--cutoffs", "2", "--t", "-1"],
-], ids=["sigma", "hist-width", "threshold", "shots", "t"])
+    ["qpe", "--cutoffs", "2", "--seed", "-1"],
+    ["qpe", "--cutoffs", "2", "--seed", str(2**64)],
+], ids=["sigma", "hist-width", "threshold", "shots", "t", "seed-negative", "seed-2**64"])
 def test_bad_numeric_flags_exit_2(argv, toy_file, tmp_path, capsys):
     # each value used to end in a traceback or in silently wrong output
     with pytest.raises(SystemExit) as exc:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from dense_reference import broaden_dense, l1_distance_interp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vibronic import oracle
 from vibronic.fock import FockSpace, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian
 from vibronic.oracle import (
+    BinnedSpectrum,
     BroadenedSpectrum,
     OracleScaleError,
     bin_spectrum,
@@ -195,6 +199,51 @@ def test_broaden_fwhm_convention():
     assert b.convention == "fwhm"
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_broaden_sigma_must_be_finite_and_positive(sigma):
+    binned = bin_spectrum(oracle.StickSpectrum(np.array([10.2]), np.array([1.0])))
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        broaden(binned, sigma=sigma)
+
+
+@pytest.mark.parametrize("name,levels", [("so2", (8, 24)), ("h2o", (10, 68)), ("no2", (36, 88))])
+def test_broaden_matches_dense_convolution(name, levels):
+    # occupied-bin sums run in bin order, np.convolve in BLAS order: same terms
+    _, binned, broad = spectrum_pipeline(bundled_problem(name), ModeCutoffs(levels),
+                                         route="ladder")
+    ref = broaden_dense(binned, oracle.DEFAULT_SIGMA)
+    assert (broad.grid_start, broad.grid_step) == (ref.grid_start, ref.grid_step)
+    assert broad.metadata == ref.metadata
+    np.testing.assert_allclose(broad.values, ref.values, rtol=1e-14, atol=0.0)
+
+
+@st.composite
+def sparse_histograms(draw, width):
+    n = draw(st.integers(1, 600))
+    occupied = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40, unique=True))
+    values = np.zeros(n)
+    values[occupied] = draw(st.lists(st.floats(1e-12, 1.0), min_size=len(occupied),
+                                     max_size=len(occupied)))
+    return BinnedSpectrum(width=width, origin=0.0, first_bin=draw(st.integers(-3000, 3000)),
+                          values=values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), width=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       sigma=st.floats(0.01, 300.0), convention=st.sampled_from(["stdev", "fwhm"]))
+def test_sparse_broaden_and_offset_l1_match_dense(data, width, sigma, convention):
+    a, b = (data.draw(sparse_histograms(width)) for _ in range(2))
+    ba, bb = (broaden(h, sigma, convention) for h in (a, b))
+    for binned, broad in ((a, ba), (b, bb)):
+        ref = broaden_dense(binned, sigma, convention)
+        assert broad.grid_start == ref.grid_start
+        np.testing.assert_allclose(broad.values, ref.values, rtol=1e-14, atol=0.0)
+    # starts a whole number of steps apart: the union grid needs no resampling
+    assert ((bb.grid_start - ba.grid_start) / width).is_integer()
+    assert l1_distance(ba, bb) == l1_distance_interp(ba, bb)
+    assert l1_distance(bb, ba) == l1_distance_interp(bb, ba)
+
+
 def test_so2_broadened_area_and_smoothness():
     sticks, _, broad = spectrum_pipeline(bundled_problem("so2"), ModeCutoffs((12, 10)))
     assert broad.area == pytest.approx(sticks.total_intensity, abs=1e-6)
@@ -252,6 +301,11 @@ def test_converge_sweep_displaced_progresses():
     distances = [d for _, d in result.trace]
     assert distances[0] > distances[-1]
     assert result.vs_exact  # decay curve emitted
+
+
+def test_converge_sweep_rejects_cap_below_start():
+    with pytest.raises(ValueError, match="l_cap 2 is below l_start 5"):
+        converge_sweep(toy_problem(), 0, {}, l_start=5, l_cap=2)
 
 
 def test_converge_sweep_not_converged_within_cap():
