@@ -11,7 +11,10 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import oracle
 from .hamiltonian import ladder_terms
@@ -311,10 +314,12 @@ def cmd_compare(args) -> int:
             grid, values = oracle.read_spectrum_csv(Path(path).read_text())
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
-        spectra.append(oracle.BroadenedSpectrum(
-            grid_start=grid[0], grid_step=grid[1] - grid[0] if len(grid) > 1 else 1.0,
-            values=values, sigma=0.0, convention="read",
-        ))
+        step = grid[1] - grid[0] if len(grid) > 1 else 1.0
+        # .10g printing moves each energy by at most 5e-11 of max|E|
+        atol = 1e-8 * np.abs(grid).max()
+        if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= atol)):
+            raise CliError(f"{path}: energies must ascend on one uniform grid")
+        spectra.append(oracle.BroadenedSpectrum(grid_start=grid[0], grid_step=step, values=values))
     value = oracle.l1_distance(*spectra)
     print(f"L1 = {value:.10g}")
     return 0
@@ -327,22 +332,12 @@ def cmd_repro(args) -> int:
     print("molecule  L1(under-truncated vs exact)  published")
     for name, recipe in REPRO_RECIPE.items():
         problem = bundled_problem(name)
-        varied = recipe["varied"]
-
-        def cuts(l_varied: int) -> ModeCutoffs:
-            levels = [0] * problem.n_modes
-            for mode, l in recipe["fixed"].items():
-                levels[mode] = l
-            levels[varied] = l_varied
-            return ModeCutoffs(tuple(levels))
-
-        _, _, exact = oracle.spectrum_pipeline(
-            problem, cuts(recipe["exact"]), route=REPRO_ROUTE,
-            sigma=args.sigma, convention=args.sigma_convention,
-        )
-        _, _, approx = oracle.spectrum_pipeline(
-            problem, cuts(recipe["approx"]), route=REPRO_ROUTE,
-            sigma=args.sigma, convention=args.sigma_convention,
+        exact, approx = (
+            oracle.spectrum_pipeline(
+                problem, ModeCutoffs.one_varied(recipe["fixed"], recipe["varied"], l),
+                route=REPRO_ROUTE, sigma=args.sigma, convention=args.sigma_convention,
+            )[2]
+            for l in (recipe["exact"], recipe["approx"])
         )
         value = oracle.l1_distance(exact, approx)
         rows.append((name, recipe["approx"], value, recipe["target_l1"]))
@@ -354,13 +349,9 @@ def cmd_repro(args) -> int:
     _, _, broad_anharm = oracle.spectrum_pipeline(
         anharm, cutoffs, route="qp", sigma=args.sigma, convention=args.sigma_convention
     )
-    harmonic_only = VibronicProblem(
-        label=anharm.label + " (harmonic part)",
-        omega_A=anharm.omega_A, omega_B=anharm.omega_B,
-        duschinsky_S=anharm.duschinsky_S, delta=anharm.delta,
-    )
     _, _, broad_harm = oracle.spectrum_pipeline(
-        harmonic_only, cutoffs, route="qp", sigma=args.sigma, convention=args.sigma_convention
+        replace(anharm, anharmonic=()), cutoffs, route="qp",
+        sigma=args.sigma, convention=args.sigma_convention,
     )
     anharm_l1 = oracle.l1_distance(broad_anharm, broad_harm)
     print(f"anharmonic-vs-harmonic SO2 broadened L1 = {anharm_l1:.4f}")

@@ -76,20 +76,15 @@ def annihilation(l_max: int) -> np.ndarray:
 
 
 class ManyBodyOperator:
-    """Operator over a FockSpace, stored dense or sparse (CSR).
+    """Operator over a FockSpace, stored dense or sparse (CSR)."""
 
-    The ``hermitian`` flag is bookkeeping: a product clears it, the adjoint
-    keeps it, and ``verify_hermitian`` measures the actual deviation.
-    """
-
-    def __init__(self, space: FockSpace, matrix: Matrix, hermitian: bool = False):
+    def __init__(self, space: FockSpace, matrix: Matrix):
         if matrix.shape != (space.dimension, space.dimension):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match space dimension {space.dimension}"
             )
         self.space = space
         self.matrix = matrix
-        self.hermitian = hermitian
 
     def to_dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):
@@ -99,20 +94,20 @@ class ManyBodyOperator:
     def __matmul__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
         if self.space != other.space:
             raise ValueError("operators live on different Fock spaces")
-        return ManyBodyOperator(self.space, self.matrix @ other.matrix, hermitian=False)
+        return ManyBodyOperator(self.space, self.matrix @ other.matrix)
 
     def dagger(self) -> "ManyBodyOperator":
         mat = self.matrix.conj().T
         if sp.issparse(mat):
             mat = mat.tocsr()
-        return ManyBodyOperator(self.space, mat, self.hermitian)
+        return ManyBodyOperator(self.space, mat)
 
     def hermiticity_deviation(self) -> float:
         return _max_abs(self.matrix - self.matrix.conj().T)
 
-    def verify_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        """Whether max|H - H^dag| <= rtol * max|H|."""
-        return self.hermiticity_deviation() <= rtol * _max_abs(self.matrix)
+    def verify_hermitian(self) -> bool:
+        """Whether max|H - H^dag| <= HERMITICITY_RTOL * max|H|."""
+        return self.hermiticity_deviation() <= HERMITICITY_RTOL * _max_abs(self.matrix)
 
 
 def _max_abs(matrix: Matrix) -> float:

@@ -57,7 +57,6 @@ class SecondQuantizedTerm:
 class HamiltonianBuildReport:
     """Result of one Hamiltonian assembly."""
 
-    route: str
     space: FockSpace
     hamiltonian: ManyBodyOperator
     term_count: int
@@ -233,12 +232,9 @@ def build_b_dagger(problem: VibronicProblem, space: FockSpace) -> list[ManyBodyO
 
 
 def build_hamiltonian(
-    problem: VibronicProblem,
-    cutoffs: ModeCutoffs,
-    route: str = "qp",
-    include_anharmonic: bool = True,
+    problem: VibronicProblem, cutoffs: ModeCutoffs, route: str = "qp"
 ) -> HamiltonianBuildReport:
-    """Assemble H in the route's ordering, anharmonic terms optional.
+    """Assemble H, anharmonic terms included, in the route's ordering.
 
     H is stored dense below ``fock.DENSE_DIM_THRESHOLD`` and as CSR above it;
     ``term_count`` is the number of grouped second-quantized terms.
@@ -246,13 +242,12 @@ def build_hamiltonian(
     if len(cutoffs) != problem.n_modes:
         raise ValueError(f"{len(cutoffs)} cutoffs for a {problem.n_modes}-mode problem")
     space = FockSpace.from_cutoffs(cutoffs)
-    terms = hamiltonian_terms(problem, route, include_anharmonic)
+    terms = hamiltonian_terms(problem, route)
     h = assemble_terms(terms, space)
     matrix = h.to_dense() if space.dimension < fock.DENSE_DIM_THRESHOLD else h.matrix
     return HamiltonianBuildReport(
-        route=route,
         space=space,
-        hamiltonian=ManyBodyOperator(space, matrix, hermitian=True),
+        hamiltonian=ManyBodyOperator(space, matrix),
         term_count=len(terms),
         hermiticity_deviation=h.hermiticity_deviation(),
     )

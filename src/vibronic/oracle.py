@@ -20,7 +20,7 @@ from scipy.linalg import lapack
 
 from .fock import FockSpace, ManyBodyOperator
 from .hamiltonian import build_b_dagger, build_hamiltonian
-from .problem import ModeCutoffs, ThermalConfig, VibronicProblem
+from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Dense full eigendecomposition is used up to this dimension.
 DENSE_EIG_LIMIT = 8192
@@ -85,8 +85,6 @@ class BroadenedSpectrum:
     grid_start: float
     grid_step: float
     values: np.ndarray
-    sigma: float
-    convention: str
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -230,8 +228,6 @@ def broaden(
         grid_start=binned.origin + (start_bin + 0.5) * width,
         grid_step=width,
         values=values,
-        sigma=sigma,
-        convention=convention,
         metadata=meta,
     )
 
@@ -268,14 +264,13 @@ def spectrum_pipeline(
     route: str = "qp",
     sigma: float = DEFAULT_SIGMA,
     convention: str = "stdev",
-    bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> tuple[StickSpectrum, BinnedSpectrum, BroadenedSpectrum]:
     """Build H, diagonalize, bin and broaden in one call."""
     report = build_hamiltonian(problem, cutoffs, route=route)
     sticks = diagonalize_fcp(
         report.hamiltonian, metadata={"problem": problem.label, "route": route}
     )
-    binned = bin_spectrum(sticks, width=bin_width)
+    binned = bin_spectrum(sticks)
     broad = broaden(binned, sigma=sigma, convention=convention)
     return sticks, binned, broad
 
@@ -319,19 +314,13 @@ def converge_sweep(
     if l_cap < l_start:
         raise ValueError(f"l_cap {l_cap} is below l_start {l_start}; no cutoff would run")
 
-    def cutoffs_for(l_max: int) -> ModeCutoffs:
-        levels = [0] * problem.n_modes
-        for mode, l in fixed_cutoffs.items():
-            levels[mode] = l
-        levels[varied_mode] = l_max
-        return ModeCutoffs(tuple(levels))
-
     spectra: dict[int, BroadenedSpectrum] = {}
     trace: list[tuple[int, float]] = []
     converged = None
     for l in range(l_start, l_cap + 1):
         _, _, spectra[l] = spectrum_pipeline(
-            problem, cutoffs_for(l), route=route, sigma=sigma, convention=convention
+            problem, ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, l),
+            route=route, sigma=sigma, convention=convention,
         )
         if l - 1 in spectra:
             d = l1_distance(spectra[l], spectra[l - 1])
@@ -374,7 +363,7 @@ def thermal_fcp_oracle(
     evals, evecs = eigensolve(report.hamiltonian)
 
     occupations = space.all_multi_indices()
-    e_a = (occupations + 0.5) @ problem.omega_A
+    e_a = fock_state_energy(problem, occupations)
     if thermal.is_zero_temperature:
         weights = np.zeros(space.dimension)
         weights[0] = 1.0
@@ -405,27 +394,6 @@ def thermal_fcp_oracle(
     )
 
 
-def mode_occupation_levels(
-    problem: VibronicProblem,
-    h: ManyBodyOperator,
-    evecs: np.ndarray,
-    mode: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assign a final-surface quantum number to every eigenstate.
-
-    Uses the expectation of the transformed number operator b_k^dag b_k;
-    returns (rounded levels, rounding residuals).  Residuals near 0.5 mark
-    boundary-distorted states whose label is not trustworthy.
-    """
-    bd = build_b_dagger(problem, h.space)
-    nmat = (bd[mode] @ bd[mode].dagger()).to_dense()
-    if np.abs(nmat.imag).max(initial=0.0) < 1e-12:
-        nmat = nmat.real
-    occ = np.einsum("ji,jk,ki->i", evecs.conj(), nmat, evecs).real
-    levels = np.rint(occ).astype(int)
-    return levels, np.abs(occ - levels)
-
-
 def cumulative_fcf_by_level(
     problem: VibronicProblem,
     cutoffs: ModeCutoffs,
@@ -436,12 +404,18 @@ def cumulative_fcf_by_level(
 
     Entry l is sum over all other modes' quantum numbers of |<0|n'>|^2 with
     n'_mode = l, the quantity that controls how far the mode's progression
-    reaches.
+    reaches.  Each eigenstate gets the level nearest its expectation of the
+    transformed number operator b_k^dag b_k.
     """
     report = build_hamiltonian(problem, cutoffs, route=route)
-    evals, evecs = eigensolve(report.hamiltonian)
+    _, evecs = eigensolve(report.hamiltonian)
     fcf = np.abs(evecs[0, :]) ** 2
-    levels, _ = mode_occupation_levels(problem, report.hamiltonian, evecs, mode)
+    bd = build_b_dagger(problem, report.space)[mode]
+    nmat = (bd @ bd.dagger()).to_dense()
+    if np.abs(nmat.imag).max(initial=0.0) < 1e-12:
+        nmat = nmat.real
+    occ = np.einsum("ji,jk,ki->i", evecs.conj(), nmat, evecs).real
+    levels = np.rint(occ).astype(int)
     out = np.zeros(cutoffs.levels[mode] + 1)
     for l, f in zip(levels, fcf):
         if 0 <= l < len(out):

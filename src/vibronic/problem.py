@@ -68,6 +68,12 @@ class ModeCutoffs:
     def uniform(cls, l_max: int, n_modes: int) -> "ModeCutoffs":
         return cls((l_max,) * n_modes)
 
+    @classmethod
+    def one_varied(cls, fixed: dict[int, int], mode: int, l_max: int) -> "ModeCutoffs":
+        """``l_max`` on ``mode`` and ``fixed[m]`` on every other mode m."""
+        levels = {**fixed, mode: l_max}
+        return cls(tuple(levels[m] for m in range(len(levels))))
+
     @property
     def local_dims(self) -> tuple[int, ...]:
         """Local Hilbert-space dimension per mode, L_max + 1."""
@@ -115,7 +121,6 @@ class VibronicProblem:
     duschinsky_S: np.ndarray
     delta: np.ndarray
     anharmonic: tuple[AnharmonicTerm, ...] = ()
-    thermal: ThermalConfig | None = None
 
     def __post_init__(self) -> None:
         for name in ("omega_A", "omega_B", "delta"):
@@ -130,6 +135,11 @@ class VibronicProblem:
     @property
     def n_modes(self) -> int:
         return len(self.omega_A)
+
+
+def fock_state_energy(problem: VibronicProblem, levels: np.ndarray) -> np.ndarray:
+    """Initial-surface Fock energy E_A(n) = sum_k w_Ak (n_k + 1/2)."""
+    return (np.asarray(levels) + 0.5) @ problem.omega_A
 
 
 @dataclass
@@ -286,14 +296,6 @@ def parse_problem(text: str) -> VibronicProblem:
             raise ProblemFormatError(f"{context}: indices must be 1-based positive integers")
         terms.append(AnharmonicTerm(tuple(j - 1 for j in indices), float(coeff)))
 
-    thermal = None
-    if "beta_invcm" in raw and "temperature_K" in raw:
-        raise ProblemFormatError(f"{label}: give either beta_invcm or temperature_K, not both")
-    if "beta_invcm" in raw:
-        thermal = ThermalConfig(beta=float(raw["beta_invcm"]))
-    elif "temperature_K" in raw:
-        thermal = ThermalConfig.from_temperature_kelvin(float(raw["temperature_K"]))
-
     problem = VibronicProblem(
         label=label,
         omega_A=omega_a,
@@ -301,7 +303,6 @@ def parse_problem(text: str) -> VibronicProblem:
         duschinsky_S=s_matrix,
         delta=delta,
         anharmonic=tuple(terms),
-        thermal=thermal,
     )
     report = validate(problem)
     if not report.passed:
@@ -325,8 +326,6 @@ def serialize_problem(problem: VibronicProblem) -> str:
             {"indices": [i + 1 for i in term.indices], "coeff": term.coefficient}
             for term in problem.anharmonic
         ]
-    if problem.thermal is not None and not problem.thermal.is_zero_temperature:
-        doc["beta_invcm"] = problem.thermal.beta
     return json.dumps(doc, indent=2)
 
 

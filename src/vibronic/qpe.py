@@ -34,7 +34,10 @@ from .mapping import (
     map_second_quantized,
 )
 from .oracle import BinnedSpectrum, _bin_index, eigensolve
-from .problem import ModeCutoffs, ThermalConfig, VibronicProblem
+from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
+
+#: Share of the 2 pi phase window left empty above the highest eigenphase.
+PHASE_SAFETY_MARGIN = 0.05
 
 
 class UnsupportedBackendError(ValueError):
@@ -80,7 +83,6 @@ def gershgorin_bounds(h: ManyBodyOperator) -> tuple[float, float]:
 def choose_phase_map(
     h: ManyBodyOperator,
     t: int,
-    safety_margin: float = 0.05,
     lower_bound: float | None = None,
 ) -> PhaseMap:
     """Calibrate tau and shift so every eigenphase lands inside [0, 1).
@@ -95,7 +97,7 @@ def choose_phase_map(
     span = upper + shift
     if span <= 0.0:
         return PhaseMap(tau=1.0, energy_shift=shift, t=t)
-    tau = 2.0 * math.pi * (1.0 - safety_margin) / span
+    tau = 2.0 * math.pi * (1.0 - PHASE_SAFETY_MARGIN) / span
     return PhaseMap(tau=tau, energy_shift=shift, t=t)
 
 
@@ -403,11 +405,6 @@ def prepare_thermal(
         )
     kappa /= np.linalg.norm(kappa)
     return kappa
-
-
-def fock_state_energy(problem: VibronicProblem, levels: np.ndarray) -> np.ndarray:
-    """Initial-surface Fock energy E_A(n) = sum_k w_Ak (n_k + 1/2)."""
-    return (np.asarray(levels) + 0.5) @ problem.omega_A
 
 
 def run_qpe_thermal(

@@ -105,8 +105,6 @@ def broaden_dense(
         grid_start=binned.origin + (start_bin + 0.5) * width,
         grid_step=width,
         values=values,
-        sigma=sigma,
-        convention=convention,
         metadata=meta,
     )
 

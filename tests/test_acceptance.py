@@ -303,7 +303,7 @@ def test_criterion_8_qpe_fidelity(so2_qpe_run):
 
 def test_criterion_8_exact_phase_determinism():
     space = FockSpace((2,))
-    h = fock.ManyBodyOperator(space, np.diag([1.0, 5.0]).astype(complex), hermitian=True)
+    h = fock.ManyBodyOperator(space, np.diag([1.0, 5.0]).astype(complex))
     pmap = PhaseMap(tau=2 * math.pi * 3 / 16, energy_shift=0.0, t=4)
     spec = run_qpe(h, Encoding("binary", ModeCutoffs((1,))), t=4, shots=1000,
                    seed=11, phase_map=pmap, initial_state=np.array([1.0, 0.0]))

@@ -241,6 +241,47 @@ def test_compare_malformed_row_exit_2(row, tmp_path, capsys):
     assert "bad.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,other", [
+    ("12,1\n11,2\n10,3\n", "12,1\n11,2\n10,4\n"),
+    ("10,1\n11,0\n500,1\n", "10,1\n11,0\n12,1\n"),
+], ids=["descending", "uneven"])
+def test_compare_rejects_nonuniform_grid_exit_2(rows, other, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("energy_cm1,density\n" + rows)
+    (tmp_path / "other.csv").write_text("energy_cm1,density\n" + other)
+    assert main(["compare", str(bad), str(tmp_path / "other.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and "uniform grid" in err
+
+
+@pytest.fixture(scope="module")
+def so2_csv(tmp_path_factory):
+    """Path maker for so2 `exact` outputs at (4,4), (6,5) and two qpe histograms."""
+    tmp = tmp_path_factory.mktemp("so2_spectra")
+    problem = tmp / "so2.json"
+    problem.write_text(serialize_problem(bundled_problem("so2")))
+    for cutoffs in ("4,4", "6,5"):
+        main(["exact", "--problem", str(problem), "--cutoffs", cutoffs,
+              "--out", str(tmp / cutoffs.replace(",", ""))])
+    for seed in ("1", "2"):
+        main(["qpe", "--problem", str(problem), "--cutoffs", "2,2", "--t", "8",
+              "--shots", "2000", "--seed", seed, "--hist-width", "0.1",
+              "--out", str(tmp / f"q{seed}")])
+    return lambda d, kind: str(tmp / d / f"so2_so2_e_{kind}.csv")
+
+
+def test_compare_rejects_sticks_exit_2(so2_csv, capsys):
+    # sticks sit at eigenvalues, not on a uniform grid
+    assert main(["compare", so2_csv("44", "sticks"), so2_csv("44", "broadened")]) == 2
+    assert "so2_so2_e_sticks.csv" in capsys.readouterr().err
+
+
+def test_compare_accepts_broadened_and_histograms(so2_csv, capsys):
+    assert main(["compare", so2_csv("44", "broadened"), so2_csv("65", "broadened")]) == 0
+    assert main(["compare", so2_csv("q1", "qpe_histogram"), so2_csv("q2", "qpe_histogram")]) == 0
+    assert capsys.readouterr().out == "L1 = 1.4281423\nL1 = 0.0054\n"
+
+
 @pytest.mark.parametrize("command,extra", [
     ("qpe", []),
     ("thermal", ["--temperature-K", "300"]),

@@ -128,11 +128,10 @@ def test_multiply_associative():
 
 def test_hermiticity_flag_and_check():
     space = FockSpace((3,))
-    q = ManyBodyOperator(space, embed(position(2), 0, space), hermitian=True)
+    q = ManyBodyOperator(space, embed(position(2), 0, space))
     assert q.verify_hermitian()
     prod = q @ q
-    assert not prod.hermitian  # conservative flag
-    assert prod.verify_hermitian()  # but numerically Hermitian
+    assert prod.verify_hermitian()  # numerically Hermitian
     skew = ManyBodyOperator(space, np.diag([1j, 0, 0]))
     assert not skew.verify_hermitian()
 

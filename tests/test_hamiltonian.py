@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_anharmonic_quartic_perturbation():
     k = 0.01
     p = VibronicProblem("qt", [1000.0], [1000.0], [[1.0]], [0.0],
                         anharmonic=(AnharmonicTerm((0, 0, 0, 0), k),))
-    rep0 = build_hamiltonian(p, ModeCutoffs((16,)), include_anharmonic=False)
+    rep0 = build_hamiltonian(replace(p, anharmonic=()), ModeCutoffs((16,)))
     rep1 = build_hamiltonian(p, ModeCutoffs((16,)))
     e0 = np.linalg.eigvalsh(rep0.hamiltonian.to_dense().real)[0]
     e1 = np.linalg.eigvalsh(rep1.hamiltonian.to_dense().real)[0]
@@ -212,14 +213,14 @@ def test_anharmonic_so2_terms_present():
     rep = build_hamiltonian(p, ModeCutoffs((6, 5, 4)))
     assert rep.hermiticity_deviation <= 1e-10
     # anharmonic terms change the Hamiltonian
-    rep0 = build_hamiltonian(p, ModeCutoffs((6, 5, 4)), include_anharmonic=False)
+    rep0 = build_hamiltonian(replace(p, anharmonic=()), ModeCutoffs((6, 5, 4)))
     assert np.abs(rep.hamiltonian.to_dense() - rep0.hamiltonian.to_dense()).max() > 1.0
 
 
 def test_anharmonic_zero_coefficients_equals_harmonic():
     p = VibronicProblem("z", [800.0], [800.0], [[1.0]], [0.5],
                         anharmonic=(AnharmonicTerm((0, 0, 0), 0.0),))
-    h0 = build_hamiltonian(p, ModeCutoffs((8,)), include_anharmonic=False)
+    h0 = build_hamiltonian(replace(p, anharmonic=()), ModeCutoffs((8,)))
     h1 = build_hamiltonian(p, ModeCutoffs((8,)))
     assert np.abs(h1.hamiltonian.to_dense() - h0.hamiltonian.to_dense()).max() == 0.0
 

@@ -147,7 +147,7 @@ def test_eigensolver_dimension_guard():
     space = FockSpace((101, 101))
     with pytest.raises(OracleScaleError):
         identity = sp.identity(space.dimension, dtype=complex, format="csr")
-        oracle.eigensolve(ManyBodyOperator(space, identity, hermitian=True))
+        oracle.eigensolve(ManyBodyOperator(space, identity))
 
 
 def test_bin_single_stick():
@@ -196,7 +196,7 @@ def test_broaden_fwhm_convention():
     b = broaden(bin_spectrum(sticks), sigma=100.0, convention="fwhm")
     sig = 100.0 / (2 * math.sqrt(2 * math.log(2)))
     assert b.values.max() == pytest.approx(1.0 / (sig * math.sqrt(2 * math.pi)), rel=1e-3)
-    assert b.convention == "fwhm"
+    assert b.metadata["sigma_convention"] == "fwhm"
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
@@ -268,8 +268,7 @@ def test_l1_metric_properties():
     for _ in range(20):
         vals = rng.uniform(size=(3, 200))
         specs = [
-            BroadenedSpectrum(grid_start=0.0, grid_step=grid_step, values=v,
-                              sigma=100.0, convention="stdev")
+            BroadenedSpectrum(grid_start=0.0, grid_step=grid_step, values=v)
             for v in vals
         ]
         a, b, c = specs
@@ -280,10 +279,8 @@ def test_l1_metric_properties():
 
 def test_l1_resamples_mismatched_grids():
     # same constant function sampled at two different steps over one span
-    a = BroadenedSpectrum(grid_start=0.0, grid_step=1.0, values=np.ones(99),
-                          sigma=1.0, convention="stdev")
-    b = BroadenedSpectrum(grid_start=0.0, grid_step=2.0, values=np.ones(50),
-                          sigma=1.0, convention="stdev")
+    a = BroadenedSpectrum(grid_start=0.0, grid_step=1.0, values=np.ones(99))
+    b = BroadenedSpectrum(grid_start=0.0, grid_step=2.0, values=np.ones(50))
     assert l1_distance(a, b) == pytest.approx(0.0, abs=1e-9)
 
 

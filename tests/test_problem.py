@@ -144,15 +144,15 @@ def test_parse_serialize_roundtrip(name):
     assert q.anharmonic == p.anharmonic
 
 
-def test_serialize_preserves_thermal():
-    p = parse_problem(json.dumps({
-        "label": "warm", "omega_A": [500], "omega_B": [500],
-        "S": [[1.0]], "delta": [1.0], "temperature_K": 300,
-    }))
-    assert p.thermal is not None
-    assert p.thermal.beta == pytest.approx(1.0 / (0.695034800 * 300.0))
-    q = parse_problem(serialize_problem(p))
-    assert q.thermal.beta == pytest.approx(p.thermal.beta)
+def test_thermal_keys_in_problem_file_are_ignored():
+    doc = {"label": "warm", "omega_A": [500], "omega_B": [500], "S": [[1.0]], "delta": [1.0]}
+    p = parse_problem(json.dumps({**doc, "temperature_K": 300, "beta_invcm": 0.01}))
+    assert serialize_problem(p) == serialize_problem(parse_problem(json.dumps(doc)))
+
+
+def test_one_varied_cutoffs():
+    assert ModeCutoffs.one_varied({0: 10, 2: 4}, 1, 7).levels == (10, 7, 4)
+    assert ModeCutoffs.one_varied({}, 0, 3).levels == (3,)
 
 
 def test_thermal_config():

@@ -42,7 +42,7 @@ def toy_problem(delta=0.0, omega=1000.0):
 
 def diag_h(values):
     space = FockSpace((len(values),))
-    return ManyBodyOperator(space, np.diag(values).astype(complex), hermitian=True)
+    return ManyBodyOperator(space, np.diag(values).astype(complex))
 
 
 def _aligned(a, b):
@@ -80,7 +80,7 @@ def test_choose_phase_map_psd_no_shift():
 def test_choose_phase_map_bounds_contain_spectrum():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(12, 12))
-    h = ManyBodyOperator(FockSpace((12,)), (m + m.T).astype(complex), hermitian=True)
+    h = ManyBodyOperator(FockSpace((12,)), (m + m.T).astype(complex))
     lo, hi = gershgorin_bounds(h)
     evals = np.linalg.eigvalsh(h.to_dense().real)
     assert lo <= evals.min() and evals.max() <= hi
@@ -154,7 +154,7 @@ def test_outcome_distribution_mid_bin_neighbors():
 def test_emulator_matches_analytic_distribution():
     rng = np.random.default_rng(17)
     m = rng.normal(size=(8, 8))
-    h = ManyBodyOperator(FockSpace((8,)), (m + m.T).astype(complex), hermitian=True)
+    h = ManyBodyOperator(FockSpace((8,)), (m + m.T).astype(complex))
     enc = Encoding("binary", ModeCutoffs((7,)))
     pmap = choose_phase_map(h, t=5)
     shots = 10000
@@ -215,8 +215,7 @@ def test_return_state_bytes_checked_before_run(monkeypatch):
 
     monkeypatch.setattr(qpe, "eigensolve", refuse)
     cuts = ModeCutoffs((13, 13))
-    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(196, format="csr"),
-                         hermitian=True)
+    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(196, format="csr"))
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
     with pytest.raises(QubitBudgetError, match="GiB"):
         run_qpe(h, Encoding("unary", cuts), t=4, shots=1, phase_map=pmap, return_state=True)
@@ -233,8 +232,7 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
     monkeypatch.setattr(qpe, "trotter_step_unitary", refuse)
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=6)
     cuts = ModeCutoffs((9, 9))
-    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(100, format="csr"),
-                         hermitian=True)
+    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(100, format="csr"))
     if backend.kind == "trotter":
         with pytest.raises(QubitBudgetError, match="GiB"):
             run_qpe(h, Encoding("unary", cuts), t=6, shots=1, backend=backend,
@@ -244,8 +242,7 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
     # binary (1023,1023) has D = 2^20, so the D x D propagator would take 16 TiB
     monkeypatch.setattr(qpe, "eigensolve", refuse)
     cuts = ModeCutoffs((1023, 1023))
-    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(1 << 20, format="csr"),
-                         hermitian=True)
+    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(1 << 20, format="csr"))
     with pytest.raises(QubitBudgetError, match="GiB"):
         run_qpe(h, Encoding("binary", cuts), t=6, shots=1, phase_map=pmap)
 
