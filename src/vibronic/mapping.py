@@ -26,6 +26,8 @@ from functools import reduce
 
 import numpy as np
 
+from . import fock
+from .hamiltonian import CREATE
 from .problem import ModeCutoffs
 
 PAULI_MATRICES = {
@@ -48,7 +50,7 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 class EncodingError(ValueError):
-    """Raised for out-of-range levels or mismatched layouts."""
+    """Raised for an unknown encoding variant or mismatched shapes and layouts."""
 
 
 class QubitBudgetError(EncodingError):
@@ -138,9 +140,6 @@ class PauliSum:
 
 def _level_word(l: int, mode: int, encoding: Encoding, layout: QubitLayout) -> int:
     """Basis-index bits of level l on its mode's qubits."""
-    l_max = encoding.cutoffs.levels[mode]
-    if not 0 <= l <= l_max:
-        raise EncodingError(f"level {l} out of range [0, {l_max}] for mode {mode}")
     start = layout.mode_starts[mode]
     return l << start if encoding.variant == "binary" else 1 << (start + l)
 
@@ -236,9 +235,6 @@ def map_second_quantized(
     disjoint supports, so their product terms OR the masks and multiply the
     coefficients.
     """
-    from . import fock
-    from .hamiltonian import CREATE
-
     cutoffs = encoding.cutoffs.levels
     mapped: dict[tuple[int, tuple[str, ...]], dict[tuple[int, int], complex]] = {}
     total: dict[tuple[int, int], complex] = {}

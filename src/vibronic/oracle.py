@@ -20,6 +20,7 @@ from scipy.linalg import lapack
 
 from .fock import FockSpace, ManyBodyOperator
 from .hamiltonian import build_b_dagger, build_hamiltonian
+from .mapping import check_dense_bytes
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Dense full eigendecomposition is used up to this dimension.
@@ -58,12 +59,11 @@ class StickSpectrum:
 class BinnedSpectrum:
     """Histogram of stick intensity on a uniform grid of bins.
 
-    ``first_bin`` is the integer index of the lowest stored bin relative to
-    ``origin`` (negative-energy sticks from hot bands land in negative bins).
+    Bin i spans [i, i + 1) * width; ``first_bin`` is the index of the lowest
+    stored bin (negative-energy sticks from hot bands land in negative bins).
     """
 
     width: float
-    origin: float
     first_bin: int
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -71,7 +71,7 @@ class BinnedSpectrum:
     @property
     def bin_centers(self) -> np.ndarray:
         idx = np.arange(self.first_bin, self.first_bin + len(self.values))
-        return self.origin + (idx + 0.5) * self.width
+        return (idx + 0.5) * self.width
 
     @property
     def total_intensity(self) -> float:
@@ -163,29 +163,20 @@ def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickS
     return StickSpectrum(energies=evals, intensities=fcf, metadata=meta)
 
 
-def _bin_index(energies: np.ndarray, width: float, origin: float) -> np.ndarray:
-    """Integer bin of each energy: floor((E - origin) / width)."""
-    if not (math.isfinite(width) and width > 0):
-        raise ValueError(f"bin width must be finite and positive, got {width}")
-    return np.floor((energies - origin) / width).astype(int)
-
-
-def bin_spectrum(
-    sticks: StickSpectrum,
-    width: float = DEFAULT_BIN_WIDTH,
-    origin: float = 0.0,
-) -> BinnedSpectrum:
-    """Histogram stick intensity into bins of the given width."""
+def bin_spectrum(sticks: StickSpectrum, width: float = DEFAULT_BIN_WIDTH) -> BinnedSpectrum:
+    """Histogram stick intensity into bins of the given width: E goes to floor(E / width)."""
     if len(sticks.energies) == 0:
         raise ValueError("cannot bin an empty stick spectrum")
-    idx = _bin_index(sticks.energies, width, origin)
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"bin width must be finite and positive, got {width}")
+    idx = np.floor(sticks.energies / width).astype(int)
     first = int(idx.min())
-    last = int(idx.max())
-    values = np.zeros(last - first + 1)
+    n_bins = int(idx.max()) - first + 1
+    check_dense_bytes(8 * n_bins, f"a {n_bins}-bin histogram")
+    values = np.zeros(n_bins)
     np.add.at(values, idx - first, sticks.intensities)
     return BinnedSpectrum(
         width=width,
-        origin=origin,
         first_bin=first,
         values=values,
         metadata=dict(sticks.metadata),
@@ -216,16 +207,18 @@ def broaden(
     sig = sigma_from_convention(sigma, convention)
     width = binned.width
     half = int(math.ceil(6.0 * sig / width))
+    n_grid = len(binned.values) + 2 * half
+    check_dense_bytes(8 * n_grid, f"a {n_grid}-point broadened grid")
     x = np.arange(-half, half + 1) * width
     kernel = np.exp(-(x**2) / (2.0 * sig**2)) / (sig * math.sqrt(2.0 * math.pi))
-    values = np.zeros(len(binned.values) + 2 * half)
+    values = np.zeros(n_grid)
     for j in np.flatnonzero(binned.values):
         values[j : j + 2 * half + 1] += binned.values[j] * kernel
     start_bin = binned.first_bin - half
     meta = dict(binned.metadata)
     meta.update({"sigma": sigma, "sigma_convention": convention})
     return BroadenedSpectrum(
-        grid_start=binned.origin + (start_bin + 0.5) * width,
+        grid_start=(start_bin + 0.5) * width,
         grid_step=width,
         values=values,
         metadata=meta,
@@ -279,12 +272,10 @@ def spectrum_pipeline(
 class SweepResult:
     """Outcome of a varied-mode cutoff convergence sweep."""
 
-    varied_mode: int
     converged_l_max: int | None
     trace: list[tuple[int, float]]
     vs_exact: list[tuple[int, float]]
     monotone: bool
-    threshold: float
 
 
 def converge_sweep(
@@ -336,12 +327,7 @@ def converge_sweep(
     dists = [d for _, d in trace]
     monotone = all(b <= a * 1.5 for a, b in zip(dists, dists[1:]))
     return SweepResult(
-        varied_mode=varied_mode,
-        converged_l_max=converged,
-        trace=trace,
-        vs_exact=vs_exact,
-        monotone=monotone,
-        threshold=threshold,
+        converged_l_max=converged, trace=trace, vs_exact=vs_exact, monotone=monotone
     )
 
 
@@ -349,7 +335,6 @@ def thermal_fcp_oracle(
     problem: VibronicProblem,
     cutoffs: ModeCutoffs,
     thermal: ThermalConfig,
-    route: str = "qp",
 ) -> StickSpectrum:
     """Finite-temperature profile: sticks at eps_i - E_A(n), Boltzmann weighted.
 
@@ -359,8 +344,7 @@ def thermal_fcp_oracle(
     """
     beta = thermal.beta
     space = FockSpace.from_cutoffs(cutoffs)
-    report = build_hamiltonian(problem, cutoffs, route=route)
-    evals, evecs = eigensolve(report.hamiltonian)
+    evals, evecs = eigensolve(build_hamiltonian(problem, cutoffs).hamiltonian)
 
     occupations = space.all_multi_indices()
     e_a = fock_state_energy(problem, occupations)
@@ -387,7 +371,6 @@ def thermal_fcp_oracle(
         intensities=intensities[order],
         metadata={
             "problem": problem.label,
-            "route": route,
             "cutoffs": list(cutoffs.levels),
             "beta_invcm": beta,
         },
@@ -398,7 +381,6 @@ def cumulative_fcf_by_level(
     problem: VibronicProblem,
     cutoffs: ModeCutoffs,
     mode: int,
-    route: str = "qp",
 ) -> np.ndarray:
     """Total FCF carried by each final-surface level of one mode.
 
@@ -407,7 +389,7 @@ def cumulative_fcf_by_level(
     reaches.  Each eigenstate gets the level nearest its expectation of the
     transformed number operator b_k^dag b_k.
     """
-    report = build_hamiltonian(problem, cutoffs, route=route)
+    report = build_hamiltonian(problem, cutoffs)
     _, evecs = eigensolve(report.hamiltonian)
     fcf = np.abs(evecs[0, :]) ** 2
     bd = build_b_dagger(problem, report.space)[mode]
@@ -432,43 +414,37 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p / p.sum() - q / q.sum()).sum())
 
 
-def rebin(binned: BinnedSpectrum, new_width: float, origin: float = 0.0) -> BinnedSpectrum:
+def rebin(binned: BinnedSpectrum, new_width: float) -> BinnedSpectrum:
     """Aggregate a histogram into coarser bins (new width need not divide evenly).
 
     Each old bin moves whole into the new bin holding its centre.
     """
     centers = StickSpectrum(binned.bin_centers, binned.values, binned.metadata)
-    return bin_spectrum(centers, new_width, origin)
+    return bin_spectrum(centers, new_width)
 
 
 # -- file output -------------------------------------------------------
 
 
-def sticks_to_csv(sticks: StickSpectrum) -> str:
+def _two_column_csv(header: str, xs: np.ndarray, ys: np.ndarray) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["energy_cm1", "intensity"])
-    for e, i in zip(sticks.energies, sticks.intensities):
-        writer.writerow([f"{e:.10g}", f"{i:.10g}"])
+    writer.writerow(["energy_cm1", header])
+    for x, y in zip(xs, ys):
+        writer.writerow([f"{x:.10g}", f"{y:.10g}"])
     return buf.getvalue()
+
+
+def sticks_to_csv(sticks: StickSpectrum) -> str:
+    return _two_column_csv("intensity", sticks.energies, sticks.intensities)
 
 
 def binned_to_csv(binned: BinnedSpectrum) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["energy_cm1", "intensity"])
-    for e, v in zip(binned.bin_centers, binned.values):
-        writer.writerow([f"{e:.10g}", f"{v:.10g}"])
-    return buf.getvalue()
+    return _two_column_csv("intensity", binned.bin_centers, binned.values)
 
 
 def broadened_to_csv(broad: BroadenedSpectrum) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["energy_cm1", "density"])
-    for e, v in zip(broad.grid, broad.values):
-        writer.writerow([f"{e:.10g}", f"{v:.10g}"])
-    return buf.getvalue()
+    return _two_column_csv("density", broad.grid, broad.values)
 
 
 def read_spectrum_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

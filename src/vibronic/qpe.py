@@ -33,7 +33,7 @@ from .mapping import (
     codespace_indices,
     map_second_quantized,
 )
-from .oracle import BinnedSpectrum, _bin_index, eigensolve
+from .oracle import BinnedSpectrum, StickSpectrum, bin_spectrum, eigensolve
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Share of the 2 pi phase window left empty above the highest eigenphase.
@@ -139,19 +139,18 @@ class SampledSpectrum:
     initial_levels: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
-    def histogram(self, width: float = 1.0, origin: float = 0.0) -> BinnedSpectrum:
-        """Probability histogram of decoded energies (intensity = count/shots)."""
-        idx = _bin_index(self.energies, width, origin)
-        first = int(idx.min(initial=0))
-        values = np.zeros(int(idx.max(initial=0)) - first + 1)
-        np.add.at(values, idx - first, 1.0 / max(len(self.energies), 1))
-        return BinnedSpectrum(
-            width=width,
-            origin=origin,
-            first_bin=first,
-            values=values,
+    def histogram(self, width: float = 1.0) -> BinnedSpectrum:
+        """Probability histogram of decoded energies (intensity = count/shots).
+
+        A zero-weight stick at E = 0 keeps bin 0 inside the binned range.
+        """
+        n = len(self.energies)
+        sticks = StickSpectrum(
+            energies=np.append(self.energies, 0.0),
+            intensities=np.append(np.full(n, 1.0 / max(n, 1)), 0.0),
             metadata={"shots": self.shots, **self.metadata},
         )
+        return bin_spectrum(sticks, width)
 
 
 def shot_uniforms(seed: int, shots: int) -> np.ndarray:
@@ -266,25 +265,38 @@ def _problem_hamiltonian(
     return route, h, pauli, phase_map
 
 
-def _controlled_power_sweep(amps: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
-    """Apply the controlled-U^(2^k) ladder over the E-register axis 0."""
-    x = np.arange(amps.shape[0])
+def _controlled_power_sweep(
+    u: np.ndarray, columns: np.ndarray, rows: np.ndarray, t: int, seed: int, shots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample QPE outcomes for an R x D block of initial Fock amplitudes.
+
+    Register row r starts the system in ``rows[r]``, whose Fock state k sits
+    in column ``columns[k]`` of U.  The (2^t, R, len(U)) state gets the
+    uniform E register, the controlled-U^(2^k) ladder over axis 0 and the
+    inverse QFT; the system axis is summed and the shots sample the joint
+    (j, row) categories j-major.  Returns (j, row, amplitudes, joint
+    probabilities).
+    """
+    e_dim = 2**t
+    n_rows, dim = len(rows), len(u)
+    # every mode has at least two levels, so a register of R Fock states
+    # decodes each shot to fewer than R.bit_length() levels
+    check_dense_bytes(8 * shots * n_rows.bit_length(), f"{shots} sampled shots")
+    check_dense_bytes(16 * e_dim * n_rows * dim,
+                      f"a {t}-qubit x {n_rows}-row x {dim}-state QPE state")
+    amps = np.zeros((e_dim, n_rows, dim), dtype=complex)
+    amps[:, :, columns] = rows[None, :, :] / math.sqrt(e_dim)
+    x = np.arange(e_dim)
     u_power = u
     for k in range(t):
         mask = (x >> k) & 1 == 1
-        amps[mask] = np.moveaxis(
-            np.tensordot(amps[mask], u_power.T, axes=([amps.ndim - 1], [0])),
-            -1,
-            amps.ndim - 1,
-        )
+        amps[mask] = np.tensordot(amps[mask], u_power.T, axes=([2], [0]))
         if k + 1 < t:
             u_power = u_power @ u_power
-    return amps
-
-
-def _inverse_qft_energy_axis(amps: np.ndarray) -> np.ndarray:
-    n = amps.shape[0]
-    return np.fft.ifft(amps, axis=0) * math.sqrt(n)
+    amps = np.fft.ifft(amps, axis=0) * math.sqrt(e_dim)
+    joint = (np.abs(amps) ** 2).sum(axis=2).reshape(-1)
+    outcomes = _sample_from_probabilities(joint, seed, shots)
+    return outcomes // n_rows, outcomes % n_rows, amps, joint
 
 
 def run_qpe(
@@ -321,21 +333,12 @@ def run_qpe(
     code = codespace_indices(encoding, layout)
     u, basis, columns = _step_unitary(h, phase_map, backend, pauli_hamiltonian, code, n_s)
 
-    e_dim = 2**t
-    check_dense_bytes(16 * e_dim * len(basis), f"a {t}-qubit x {len(basis)}-state QPE state")
-    amps = np.zeros((e_dim, len(basis)), dtype=complex)
     if initial_state is None:
-        amps[:, columns[0]] = 1.0 / math.sqrt(e_dim)
+        rows = np.eye(1, len(code))
     else:
         vec = np.asarray(initial_state, dtype=complex)
-        vec = vec / np.linalg.norm(vec)
-        amps[:, columns] = vec[None, :] / math.sqrt(e_dim)
-
-    amps = _controlled_power_sweep(amps, u, t)
-    amps = _inverse_qft_energy_axis(amps)
-
-    probs = (np.abs(amps) ** 2).sum(axis=1)
-    outcomes = _sample_from_probabilities(probs, seed, shots)
+        rows = (vec / np.linalg.norm(vec))[None, :]
+    outcomes, _, amps, probs = _controlled_power_sweep(u, columns, rows, t, seed, shots)
     energies = phase_map.energy(outcomes)
     spectrum = SampledSpectrum(
         j_outcomes=outcomes,
@@ -356,7 +359,7 @@ def run_qpe(
         return spectrum
     extras: list = [spectrum]
     if return_state:
-        post = amps[int(outcomes[-1]), :]
+        post = amps[int(outcomes[-1]), 0, :]
         state = np.zeros(1 << n_s, dtype=complex)
         state[basis] = post / np.linalg.norm(post)
         extras.append(state)
@@ -381,16 +384,11 @@ def prepare_thermal(
     Applies exp(theta_i (a_I^dag a_S^dag - a_I a_S) / 2) per mode via the
     matrix exponential of the truncated two-mode generator, then
     renormalizes.  Amplitudes are diagonal in the pair basis |n>_I |n>_S.
+    At beta = inf every angle is 0, so kappa is exactly |0>_I |0>_S.
     """
-    space = FockSpace.from_cutoffs(cutoffs)
-    dims = space.local_dims
-    if thermal.is_zero_temperature:
-        kappa = np.zeros((space.dimension, space.dimension))
-        kappa[0, 0] = 1.0
-        return kappa
     thetas = thermal_angles(problem, thermal.beta)
     per_mode = []
-    for d, theta in zip(dims, thetas):
+    for d, theta in zip(cutoffs.local_dims, thetas):
         a = fock.annihilation(d - 1)
         ad = fock.creation(d - 1)
         gen = (theta / 2.0) * (np.kron(ad, ad) - np.kron(a, a))
@@ -437,24 +435,12 @@ def run_qpe_thermal(
     code = codespace_indices(encoding, layout)
     u, basis, columns = _step_unitary(h, phase_map, backend, pauli, code, n_s)
 
-    kappa = prepare_thermal(problem, cutoffs, thermal)
-    e_dim = 2**t
-    d = len(code)
     # register row r holds Fock state register[r]: increasing basis index, so
     # the (j, register) categories keep the order of the full register
     register = np.argsort(code)
-    check_dense_bytes(16 * e_dim * d * len(basis),
-                      f"a {t}-qubit x {d}-state x {len(basis)}-state thermal state")
-    amps = np.zeros((e_dim, d, len(basis)), dtype=complex)
-    amps[:, :, columns] = kappa[None, register, :] / math.sqrt(e_dim)
-
-    amps = _controlled_power_sweep(amps, u, t)
-    amps = _inverse_qft_energy_axis(amps)
-
-    joint = (np.abs(amps) ** 2).sum(axis=2).reshape(-1)  # over (j, register)
-    outcomes = _sample_from_probabilities(joint, seed, shots)
-    j_out = outcomes // d
-    levels = FockSpace.from_cutoffs(cutoffs).all_multi_indices()[register[outcomes % d]]
+    rows = prepare_thermal(problem, cutoffs, thermal)[register]
+    j_out, row, _, _ = _controlled_power_sweep(u, columns, rows, t, seed, shots)
+    levels = FockSpace.from_cutoffs(cutoffs).all_multi_indices()[register[row]]
     energies = phase_map.energy(j_out) - fock_state_energy(problem, levels)
 
     return SampledSpectrum(

@@ -102,7 +102,7 @@ def broaden_dense(
     meta = dict(binned.metadata)
     meta.update({"sigma": sigma, "sigma_convention": convention})
     return BroadenedSpectrum(
-        grid_start=binned.origin + (start_bin + 0.5) * width,
+        grid_start=(start_bin + 0.5) * width,
         grid_step=width,
         values=values,
         metadata=meta,

@@ -5,6 +5,7 @@ A renamed or deleted target would otherwise only raise the benchmark's
 also calls the package directly, so its qpe path runs here on tiny inputs.
 """
 
+import hashlib
 import importlib
 import json
 import sys
@@ -39,3 +40,24 @@ def test_recorder_distribution_matches_cli_histogram(op, tmp_path):
     histogram = check.histogram_bins(next(tmp_path.glob("*_histogram.csv")))
     reference = record.qpe_distribution(argv, metadata)
     assert check.tv_distance(histogram, reference) <= check.QPE_TV_MAX
+
+
+#: sha256 of each histogram CSV at the recorded seed.  The benchmark checks
+#: these bytes only at full size; the tiny ops and a zero-temperature thermal
+#: run pin the sampler, the decode and the histogram in the test suite.
+PINNED_HISTOGRAMS = {
+    "qpe_binary_10": "e381a4f85e6289d4672068fbd8ef71dc96c35a92825881d2bfff80388a4238f0",
+    "qpe_unary_3_trotter": "a5a0a7ba1de5fc84a7033f2074b6caaf0f394c48e11b03fd4ff5581565eb624e",
+    "thermal_binary_3": "789ce93f7f543beb9e85f911a5d01e2e69e5581cf57fb35027c28d7a007addf9",
+    "thermal_zero_t": "b7817855d10a7ea7fe98352e49ce24053be22371490f4719fd47d9568460bec7",
+}
+ZERO_T = workloads._sample("thermal_zero_t", "thermal", "3,3", "binary", 10, "20000",
+                           "--temperature-K", "0")
+
+
+@pytest.mark.parametrize("op", [*workloads.TINY["qpe"], ZERO_T], ids=lambda op: op.key)
+def test_histogram_bytes_at_recorded_seed(op, tmp_path):
+    data = PERFBENCH.parent / "src" / "vibronic" / "data"
+    assert main(op.render(str(data), str(tmp_path), workloads.RECORDED_SEED)) == 0
+    histogram = next(tmp_path.glob("*_histogram.csv")).read_bytes()
+    assert hashlib.sha256(histogram).hexdigest() == PINNED_HISTOGRAMS[op.key]

@@ -1,11 +1,18 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vibronic import qpe
 from vibronic.cli import main
 from vibronic.problem import bundled_problem, serialize_problem
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -110,6 +117,51 @@ def test_thermal_requires_temperature(so2_file, tmp_path, capsys):
                  "--t", "8", "--shots", "10", "--out", str(tmp_path)])
     assert code == 2
     assert "temperature" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("command,extra", [("qpe", []), ("thermal", ["--temperature-K", "300"])])
+def test_shot_bytes_checked_before_sampling_exit_2(command, extra, toy_file, tmp_path, capsys,
+                                                   monkeypatch):
+    # 5e8 shots need 3.7 GiB for their uniforms alone
+    def refuse(*args, **kwargs):
+        pytest.fail("shots were drawn although their arrays exceed the byte budget")
+
+    monkeypatch.setattr(qpe, "shot_uniforms", refuse)
+    code = main([command, "--problem", toy_file, "--cutoffs", "3", "--t", "4",
+                 "--shots", "500000000", "--out", str(tmp_path), *extra])
+    assert code == 2
+    assert "GiB" in capsys.readouterr().err
+
+
+def _run_capped(argv):
+    """Run the CLI in a child capped at 3 GiB of address space.
+
+    An allocation made before its byte check then fails fast (a traceback,
+    exit 1) instead of exhausting the machine.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    cap = 3 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "vibronic.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=300, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+def test_histogram_bin_bytes_checked_exit_2(so2_file, tmp_path):
+    # so2 samples span thousands of cm^-1: about 1e11 bins of 1e-7 cm^-1
+    proc = _run_capped(["qpe", "--problem", so2_file, "--cutoffs", "3,3", "--t", "6",
+                        "--shots", "100", "--hist-width", "1e-7", "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "-bin histogram" in proc.stderr and "GiB" in proc.stderr
+
+
+def test_broadening_kernel_bytes_checked_exit_2(toy_file, tmp_path):
+    # sigma = 1e11 cm^-1 on 1 cm^-1 bins needs a 1.2e12-point kernel
+    proc = _run_capped(["exact", "--problem", toy_file, "--cutoffs", "4",
+                        "--sigma", "1e11", "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "broadened grid" in proc.stderr and "GiB" in proc.stderr
 
 
 def test_map_unary_number_terms(toy_file, tmp_path, capsys):

@@ -15,7 +15,6 @@ from vibronic.mapping import (
     QubitLayout,
     ResourceReport,
     apply_pauli_string,
-    _level_word,
     codespace_indices,
     map_second_quantized,
     map_single_mode,
@@ -56,12 +55,6 @@ def test_encode_level_unary():
     assert level_bits(2, enc) == "00100"
     assert level_bits(0, enc) == "00001"
     assert level_bits(4, enc) == "10000"
-
-
-def test_encode_level_out_of_range():
-    enc = Encoding("binary", ModeCutoffs((3,)))
-    with pytest.raises(EncodingError):
-        _level_word(4, 0, enc, QubitLayout.for_encoding(enc))
 
 
 def test_qubit_counts():

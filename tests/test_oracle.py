@@ -224,7 +224,7 @@ def sparse_histograms(draw, width):
     values = np.zeros(n)
     values[occupied] = draw(st.lists(st.floats(1e-12, 1.0), min_size=len(occupied),
                                      max_size=len(occupied)))
-    return BinnedSpectrum(width=width, origin=0.0, first_bin=draw(st.integers(-3000, 3000)),
+    return BinnedSpectrum(width=width, first_bin=draw(st.integers(-3000, 3000)),
                           values=values)
 
 
