@@ -35,6 +35,7 @@ from .qpe import (
     UnsupportedBackendError,
     run_qpe_problem,
     run_qpe_thermal,
+    thermal_angles,
 )
 
 OUTPUT_DIR_ENV = "VIBRONIC_OUTDIR"
@@ -84,6 +85,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _sigma(text: str) -> float:
+    """argparse type: a broadening width valid in both conventions (fwhm is the narrower)."""
+    try:
+        oracle.sigma_from_convention(float(text), "fwhm")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return float(text)
+
+
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1."""
     value = int(text)
@@ -130,14 +140,19 @@ def _slug(label: str) -> str:
     return "_".join(parts).lower()
 
 
-def _thermal_config(args) -> ThermalConfig:
+def _thermal_config(args, problem: VibronicProblem) -> ThermalConfig:
     if args.beta_invcm is not None and args.temperature_k is not None:
         raise CliError("give either --beta-invcm or --temperature-K, not both")
-    if args.beta_invcm is not None:
-        return ThermalConfig(beta=args.beta_invcm)
-    if args.temperature_k is not None:
-        return ThermalConfig.from_temperature_kelvin(args.temperature_k)
-    raise CliError("thermal command requires --beta-invcm or --temperature-K")
+    if args.beta_invcm is None and args.temperature_k is None:
+        raise CliError("thermal command requires --beta-invcm or --temperature-K")
+    flag = "--beta-invcm" if args.beta_invcm is not None else "--temperature-K"
+    try:
+        thermal = (ThermalConfig(beta=args.beta_invcm) if args.beta_invcm is not None
+                   else ThermalConfig.from_temperature_kelvin(args.temperature_k))
+        thermal_angles(problem, thermal.beta)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from exc
+    return thermal
 
 
 def cmd_exact(args) -> int:
@@ -169,39 +184,23 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def cmd_qpe(args) -> int:
+def _sampling_inputs(args) -> tuple[VibronicProblem, ModeCutoffs, dict]:
+    """(problem, cutoffs, keyword options) shared by the qpe and thermal commands."""
     problem = _load(args.problem)
     cutoffs = _parse_cutoffs(args.cutoffs, problem.n_modes)
-    backend = _parse_backend(args.backend)
-    spectrum = run_qpe_problem(
-        problem,
-        cutoffs,
-        t=args.t,
-        shots=args.shots,
-        encoding_variant=args.encoding,
-        backend=backend,
-        seed=args.seed,
-        route=args.route,
-    )
-    return _write_sampled(args, problem, spectrum)
+    options = dict(t=args.t, shots=args.shots, encoding_variant=args.encoding,
+                   backend=_parse_backend(args.backend), seed=args.seed, route=args.route)
+    return problem, cutoffs, options
+
+
+def cmd_qpe(args) -> int:
+    problem, cutoffs, options = _sampling_inputs(args)
+    return _write_sampled(args, problem, run_qpe_problem(problem, cutoffs, **options))
 
 
 def cmd_thermal(args) -> int:
-    problem = _load(args.problem)
-    cutoffs = _parse_cutoffs(args.cutoffs, problem.n_modes)
-    backend = _parse_backend(args.backend)
-    thermal = _thermal_config(args)
-    spectrum = run_qpe_thermal(
-        problem,
-        cutoffs,
-        t=args.t,
-        shots=args.shots,
-        thermal=thermal,
-        encoding_variant=args.encoding,
-        backend=backend,
-        seed=args.seed,
-        route=args.route,
-    )
+    problem, cutoffs, options = _sampling_inputs(args)
+    spectrum = run_qpe_thermal(problem, cutoffs, thermal=_thermal_config(args, problem), **options)
     return _write_sampled(args, problem, spectrum)
 
 
@@ -286,12 +285,10 @@ def cmd_converge(args) -> int:
     )
     out = _out_dir(args)
     base = _slug(problem.label)
-    lines = ["l_max,successive_l1"]
-    lines += [f"{l},{d:.10g}" for l, d in result.trace]
-    (out / f"{base}_converge_trace.csv").write_text("\n".join(lines) + "\n")
-    lines = ["l_max,l1_vs_largest"]
-    lines += [f"{l},{d:.10g}" for l, d in result.vs_exact]
-    (out / f"{base}_l1_vs_exact.csv").write_text("\n".join(lines) + "\n")
+    for name, header, rows in (("converge_trace", "successive_l1", result.trace),
+                               ("l1_vs_exact", "l1_vs_largest", result.vs_exact)):
+        lines = [f"l_max,{header}"] + [f"{l},{d:.10g}" for l, d in rows]
+        (out / f"{base}_{name}.csv").write_text("\n".join(lines) + "\n")
     print(f"varied mode {args.vary_mode} (1-based), threshold {args.threshold:g}")
     for l, d in result.trace:
         print(f"  L_max={l:3d}  successive L1 = {d:.3e}")
@@ -346,12 +343,10 @@ def cmd_repro(args) -> int:
 
     anharm = bundled_problem("so2_anharmonic")
     cutoffs = ModeCutoffs((11, 8, 6))
-    _, _, broad_anharm = oracle.spectrum_pipeline(
-        anharm, cutoffs, route="qp", sigma=args.sigma, convention=args.sigma_convention
-    )
-    _, _, broad_harm = oracle.spectrum_pipeline(
-        replace(anharm, anharmonic=()), cutoffs, route="qp",
-        sigma=args.sigma, convention=args.sigma_convention,
+    broad_anharm, broad_harm = (
+        oracle.spectrum_pipeline(p, cutoffs, route="qp", sigma=args.sigma,
+                                 convention=args.sigma_convention)[2]
+        for p in (anharm, replace(anharm, anharmonic=()))
     )
     anharm_l1 = oracle.l1_distance(broad_anharm, broad_harm)
     print(f"anharmonic-vs-harmonic SO2 broadened L1 = {anharm_l1:.4f}")
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         if route:
             p.add_argument("--route", choices=("qp", "ladder"), default="qp")
         if sigma:
-            p.add_argument("--sigma", type=_positive_float, default=oracle.DEFAULT_SIGMA,
+            p.add_argument("--sigma", type=_sigma, default=oracle.DEFAULT_SIGMA,
                            help="Gaussian broadening width, cm^-1")
             p.add_argument("--sigma-convention", choices=("stdev", "fwhm"), default="stdev")
         p.add_argument("--out", default=None,

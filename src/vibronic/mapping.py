@@ -23,6 +23,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,15 +93,8 @@ class QubitLayout:
 
     @classmethod
     def for_encoding(cls, encoding: Encoding) -> "QubitLayout":
-        starts = []
-        widths = []
-        cursor = 0
-        for mode in range(len(encoding.cutoffs)):
-            width = encoding.qubits_for_mode(mode)
-            starts.append(cursor)
-            widths.append(width)
-            cursor += width
-        return cls(tuple(starts), tuple(widths))
+        widths = tuple(encoding.qubits_for_mode(mode) for mode in range(len(encoding.cutoffs)))
+        return cls(tuple(accumulate(widths[:-1], initial=0)), widths)
 
     @property
     def total_qubits(self) -> int:
@@ -209,18 +203,24 @@ def _mode_terms(
     return {key: c for key, c in out.items() if abs(c) > COEFF_PRUNE}
 
 
-def _pauli_sum(terms: dict[tuple[int, int], complex], n: int) -> PauliSum:
-    """Render the terms above COEFF_PRUNE as a PauliSum on n qubits."""
-    out = PauliSum(n)
-    out.terms = {_render(x, z, n): c for (x, z), c in terms.items() if abs(c) > COEFF_PRUNE}
-    return out
-
-
 def map_single_mode(
     matrix: np.ndarray, mode: int, encoding: Encoding, layout: QubitLayout
 ) -> PauliSum:
     """Pauli sum of a single-mode matrix, identity on the other modes."""
-    return _pauli_sum(_mode_terms(matrix, mode, encoding, layout), layout.total_qubits)
+    out = PauliSum(layout.total_qubits)
+    terms = _mode_terms(matrix, mode, encoding, layout)
+    out.terms = {_render(x, z, out.n_qubits): c for (x, z), c in terms.items()}
+    return out
+
+
+def _products(coefficient, factors) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of a term's products, first mode slowest, rounded as Python's complex product."""
+    re, im = np.ones(1), np.zeros(1)
+    for *_, b in factors:
+        re, im = ((np.multiply.outer(re, b.real) - np.multiply.outer(im, b.imag)).ravel(),
+                  (np.multiply.outer(re, b.imag) + np.multiply.outer(im, b.real)).ravel())
+    a = complex(coefficient)
+    return a.real * re - a.imag * im, a.real * im + a.imag * re
 
 
 def map_second_quantized(
@@ -231,35 +231,73 @@ def map_second_quantized(
     """Map a list of SecondQuantizedTerm to one deduplicated Pauli sum.
 
     Same-mode factors are multiplied as matrices first, and each distinct
-    (mode, factor kinds) pair is mapped once per call.  Distinct modes have
-    disjoint supports, so their product terms OR the masks and multiply the
-    coefficients.
+    (mode, factor kinds) pair is mapped once per call.  A mode's distinct
+    (x, z) masks get local ids, 0 the identity; modes have disjoint supports,
+    so a term's products are the outer product of its modes' entries, keyed
+    by a mixed-radix id over all modes.  Products above COEFF_PRUNE are summed
+    per id by ``np.add.at`` in term order and keep the order of first
+    occurrence: the keys, order and bits of adding them into a dict one by one.
     """
     cutoffs = encoding.cutoffs.levels
-    mapped: dict[tuple[int, tuple[str, ...]], dict[tuple[int, int], complex]] = {}
-    total: dict[tuple[int, int], complex] = {}
+    tables: list[dict[tuple[int, int], int]] = [{(0, 0): 0} for _ in cutoffs]
+    mapped: dict[tuple[int, tuple[str, ...]], tuple] = {}
+    plan, keep, size = [], [], 0  # plan: (coefficient, factors, span, shape) per term
     for term in terms:
         by_mode: dict[int, tuple[str, ...]] = {}
         for kind, mode in term.factors:
             by_mode[mode] = by_mode.get(mode, ()) + (kind,)
-        product = {(0, 0): 1.0}
+        factors = []
         for mode_kinds in sorted(by_mode.items()):
             if mode_kinds not in mapped:
                 mode, kinds = mode_kinds
                 ladder = [fock.creation(cutoffs[mode]) if kind == CREATE
                           else fock.annihilation(cutoffs[mode]) for kind in kinds]
-                mapped[mode_kinds] = _mode_terms(reduce(np.matmul, ladder), mode, encoding, layout)
-            single = mapped[mode_kinds]
-            product = {
-                (xa | xb, za | zb): ca * cb
-                for (xa, za), ca in product.items()
-                for (xb, zb), cb in single.items()
-            }
-        for key, c in product.items():
-            c = term.coefficient * c
-            if abs(c) > COEFF_PRUNE:
-                total[key] = total.get(key, 0.0) + c
-    return _pauli_sum(total, layout.total_qubits)
+                single = _mode_terms(reduce(np.matmul, ladder), mode, encoding, layout)
+                ids = [tables[mode].setdefault(key, len(tables[mode])) for key in single]
+                mapped[mode_kinds] = (mode, np.array(ids, dtype=np.int64),
+                                      np.array(list(single.values()), dtype=complex))
+            factors.append(mapped[mode_kinds])
+        factors = factors or [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))]
+        shape = tuple(len(ids) for _, ids, _ in factors)
+        plan.append((term.coefficient, factors, slice(size, size + math.prod(shape)), shape))
+        keep.append(np.hypot(*_products(term.coefficient, factors)) > COEFF_PRUNE)
+        size += math.prod(shape)
+
+    ids = np.zeros(size, dtype=np.int64)
+    for mode, table in enumerate(tables):
+        if (int(ids.max(initial=0)) + 1) * len(table) > 1 << 62:  # renumber before int64 overflows
+            ids = np.unique(ids, return_inverse=True)[1]
+        ids *= len(table)
+        for _, factors, span, shape in plan:
+            for axis, (factor_mode, local, _) in enumerate(factors):
+                if factor_mode == mode:
+                    trailing = [1] * (len(shape) - 1 - axis)
+                    ids[span] += np.broadcast_to(local.reshape(-1, *trailing), shape).ravel()
+    ids[~np.concatenate([np.ones(0, dtype=bool), *keep])] = -1  # pruned: one id, dropped below
+    unique, first, group = np.unique(ids, return_index=True, return_inverse=True)
+    del ids
+    sums = np.zeros(len(unique), dtype=complex)
+    for coefficient, factors, span, _ in plan:
+        re, im = _products(coefficient, factors)
+        np.add.at(sums.real, group[span], re)
+        np.add.at(sums.imag, group[span], im)
+    order = np.argsort(first)
+    order = order[(unique[order] >= 0) & (np.abs(sums[order]) > COEFF_PRUNE)]
+
+    # Modes own contiguous qubit ranges, mode 0 leftmost: a key joins its
+    # modes' substrings, read off the first product with its id.
+    first = first[order]
+    local = np.zeros((len(cutoffs), len(order)), dtype=np.int64)
+    for _, factors, span, shape in plan:
+        lo, hi = np.searchsorted(first, (span.start, span.stop))
+        digits = np.unravel_index(first[lo:hi] - span.start, shape)
+        for (mode, ids, _), digit in zip(factors, digits):
+            local[mode, lo:hi] = ids[digit]
+    words = [np.array([_render(x >> s, z >> s, w) for x, z in table], dtype=object)[column]
+             for table, s, w, column in zip(tables, layout.mode_starts, layout.mode_widths, local)]
+    out = PauliSum(layout.total_qubits)
+    out.terms = dict(zip(map("".join, zip(*words)), sums[order].tolist()))
+    return out
 
 
 def pauli_to_matrix(ps: PauliSum) -> np.ndarray:

@@ -13,7 +13,9 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 from scipy.linalg import lapack
@@ -169,26 +171,32 @@ def bin_spectrum(sticks: StickSpectrum, width: float = DEFAULT_BIN_WIDTH) -> Bin
         raise ValueError("cannot bin an empty stick spectrum")
     if not (math.isfinite(width) and width > 0):
         raise ValueError(f"bin width must be finite and positive, got {width}")
-    idx = np.floor(sticks.energies / width).astype(int)
-    first = int(idx.min())
-    n_bins = int(idx.max()) - first + 1
-    check_dense_bytes(8 * n_bins, f"a {n_bins}-bin histogram")
-    values = np.zeros(n_bins)
-    np.add.at(values, idx - first, sticks.intensities)
+    with np.errstate(over="ignore"):  # a tiny width sends E / width to inf
+        idx = np.floor(sticks.energies / width)
+    n_bins = idx.max() - idx.min() + 1  # in float, where no int64 cast can wrap it
+    if not math.isfinite(n_bins):
+        n_bins = Decimal(float(np.ptp(sticks.energies))) / Decimal(width) + 1
+    check_dense_bytes(8 * n_bins, f"a {n_bins:.4g}-bin histogram")
+    if not np.abs(idx).max() < 2.0**63:
+        raise ValueError(f"bin width {width} puts bin indices outside the int64 range")
+    values = np.zeros(int(n_bins))
+    np.add.at(values, (idx - idx.min()).astype(int), sticks.intensities)
     return BinnedSpectrum(
         width=width,
-        first_bin=first,
+        first_bin=int(idx.min()),
         values=values,
         metadata=dict(sticks.metadata),
     )
 
 
 def sigma_from_convention(width: float, convention: str) -> float:
-    if convention == "stdev":
-        return width
-    if convention == "fwhm":
-        return width * _FWHM_TO_SIGMA
-    raise ValueError(f"unknown broadening convention {convention!r}")
+    """Gaussian standard deviation of a broadening width; its variance must be a normal float."""
+    if convention not in ("stdev", "fwhm"):
+        raise ValueError(f"unknown broadening convention {convention!r}")
+    sig = width if convention == "stdev" else width * _FWHM_TO_SIGMA
+    if not (math.isfinite(sig) and sig > 0 and sig * sig >= sys.float_info.min):
+        raise ValueError(f"sigma must be finite and positive, its variance a normal float: {width}")
+    return sig
 
 
 def broaden(
@@ -202,8 +210,6 @@ def broaden(
     added only at occupied bins, in ascending bin order: nnz*K work instead of
     N*K on a histogram that is mostly empty.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     sig = sigma_from_convention(sigma, convention)
     width = binned.width
     half = int(math.ceil(6.0 * sig / width))
@@ -357,14 +363,8 @@ def thermal_fcp_oracle(
         weights /= weights.sum()
 
     keep = np.nonzero(weights > 1e-16)[0]
-    energies = []
-    intensities = []
-    for flat in keep:
-        overlaps = np.abs(evecs[flat, :]) ** 2
-        energies.append(evals - e_a[flat])
-        intensities.append(weights[flat] * overlaps)
-    energies = np.concatenate(energies)
-    intensities = np.concatenate(intensities)
+    energies = (evals[None, :] - e_a[keep, None]).ravel()
+    intensities = (weights[keep, None] * np.abs(evecs[keep, :]) ** 2).ravel()
     order = np.argsort(energies)
     return StickSpectrum(
         energies=energies[order],
@@ -398,11 +398,8 @@ def cumulative_fcf_by_level(
         nmat = nmat.real
     occ = np.einsum("ji,jk,ki->i", evecs.conj(), nmat, evecs).real
     levels = np.rint(occ).astype(int)
-    out = np.zeros(cutoffs.levels[mode] + 1)
-    for l, f in zip(levels, fcf):
-        if 0 <= l < len(out):
-            out[l] += f
-    return out
+    inside = (levels >= 0) & (levels <= cutoffs.levels[mode])
+    return np.bincount(levels[inside], weights=fcf[inside], minlength=cutoffs.levels[mode] + 1)
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

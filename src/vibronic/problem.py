@@ -123,13 +123,10 @@ class VibronicProblem:
     anharmonic: tuple[AnharmonicTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("omega_A", "omega_B", "delta"):
+        for name in ("omega_A", "omega_B", "duschinsky_S", "delta"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        s = np.asarray(self.duschinsky_S, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "duschinsky_S", s)
         object.__setattr__(self, "anharmonic", tuple(self.anharmonic))
 
     @property

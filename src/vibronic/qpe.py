@@ -372,8 +372,11 @@ def run_qpe(
 
 
 def thermal_angles(problem: VibronicProblem, beta: float) -> np.ndarray:
-    """Two-mode squeezing angles: tanh(theta/2) = exp(-beta w / 2)."""
-    return 2.0 * np.arctanh(np.exp(-beta * problem.omega_A / 2.0))
+    """Two-mode squeezing angles: tanh(theta/2) = exp(-beta w / 2), finite below 1."""
+    ratio = np.exp(-beta * problem.omega_A / 2.0)
+    if not ratio.max() < 1.0:
+        raise ValueError(f"beta {beta:g} rounds exp(-beta w / 2) to 1: infinite squeezing angle")
+    return 2.0 * np.arctanh(ratio)
 
 
 def prepare_thermal(

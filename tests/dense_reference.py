@@ -5,17 +5,22 @@ never needs these: the single-mode q and p, a single-mode operator embedded
 as identity on the other modes, and the analytic QPE outcome distribution.
 It also keeps the dense spectrum post-processing that ``oracle`` replaced:
 Gaussian broadening by ``np.convolve`` over every bin, and the L1 distance
-that resamples both spectra onto their union grid with ``np.interp``.
+that resamples both spectra onto their union grid with ``np.interp``; and
+the term mapper that adds every Pauli product into a dict one at a time,
+which ``mapping.map_second_quantized`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from vibronic import fock
 from vibronic.fock import FockSpace, ManyBodyOperator
+from vibronic.hamiltonian import CREATE
+from vibronic.mapping import COEFF_PRUNE, Encoding, PauliSum, QubitLayout, _mode_terms, _render
 from vibronic.oracle import (
     BinnedSpectrum,
     BroadenedSpectrum,
@@ -121,3 +126,40 @@ def l1_distance_interp(a: BroadenedSpectrum, b: BroadenedSpectrum) -> float:
     n = int(round((hi - lo) / step)) + 1
     grid = lo + step * np.arange(n)
     return float(np.abs(_resample(a, grid) - _resample(b, grid)).sum() * step)
+
+
+def map_second_quantized_dicts(terms, encoding: Encoding, layout: QubitLayout) -> PauliSum:
+    """Map a list of SecondQuantizedTerm to one deduplicated Pauli sum.
+
+    Same-mode factors are multiplied as matrices first, and each distinct
+    (mode, factor kinds) pair is mapped once per call.  Distinct modes have
+    disjoint supports, so their product terms OR the masks and multiply the
+    coefficients.
+    """
+    cutoffs = encoding.cutoffs.levels
+    mapped: dict[tuple[int, tuple[str, ...]], dict[tuple[int, int], complex]] = {}
+    total: dict[tuple[int, int], complex] = {}
+    for term in terms:
+        by_mode: dict[int, tuple[str, ...]] = {}
+        for kind, mode in term.factors:
+            by_mode[mode] = by_mode.get(mode, ()) + (kind,)
+        product = {(0, 0): 1.0}
+        for mode_kinds in sorted(by_mode.items()):
+            if mode_kinds not in mapped:
+                mode, kinds = mode_kinds
+                ladder = [fock.creation(cutoffs[mode]) if kind == CREATE
+                          else fock.annihilation(cutoffs[mode]) for kind in kinds]
+                mapped[mode_kinds] = _mode_terms(reduce(np.matmul, ladder), mode, encoding, layout)
+            single = mapped[mode_kinds]
+            product = {
+                (xa | xb, za | zb): ca * cb
+                for (xa, za), ca in product.items()
+                for (xb, zb), cb in single.items()
+            }
+        for key, c in product.items():
+            c = term.coefficient * c
+            if abs(c) > COEFF_PRUNE:
+                total[key] = total.get(key, 0.0) + c
+    out = PauliSum(layout.total_qubits)
+    out.terms = {_render(x, z, out.n_qubits): c for (x, z), c in total.items() if abs(c) > COEFF_PRUNE}
+    return out

@@ -5,6 +5,7 @@ A renamed or deleted target would otherwise only raise the benchmark's
 also calls the package directly, so its qpe path runs here on tiny inputs.
 """
 
+import gzip
 import hashlib
 import importlib
 import json
@@ -61,3 +62,13 @@ def test_histogram_bytes_at_recorded_seed(op, tmp_path):
     assert main(op.render(str(data), str(tmp_path), workloads.RECORDED_SEED)) == 0
     histogram = next(tmp_path.glob("*_histogram.csv")).read_bytes()
     assert hashlib.sha256(histogram).hexdigest() == PINNED_HISTOGRAMS[op.key]
+
+
+@pytest.mark.parametrize("op", workloads.WORKLOADS["compile"], ids=lambda op: op.key)
+def test_compile_pauli_file_matches_reference(op, tmp_path):
+    # the benchmark's full-size compile ops, against the benchmark's own reference text
+    data = PERFBENCH.parent / "src" / "vibronic" / "data"
+    assert main(op.render(str(data), str(tmp_path), workloads.RECORDED_SEED)) == 0
+    written = next(tmp_path.glob("*_pauli.txt")).read_bytes()
+    reference = (PERFBENCH / "reference" / f"{op.key}.txt.gz").read_bytes()
+    assert written == gzip.decompress(reference)

@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,29 @@ def test_histogram_bin_bytes_checked_exit_2(so2_file, tmp_path):
     assert "-bin histogram" in proc.stderr and "GiB" in proc.stderr
 
 
+def test_tiny_histogram_width_exit_2_with_real_bin_count(so2_file, tmp_path, capsys):
+    # E / 1e-310 overflows float: the count must not come from a wrapped int64 cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["qpe", "--problem", so2_file, "--cutoffs", "3,3", "--t", "6",
+                     "--shots", "100", "--hist-width", "1e-310", "--out", str(tmp_path)])
+    assert code == 2
+    count = re.search(r"a (\S+)-bin histogram", capsys.readouterr().err).group(1)
+    assert Decimal("1e312") < Decimal(count) < Decimal("1e316")  # thousands of cm^-1 / 1e-310
+
+
+@pytest.mark.parametrize("flag,value", [("--beta-invcm", "1e-300"), ("--temperature-K", "1e300")])
+def test_infinite_squeezing_temperature_exit_2(flag, value, so2_file, tmp_path, capsys):
+    # exp(-beta w / 2) rounds to 1, so arctanh gives an infinite angle and kappa is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["thermal", "--problem", so2_file, "--cutoffs", "2,2", flag, value,
+                     "--t", "6", "--shots", "100", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_broadening_kernel_bytes_checked_exit_2(toy_file, tmp_path):
     # sigma = 1e11 cm^-1 on 1 cm^-1 bins needs a 1.2e12-point kernel
     proc = _run_capped(["exact", "--problem", toy_file, "--cutoffs", "4",
@@ -254,13 +280,16 @@ def test_unread_flags_rejected_exit_2(argv, toy_file):
 
 @pytest.mark.parametrize("argv", [
     ["exact", "--cutoffs", "2", "--sigma", "nan"],
+    ["exact", "--cutoffs", "2", "--sigma", "1e-300"],  # sigma^2 underflowed: nan rows
+    ["exact", "--cutoffs", "2", "--sigma-convention", "fwhm", "--sigma", "3e-154"],
     ["qpe", "--cutoffs", "2", "--hist-width", "-5"],
     ["converge", "--vary-mode", "1", "--threshold", "nan"],
     ["qpe", "--cutoffs", "2", "--shots", "0"],
     ["qpe", "--cutoffs", "2", "--t", "-1"],
     ["qpe", "--cutoffs", "2", "--seed", "-1"],
     ["qpe", "--cutoffs", "2", "--seed", str(2**64)],
-], ids=["sigma", "hist-width", "threshold", "shots", "t", "seed-negative", "seed-2**64"])
+], ids=["sigma", "sigma-tiny", "sigma-tiny-fwhm", "hist-width", "threshold", "shots", "t",
+        "seed-negative", "seed-2**64"])
 def test_bad_numeric_flags_exit_2(argv, toy_file, tmp_path, capsys):
     # each value used to end in a traceback or in silently wrong output
     with pytest.raises(SystemExit) as exc:

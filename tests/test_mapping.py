@@ -1,12 +1,13 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
-from dense_reference import embed
+from dense_reference import embed, map_second_quantized_dicts
 from vibronic import fock
 from vibronic.fock import FockSpace
-from vibronic.hamiltonian import ladder_terms
+from vibronic.hamiltonian import CREATE, DESTROY, SecondQuantizedTerm, ladder_terms
 from vibronic.mapping import (
     COEFF_PRUNE,
     Encoding,
@@ -235,6 +236,77 @@ def test_map_second_quantized_matches_fock_assembly():
             m = pauli_to_matrix(ps)
             code = codespace_indices(enc, layout)
             assert np.abs(m[np.ix_(code, code)] - h_ref).max() < 1e-9
+
+
+def _bits(coeff):
+    coeff = complex(coeff)
+    return struct.pack("<dd", coeff.real, coeff.imag)
+
+
+def _assert_same_sum(got, expected):
+    """Same keys in the same insertion order, and the same value bits."""
+    assert got.n_qubits == expected.n_qubits
+    assert list(got.terms) == list(expected.terms)
+    assert [_bits(c) for c in got.terms.values()] == [_bits(c) for c in expected.terms.values()]
+
+
+def _random_problem(m, seed):
+    rng = np.random.default_rng(seed)
+    return VibronicProblem(
+        f"rand{m}", rng.uniform(400, 1500, m), rng.uniform(400, 1500, m),
+        random_orthogonal(m, rng), rng.uniform(-2, 2, m),
+    )
+
+
+@pytest.mark.parametrize("name,variant,levels", [
+    ("h2o", "binary", (31, 31)),
+    ("so2", "unary", (31, 31)),
+    ("so2", "binary", (5, 7)),
+    ("no2", "unary", (10, 12)),
+    ("d2o", "binary", (100, 3)),
+    ("so2", "unary", (2, 2)),
+    ("rand16", "binary", (3,) * 16),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_map_second_quantized_matches_dict_reference(name, variant, levels, monkeypatch):
+    problem = _random_problem(16, 7) if name == "rand16" else bundled_problem(name)
+    terms = ladder_terms(problem)
+    enc = Encoding(variant, ModeCutoffs(levels))
+    layout = QubitLayout.for_encoding(enc)
+    renumbered = []
+    unique = np.unique
+
+    def spy(ids, **kwargs):
+        renumbered.append(not kwargs.get("return_index", False))
+        return unique(ids, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    got = map_second_quantized(terms, enc, layout)
+    monkeypatch.undo()
+    _assert_same_sum(got, map_second_quantized_dicts(terms, enc, layout))
+    # 16 modes of 30-odd masks each: the mixed-radix id must be renumbered on the way
+    assert any(renumbered) == (name == "rand16")
+
+
+def test_map_second_quantized_matches_dict_reference_on_random_terms():
+    # complex and tiny coefficients, repeated modes, identity and cancelling terms
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        m = int(rng.integers(1, 5))
+        levels = tuple(int(l) for l in rng.integers(1, 5, m))
+        terms = []
+        for _ in range(int(rng.integers(0, 10))):
+            factors = tuple((CREATE if rng.random() < 0.5 else DESTROY, int(rng.integers(0, m)))
+                            for _ in range(int(rng.integers(0, 5))))
+            coeff = [rng.normal(), complex(*rng.normal(size=2)), 3e-15 * rng.normal()][
+                int(rng.integers(0, 3))]
+            terms.append(SecondQuantizedTerm(factors, coeff))
+        if rng.random() < 0.3:
+            terms += [SecondQuantizedTerm(t.factors, -t.coefficient) for t in terms]
+        for variant in ("binary", "unary"):
+            enc = Encoding(variant, ModeCutoffs(levels))
+            layout = QubitLayout.for_encoding(enc)
+            _assert_same_sum(map_second_quantized(terms, enc, layout),
+                             map_second_quantized_dicts(terms, enc, layout))
 
 
 def test_second_quantized_term_count_scales_quadratically():

@@ -199,11 +199,24 @@ def test_broaden_fwhm_convention():
     assert b.metadata["sigma_convention"] == "fwhm"
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-300])
 def test_broaden_sigma_must_be_finite_and_positive(sigma):
     binned = bin_spectrum(oracle.StickSpectrum(np.array([10.2]), np.array([1.0])))
     with pytest.raises(ValueError, match="sigma must be finite and positive"):
         broaden(binned, sigma=sigma)
+
+
+def test_broaden_smallest_accepted_sigma_stays_finite():
+    binned = bin_spectrum(oracle.StickSpectrum(np.array([10.2]), np.array([1.0])))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # no clamp, no inf or nan
+        spike = broaden(binned, sigma=1.5e-154)
+    assert np.isfinite(spike.values).all() and spike.values.max() > 1e153
+
+
+def test_bin_index_range_checked_before_cast():
+    sticks = oracle.StickSpectrum(np.array([1000.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="int64"):
+        bin_spectrum(sticks, width=1e-17)
 
 
 @pytest.mark.parametrize("name,levels", [("so2", (8, 24)), ("h2o", (10, 68)), ("no2", (36, 88))])
