@@ -86,28 +86,23 @@ def _positive_float(text: str) -> float:
 
 
 def _sigma(text: str) -> float:
-    """argparse type: a broadening width valid in both conventions (fwhm is the narrower)."""
+    """argparse type: a width whose variance and one-bin grid suit both conventions."""
     try:
-        oracle.sigma_from_convention(float(text), "fwhm")
+        sig = oracle.sigma_from_convention(float(text), "fwhm")  # the narrower convention
+        oracle.kernel_half_width(sig, oracle.DEFAULT_BIN_WIDTH, 1)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return float(text)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type: an integer in [0, 2**64 - 1], the range of a Philox key."""
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64 - 1], got {text!r}")
-    return value
+def _int_range(lo: int, hi: float):
+    """argparse type: an integer in [lo, hi]."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {text!r}")
+        return value
+    return integer
 
 
 def _parse_backend(text: str) -> EvolutionBackend:
@@ -207,11 +202,15 @@ def cmd_thermal(args) -> int:
 def _write_sampled(args, problem: VibronicProblem, spectrum) -> int:
     out = _out_dir(args)
     base = _slug(problem.label) + ("_thermal" if spectrum.initial_levels is not None else "_qpe")
-    lines = ["energy_cm1,intensity,shots"]
     hist = spectrum.histogram(width=args.hist_width)
-    for e, v in zip(hist.bin_centers, hist.values):
-        lines.append(f"{e:.10g},{v:.10g},{spectrum.shots}")
-    (out / f"{base}_histogram.csv").write_text("\n".join(lines) + "\n")
+    centers, tail = hist.bin_centers, f",{spectrum.shots}\n"
+    # blocks of Python floats: formatting numpy scalars one by one is slow,
+    # and lists of the whole histogram would raise the peak memory
+    with open(out / f"{base}_histogram.csv", "w") as fh:
+        fh.write("energy_cm1,intensity,shots\n")
+        for lo in range(0, len(centers), 4096):
+            block = zip(centers[lo : lo + 4096].tolist(), hist.values[lo : lo + 4096].tolist())
+            fh.write("".join(f"{e:.10g},{v:.10g}{tail}" for e, v in block))
     meta = {
         "problem": problem.label,
         "phase_map": spectrum.phase_map.as_dict(),
@@ -384,9 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sampling(p):
         p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
-        p.add_argument("--t", type=_positive_int, default=12, help="energy-register bits")
-        p.add_argument("--shots", type=_positive_int, default=100000)
-        p.add_argument("--seed", type=_seed, default=0)
+        # 2^t outcomes index as int64; the byte budget refuses t above about 26,
+        # but only after forming 2^t, which for a huge t never finishes
+        p.add_argument("--t", type=_int_range(1, 62), default=12, help="energy-register bits")
+        p.add_argument("--shots", type=_int_range(1, math.inf), default=100000)
+        p.add_argument("--seed", type=_int_range(0, 2**64 - 1), default=0)  # a Philox key
         p.add_argument("--backend", default="exact", help="'exact' or 'trotter:ORDER:STEPS'")
         p.add_argument("--hist-width", type=_positive_float, default=1.0)
 

@@ -199,6 +199,19 @@ def sigma_from_convention(width: float, convention: str) -> float:
     return sig
 
 
+def kernel_half_width(sig: float, width: float, n_bins: int) -> int:
+    """Kernel bins ceil(6 sig / width) per side; the grid's bytes are checked in float first.
+
+    A huge sigma would overflow the cast to int, so the count is never cast before the check.
+    """
+    half = np.ceil(6.0 * sig / width)
+    n_grid = n_bins + 2 * half
+    if not math.isfinite(n_grid):
+        n_grid = 12 * Decimal(sig) / Decimal(width) + n_bins
+    check_dense_bytes(8 * n_grid, f"a {n_grid:.4g}-point broadened grid")
+    return int(half)
+
+
 def broaden(
     binned: BinnedSpectrum,
     sigma: float = DEFAULT_SIGMA,
@@ -212,9 +225,8 @@ def broaden(
     """
     sig = sigma_from_convention(sigma, convention)
     width = binned.width
-    half = int(math.ceil(6.0 * sig / width))
+    half = kernel_half_width(sig, width, len(binned.values))
     n_grid = len(binned.values) + 2 * half
-    check_dense_bytes(8 * n_grid, f"a {n_grid}-point broadened grid")
     x = np.arange(-half, half + 1) * width
     kernel = np.exp(-(x**2) / (2.0 * sig**2)) / (sig * math.sqrt(2.0 * math.pi))
     values = np.zeros(n_grid)
@@ -459,4 +471,7 @@ def read_spectrum_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def metadata_json(meta: dict) -> str:
+    """Strict JSON: a non-finite float value (beta = inf at 0 K) is written as the string "inf"."""
+    meta = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in meta.items()}
     return json.dumps(meta, indent=2, sort_keys=True, default=float)

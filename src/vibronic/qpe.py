@@ -271,12 +271,12 @@ def _controlled_power_sweep(
     """Sample QPE outcomes for an R x D block of initial Fock amplitudes.
 
     Register row r starts the system in ``rows[r]``, whose Fock state k sits
-    in column ``columns[k]`` of U.  The (2^t, R, len(U)) state gets the
-    uniform E register, the controlled-U^(2^k) ladder over axis 0 and the
-    inverse QFT; the system axis is summed and the shots sample the joint
-    (j, row) categories j-major.  Returns (j, row, amplitudes, joint
-    probabilities).
-    """
+    in column ``columns[k]`` of U.  E-register value x of the (2^t, R, len(U))
+    state holds U^x rows / sqrt(2^t), built by doubling: level k sets values
+    [2^k, 2^(k+1)) to values [0, 2^k) times U^(2^k) in one GEMM, (2^t - 1) R
+    len(U)^2 multiply-adds in all.  After the inverse QFT the system axis is
+    summed and the shots sample the joint (j, row) categories j-major.
+    Returns (j, row, amplitudes, joint probabilities)."""
     e_dim = 2**t
     n_rows, dim = len(rows), len(u)
     # every mode has at least two levels, so a register of R Fock states
@@ -285,14 +285,15 @@ def _controlled_power_sweep(
     check_dense_bytes(16 * e_dim * n_rows * dim,
                       f"a {t}-qubit x {n_rows}-row x {dim}-state QPE state")
     amps = np.zeros((e_dim, n_rows, dim), dtype=complex)
-    amps[:, :, columns] = rows[None, :, :] / math.sqrt(e_dim)
-    x = np.arange(e_dim)
+    amps[0][:, columns] = rows / math.sqrt(e_dim)
+    flat = amps.reshape(e_dim * n_rows, dim)
     u_power = u
     for k in range(t):
-        mask = (x >> k) & 1 == 1
-        amps[mask] = np.tensordot(amps[mask], u_power.T, axes=([2], [0]))
+        done = n_rows << k
+        np.matmul(flat[:done], u_power.T, out=flat[done : 2 * done])
         if k + 1 < t:
             u_power = u_power @ u_power
+    del flat  # a live view would keep the pre-FFT state through abs()**2
     amps = np.fft.ifft(amps, axis=0) * math.sqrt(e_dim)
     joint = (np.abs(amps) ** 2).sum(axis=2).reshape(-1)
     outcomes = _sample_from_probabilities(joint, seed, shots)
@@ -373,7 +374,8 @@ def run_qpe(
 
 def thermal_angles(problem: VibronicProblem, beta: float) -> np.ndarray:
     """Two-mode squeezing angles: tanh(theta/2) = exp(-beta w / 2), finite below 1."""
-    ratio = np.exp(-beta * problem.omega_A / 2.0)
+    with np.errstate(over="ignore"):  # a huge beta sends -beta w to -inf, and the ratio to 0
+        ratio = np.exp(-beta * problem.omega_A / 2.0)
     if not ratio.max() < 1.0:
         raise ValueError(f"beta {beta:g} rounds exp(-beta w / 2) to 1: infinite squeezing angle")
     return 2.0 * np.arctanh(ratio)

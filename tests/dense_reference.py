@@ -2,7 +2,8 @@
 
 The package builds operators only through its ladder-term assembler and
 never needs these: the single-mode q and p, a single-mode operator embedded
-as identity on the other modes, and the analytic QPE outcome distribution.
+as identity on the other modes, the analytic QPE outcome distribution, and
+the QPE state with every controlled power U^x taken by ``matrix_power``.
 It also keeps the dense spectrum post-processing that ``oracle`` replaced:
 Gaussian broadening by ``np.convolve`` over every bin, and the L1 distance
 that resamples both spectra onto their union grid with ``np.interp``; and
@@ -87,6 +88,24 @@ def outcome_distribution(
         delta = sub[:, None] - j[None, :] / n
         probs += weights[base : base + chunk] @ qpe_kernel_sq(delta, phase_map.t)
     return probs
+
+
+def controlled_power_state(
+    u: np.ndarray, columns: np.ndarray, rows: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(amplitudes, joint probabilities) of the QPE sampler, one matrix power per x.
+
+    E-register value x holds U^x psi_r / sqrt(2^t) for every initial row
+    psi_r (Fock state k in column ``columns[k]`` of U); the same inverse FFT
+    over x and sum over the system axis as ``qpe._controlled_power_sweep``
+    then give the (j, row, system) amplitudes and the j-major (j, row) law.
+    """
+    e_dim = 2**t
+    psi = np.zeros((len(rows), len(u)), dtype=complex)
+    psi[:, columns] = rows
+    state = np.stack([psi @ np.linalg.matrix_power(u, x).T for x in range(e_dim)])
+    amps = np.fft.ifft(state / math.sqrt(e_dim), axis=0) * math.sqrt(e_dim)
+    return amps, (np.abs(amps) ** 2).sum(axis=2).reshape(-1)
 
 
 def broaden_dense(

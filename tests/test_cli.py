@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vibronic import qpe
 from vibronic.cli import main
@@ -182,6 +188,19 @@ def test_infinite_squeezing_temperature_exit_2(flag, value, so2_file, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_beta_is_zero_temperature_without_warning(so2_file, tmp_path):
+    # -beta w overflows to -inf: exp gives the exact zero-temperature ratio 0
+    histograms = []
+    for flag, value in (("--beta-invcm", "1e308"), ("--temperature-K", "0")):
+        out = tmp_path / value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["thermal", "--problem", so2_file, "--cutoffs", "2,2", flag, value,
+                         "--t", "6", "--shots", "100", "--out", str(out)]) == 0
+        histograms.append((out / "so2_so2_e_thermal_histogram.csv").read_bytes())
+    assert histograms[0] == histograms[1]
+
+
 def test_broadening_kernel_bytes_checked_exit_2(toy_file, tmp_path):
     # sigma = 1e11 cm^-1 on 1 cm^-1 bins needs a 1.2e12-point kernel
     proc = _run_capped(["exact", "--problem", toy_file, "--cutoffs", "4",
@@ -282,21 +301,94 @@ def test_unread_flags_rejected_exit_2(argv, toy_file):
     ["exact", "--cutoffs", "2", "--sigma", "nan"],
     ["exact", "--cutoffs", "2", "--sigma", "1e-300"],  # sigma^2 underflowed: nan rows
     ["exact", "--cutoffs", "2", "--sigma-convention", "fwhm", "--sigma", "3e-154"],
+    ["exact", "--cutoffs", "2", "--sigma", "1e300"],  # kernel size printed as 300 digits
+    ["exact", "--cutoffs", "2", "--sigma", "1e308"],  # 6 sigma overflowed the int cast
     ["qpe", "--cutoffs", "2", "--hist-width", "-5"],
     ["converge", "--vary-mode", "1", "--threshold", "nan"],
     ["qpe", "--cutoffs", "2", "--shots", "0"],
     ["qpe", "--cutoffs", "2", "--t", "-1"],
     ["qpe", "--cutoffs", "2", "--seed", "-1"],
     ["qpe", "--cutoffs", "2", "--seed", str(2**64)],
-], ids=["sigma", "sigma-tiny", "sigma-tiny-fwhm", "hist-width", "threshold", "shots", "t",
-        "seed-negative", "seed-2**64"])
+], ids=["sigma", "sigma-tiny", "sigma-tiny-fwhm", "sigma-huge", "sigma-overflow", "hist-width",
+        "threshold", "shots", "t", "seed-negative", "seed-2**64"])
 def test_bad_numeric_flags_exit_2(argv, toy_file, tmp_path, capsys):
     # each value used to end in a traceback or in silently wrong output
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--problem", toy_file, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert argv[-2] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert argv[-2] in err
+    assert all(len(number) < 30 for number in re.findall(r"[\d.e+-]+", err))
     assert not (tmp_path / "out").exists()
+
+
+#: tiny, subnormal, huge, boundary and invalid spellings of a float flag
+_FLOATS = ["0", "-1", "5e-324", "1e-310", "2.2250738585072014e-308", "1e-300", "3e-154",
+           "1e-12", "1e300", "1e308", "1.7976931348623157e308", "inf", "nan"]
+#: boundary and out-of-range integers
+_INTS = ["-1", "0", "1", "62", "63", "1000000000000", "1.5"]
+#: ordinary values, drawn as often as the extreme ones; valid runs stay small and cheap
+_TYPICAL = {"--sigma": ["100", "1"], "--t": ["4", "7"], "--shots": ["50", "2"],
+            "--hist-width": ["1", "25"], "--beta-invcm": ["0.005", "1"],
+            "--temperature-K": ["300", "1"]}
+
+
+def _written_numbers(out: Path):
+    """Every number in the CSV and JSON files under ``out``."""
+    def walk(value):
+        if isinstance(value, dict):
+            for item in value.values():
+                yield from walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from walk(item)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield float(value)
+
+    for path in sorted(out.glob("*")):
+        if path.suffix == ".json":
+            yield from walk(json.loads(path.read_text()))
+        elif path.suffix == ".csv":
+            for row in path.read_text().splitlines()[1:]:
+                yield from (float(field) for field in row.split(","))
+
+
+@st.composite
+def _hostile_argv(draw):
+    def value(flag):
+        extreme = _INTS if flag in ("--t", "--shots") else _FLOATS
+        return draw(st.one_of(st.sampled_from(_TYPICAL[flag]), st.sampled_from(extreme)))
+
+    command = draw(st.sampled_from(["exact", "qpe", "thermal"]))
+    argv = [command, "--cutoffs", draw(st.sampled_from(["1", "2", "1,2", "2,2"]))]
+    if command == "exact":
+        return argv + ["--sigma", value("--sigma"),
+                       "--sigma-convention", draw(st.sampled_from(["stdev", "fwhm"]))]
+    argv += ["--encoding", draw(st.sampled_from(["binary", "unary"]))]
+    argv += [x for flag in ("--t", "--shots", "--hist-width") for x in (flag, value(flag))]
+    if command == "thermal":
+        flag = draw(st.sampled_from(["--beta-invcm", "--temperature-K"]))
+        argv += [flag, value(flag)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_hostile_argv())
+@example(argv=["exact", "--cutoffs", "2", "--sigma", "1e308"])
+@example(argv=["thermal", "--cutoffs", "2,2", "--t", "4", "--shots", "50", "--beta-invcm", "1e308"])
+def test_numeric_flags_never_raise_warn_or_write_non_finite(argv):
+    # exit 0, 1 or 2 for any value; no exception, no warning, no inf or nan in any file
+    so2 = ROOT / "src" / "vibronic" / "data" / "so2.json"
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([*argv, "--problem", str(so2), "--out", str(out)])
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert all(math.isfinite(x) for x in _written_numbers(out))
 
 
 def test_repro_rejects_route_exit_2():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dense_reference import outcome_distribution
+from dense_reference import controlled_power_state, outcome_distribution
 from vibronic import qpe
 from vibronic.fock import FockSpace, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
@@ -510,3 +510,64 @@ def test_emulator_distribution_equals_kernel_mixture(name, cuts, variant):
                        phase_map=pmap, return_distribution=True)
     analytic = outcome_distribution(h, pmap)
     assert np.abs(probs - analytic).max() < 1e-8
+
+
+def _sweep_inputs(cuts, variant, backend, t):
+    problem = bundled_problem("so2")
+    cutoffs = ModeCutoffs(cuts)
+    enc = Encoding(variant, cutoffs)
+    layout = QubitLayout.for_encoding(enc)
+    _, h, pauli, pmap = qpe._problem_hamiltonian(problem, cutoffs, t, enc, backend, "qp")
+    code = codespace_indices(enc, layout)
+    u, basis, columns = qpe._step_unitary(h, pmap, backend, pauli, code, layout.total_qubits)
+    return problem, cutoffs, enc, h, pauli, pmap, code, u, basis, columns
+
+
+def test_ladder_matches_matrix_powers_from_initial_state():
+    # exact binary, one register row in a complex non-vacuum state
+    t = 6
+    _, _, enc, h, _, pmap, code, u, basis, columns = _sweep_inputs((2, 2), "binary",
+                                                                   EvolutionBackend.exact(), t)
+    rng = np.random.default_rng(3)
+    vec = rng.normal(size=len(code)) + 1j * rng.normal(size=len(code))
+    rows = (vec / np.linalg.norm(vec))[None, :]
+    ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
+    _, _, amps, joint = qpe._controlled_power_sweep(u, columns, rows, t, seed=4, shots=100)
+    assert np.abs(amps - ref_amps).max() < 1e-12
+    assert np.abs(joint - ref_joint).max() < 1e-12
+
+    spec, state, probs = run_qpe(h, enc, t, shots=100, seed=4, initial_state=vec,
+                                 phase_map=pmap, return_state=True, return_distribution=True)
+    post = ref_amps[spec.j_outcomes[-1], 0]
+    expected = np.zeros(len(state), dtype=complex)
+    expected[basis] = post / np.linalg.norm(post)
+    assert np.abs(state - expected).max() < 1e-12
+    assert np.abs(probs - ref_joint).max() < 1e-12
+
+
+def test_ladder_matches_matrix_powers_with_trotter_leakage():
+    # unary trotter:1:1 evolves all 2^6 register states; about 1e-3 of the
+    # vacuum's weight leaks off the code space
+    t = 6
+    *_, code, u, _, columns = _sweep_inputs((2, 2), "unary", EvolutionBackend.trotter(1, 1), t)
+    rows = np.eye(1, len(code))
+    ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
+    _, _, amps, joint = qpe._controlled_power_sweep(u, columns, rows, t, seed=4, shots=100)
+    leaked = (np.abs(np.delete(ref_amps, code, axis=2)) ** 2).sum()
+    assert 1e-4 < leaked < 1e-2
+    assert np.abs(amps - ref_amps).max() < 1e-12
+    assert np.abs(joint - ref_joint).max() < 1e-12
+
+
+def test_ladder_matches_matrix_powers_for_thermal_register():
+    # thermofield rows at 300 K: R = D register rows evolved together
+    t = 6
+    problem, cutoffs, _, _, _, _, code, u, _, columns = _sweep_inputs(
+        (1, 1), "binary", EvolutionBackend.exact(), t)
+    rows = prepare_thermal(problem, cutoffs, ThermalConfig.from_temperature_kelvin(300.0))
+    rows = rows[np.argsort(code)]
+    assert len(rows) == len(code) == 4
+    ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
+    _, _, amps, joint = qpe._controlled_power_sweep(u, columns, rows, t, seed=4, shots=100)
+    assert np.abs(amps - ref_amps).max() < 1e-12
+    assert np.abs(joint - ref_joint).max() < 1e-12
