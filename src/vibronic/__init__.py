@@ -19,7 +19,7 @@ from .problem import (
     serialize_problem,
     validate,
 )
-from .fock import FockSpace, ManyBodyOperator, creation, annihilation
+from .fock import ManyBodyOperator, creation, annihilation
 from .hamiltonian import HamiltonianBuildReport, build_hamiltonian, ladder_terms
 from .oracle import (
     BinnedSpectrum,

@@ -30,6 +30,7 @@ from .problem import (
     validate,
 )
 from .qpe import (
+    MAX_T,
     EvolutionBackend,
     QubitBudgetError,
     UnsupportedBackendError,
@@ -383,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sampling(p):
         p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
-        # 2^t outcomes index as int64; the byte budget refuses t above about 26,
-        # but only after forming 2^t, which for a huge t never finishes
-        p.add_argument("--t", type=_int_range(1, 62), default=12, help="energy-register bits")
+        # the range PhaseMap accepts, checked here so the message names the flag
+        p.add_argument("--t", type=_int_range(1, MAX_T), default=12, help="energy-register bits")
         p.add_argument("--shots", type=_int_range(1, math.inf), default=100000)
         p.add_argument("--seed", type=_int_range(0, 2**64 - 1), default=0)  # a Philox key
         p.add_argument("--backend", default="exact", help="'exact' or 'trotter:ORDER:STEPS'")

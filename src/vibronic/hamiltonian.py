@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import fock
-from .fock import FockSpace, ManyBodyOperator
+from .fock import ManyBodyOperator
 from .problem import ModeCutoffs, VibronicProblem, duschinsky_J, duschinsky_J_inv_T
 
 #: Ladder-operator factor kinds in second-quantized terms.
@@ -57,7 +56,7 @@ class SecondQuantizedTerm:
 class HamiltonianBuildReport:
     """Result of one Hamiltonian assembly."""
 
-    space: FockSpace
+    space: ModeCutoffs
     hamiltonian: ManyBodyOperator
     term_count: int
     hermiticity_deviation: float
@@ -173,7 +172,7 @@ def ladder_terms(problem: VibronicProblem) -> Terms:
     return hamiltonian_terms(problem, route="ladder", include_anharmonic=False)
 
 
-def assemble_terms(terms: Terms, space: FockSpace) -> ManyBodyOperator:
+def assemble_terms(terms: Terms, space: ModeCutoffs) -> ManyBodyOperator:
     """Turn a second-quantized term list into a sparse (CSR) matrix operator.
 
     A ladder factor moves its mode's level by one, so a term moves every
@@ -226,7 +225,7 @@ def assemble_terms(terms: Terms, space: FockSpace) -> ManyBodyOperator:
     return ManyBodyOperator(space, mat)
 
 
-def build_b_dagger(problem: VibronicProblem, space: FockSpace) -> list[ManyBodyOperator]:
+def build_b_dagger(problem: VibronicProblem, space: ModeCutoffs) -> list[ManyBodyOperator]:
     """Transformed creation operators b_k^dag as many-body matrices."""
     return [assemble_terms(terms, space) for terms in b_dagger_terms(problem)]
 
@@ -236,18 +235,15 @@ def build_hamiltonian(
 ) -> HamiltonianBuildReport:
     """Assemble H, anharmonic terms included, in the route's ordering.
 
-    H is stored dense below ``fock.DENSE_DIM_THRESHOLD`` and as CSR above it;
     ``term_count`` is the number of grouped second-quantized terms.
     """
     if len(cutoffs) != problem.n_modes:
         raise ValueError(f"{len(cutoffs)} cutoffs for a {problem.n_modes}-mode problem")
-    space = FockSpace.from_cutoffs(cutoffs)
     terms = hamiltonian_terms(problem, route)
-    h = assemble_terms(terms, space)
-    matrix = h.to_dense() if space.dimension < fock.DENSE_DIM_THRESHOLD else h.matrix
+    h = assemble_terms(terms, cutoffs)
     return HamiltonianBuildReport(
-        space=space,
-        hamiltonian=ManyBodyOperator(space, matrix),
+        space=cutoffs,
+        hamiltonian=h,
         term_count=len(terms),
         hermiticity_deviation=h.hermiticity_deviation(),
     )

@@ -20,7 +20,7 @@ from decimal import Decimal
 import numpy as np
 from scipy.linalg import lapack
 
-from .fock import FockSpace, ManyBodyOperator
+from .fock import ManyBodyOperator
 from .hamiltonian import build_b_dagger, build_hamiltonian
 from .mapping import check_dense_bytes
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
@@ -98,8 +98,11 @@ class BroadenedSpectrum:
         return float(self.values.sum() * self.grid_step)
 
 
-def _dense_matrix(h: ManyBodyOperator) -> np.ndarray:
-    """H as a dense array, real when it has no imaginary part above 1e-12."""
+def dense_matrix(h: ManyBodyOperator) -> np.ndarray:
+    """H as a dense array, real when it has no imaginary part above 1e-12.
+
+    Every dense copy of an operator is made here, behind the dimension guard.
+    """
     d = h.space.dimension
     if d > DENSE_EIG_LIMIT:
         raise OracleScaleError(
@@ -114,7 +117,7 @@ def _dense_matrix(h: ManyBodyOperator) -> np.ndarray:
 
 def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full Hermitian eigendecomposition, real-symmetric fast path."""
-    return np.linalg.eigh(_dense_matrix(h))
+    return np.linalg.eigh(dense_matrix(h))
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -123,27 +126,22 @@ def _check_info(routine: str, info: int) -> None:
 
 
 def _vacuum_sticks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a Hermitian matrix and |<0|psi_i>|^2, without eigenvectors.
+    """Eigenvalues of a real symmetric matrix and |<0|psi_i>|^2, without eigenvectors.
 
-    ``np.linalg.eigh`` is LAPACK ?syevd/?heevd: the lower-storage tridiagonal
-    reduction T = Q^H mat Q (?sytrd/?hetrd), dstedc('I') for T = Z diag(w) Z^T,
-    then the back-transform Q Z (?ormtr/?unmtr).  None of the lower
-    reduction's Householder reflectors touches row 0, so row 0 of Q Z is row
-    0 of Z bit for bit.  This runs the first two steps (dstevd calls the same
-    dstedc('I') on T, whose d and e are real in both cases) and skips the
-    back-transform, so the sticks equal ?syevd's bit for bit when both come
-    from the same LAPACK, as with ``scipy.linalg.eigh(driver="evd")``.
+    ``np.linalg.eigh`` is LAPACK dsyevd: the lower-storage tridiagonal
+    reduction T = Q^T mat Q (dsytrd), dstedc('I') for T = Z diag(w) Z^T, then
+    the back-transform Q Z (dormtr).  None of the lower reduction's
+    Householder reflectors touches row 0, so row 0 of Q Z is row 0 of Z bit
+    for bit.  This runs the first two steps (dstevd calls the same
+    dstedc('I') on T) and skips the back-transform, so the sticks equal
+    dsyevd's bit for bit when both come from the same LAPACK, as with
+    ``scipy.linalg.eigh(driver="evd")``.
     """
-    if np.iscomplexobj(mat):
-        trd, trd_lwork, name = lapack.zhetrd, lapack.zhetrd_lwork, "zhetrd"
-    else:
-        trd, trd_lwork, name = lapack.dsytrd, lapack.dsytrd_lwork, "dsytrd"
-    lwork, info = trd_lwork(mat.shape[0], lower=1)
-    _check_info(name + "_lwork", info)
-    _, d, e, _, info = trd(mat, lower=1, lwork=int(lwork.real))
-    _check_info(name, info)
-    # The f2py wrapper wants len(e) >= 1 even for a 1x1 T.
-    vals, z, info = lapack.dstevd(d, e if e.size else np.zeros(1))
+    lwork, info = lapack.dsytrd_lwork(mat.shape[0], lower=1)
+    _check_info("dsytrd_lwork", info)
+    _, d, e, _, info = lapack.dsytrd(mat, lower=1, lwork=int(lwork))
+    _check_info("dsytrd", info)
+    vals, z, info = lapack.dstevd(d, e)
     _check_info("dstevd", info)
     return vals, z[0] ** 2
 
@@ -153,14 +151,18 @@ def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickS
 
     The initial state is the vacuum (flat index 0), giving the
     zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
-    separate sticks.  No eigenvector matrix of H is formed (``_vacuum_sticks``).
+    separate sticks.  No eigenvector matrix of H is formed (``_vacuum_sticks``),
+    which takes real H only: dsytrd would drop an imaginary part.
     """
     if not h.verify_hermitian():
         raise ValueError(
             f"Hamiltonian is not Hermitian (deviation {h.hermiticity_deviation():.2e})"
         )
-    evals, fcf = _vacuum_sticks(_dense_matrix(h))
-    meta = {"cutoffs": list(h.space.cutoffs)}
+    mat = dense_matrix(h)
+    if np.iscomplexobj(mat):
+        raise ValueError("the stick spectrum needs a real Hamiltonian; use eigensolve for complex H")
+    evals, fcf = _vacuum_sticks(mat)
+    meta = {"cutoffs": list(h.space.levels)}
     meta.update(metadata or {})
     return StickSpectrum(energies=evals, intensities=fcf, metadata=meta)
 
@@ -361,13 +363,12 @@ def thermal_fcp_oracle(
     its own transition energies relative to E_A(n).
     """
     beta = thermal.beta
-    space = FockSpace.from_cutoffs(cutoffs)
     evals, evecs = eigensolve(build_hamiltonian(problem, cutoffs).hamiltonian)
 
-    occupations = space.all_multi_indices()
+    occupations = cutoffs.all_multi_indices()
     e_a = fock_state_energy(problem, occupations)
     if thermal.is_zero_temperature:
-        weights = np.zeros(space.dimension)
+        weights = np.zeros(cutoffs.dimension)
         weights[0] = 1.0
     else:
         log_w = -beta * (occupations @ problem.omega_A)
@@ -404,10 +405,8 @@ def cumulative_fcf_by_level(
     report = build_hamiltonian(problem, cutoffs)
     _, evecs = eigensolve(report.hamiltonian)
     fcf = np.abs(evecs[0, :]) ** 2
-    bd = build_b_dagger(problem, report.space)[mode]
-    nmat = (bd @ bd.dagger()).to_dense()
-    if np.abs(nmat.imag).max(initial=0.0) < 1e-12:
-        nmat = nmat.real
+    bd = build_b_dagger(problem, cutoffs)[mode]
+    nmat = dense_matrix(bd @ bd.dagger())
     occ = np.einsum("ji,jk,ki->i", evecs.conj(), nmat, evecs).real
     levels = np.rint(occ).astype(int)
     inside = (levels >= 0) & (levels <= cutoffs.levels[mode])

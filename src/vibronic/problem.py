@@ -56,13 +56,17 @@ class AnharmonicTerm:
 
 @dataclass(frozen=True)
 class ModeCutoffs:
-    """Per-mode maximum occupation levels for the truncated Fock space."""
+    """Per-mode maximum occupation levels: the truncated multi-mode Fock space.
+
+    Its states are indexed row-major with mode 0 as the slowest index, so
+    the vacuum |0,...,0> always sits at flat index 0.
+    """
 
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(l < 1 for l in self.levels):
-            raise ProblemValidationError(f"all L_max must be >= 1, got {self.levels}")
+        if not self.levels or any(l < 1 for l in self.levels):
+            raise ProblemValidationError(f"need one L_max >= 1 per mode, got {self.levels}")
 
     @classmethod
     def uniform(cls, l_max: int, n_modes: int) -> "ModeCutoffs":
@@ -78,6 +82,15 @@ class ModeCutoffs:
     def local_dims(self) -> tuple[int, ...]:
         """Local Hilbert-space dimension per mode, L_max + 1."""
         return tuple(l + 1 for l in self.levels)
+
+    @property
+    def dimension(self) -> int:
+        """Number of Fock states D, the product of the local dimensions."""
+        return math.prod(self.local_dims)
+
+    def all_multi_indices(self) -> np.ndarray:
+        """(D, M) array of occupation numbers in flat-index order."""
+        return np.indices(self.local_dims).reshape(len(self.levels), -1).T
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fock
-from .fock import FockSpace, ManyBodyOperator
+from .fock import ManyBodyOperator
 from .hamiltonian import build_hamiltonian, ladder_terms
 from .mapping import (
     Encoding,
@@ -33,11 +33,14 @@ from .mapping import (
     codespace_indices,
     map_second_quantized,
 )
-from .oracle import BinnedSpectrum, StickSpectrum, bin_spectrum, eigensolve
+from .oracle import BinnedSpectrum, StickSpectrum, bin_spectrum, dense_matrix, eigensolve
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Share of the 2 pi phase window left empty above the highest eigenphase.
 PHASE_SAFETY_MARGIN = 0.05
+
+#: Largest energy-register width: the 2^t outcome integers index as int64.
+MAX_T = 62
 
 
 class UnsupportedBackendError(ValueError):
@@ -51,6 +54,11 @@ class PhaseMap:
     tau: float
     energy_shift: float
     t: int
+
+    def __post_init__(self) -> None:
+        # checked before anything forms 2^t, which for a huge t never finishes
+        if not 1 <= self.t <= MAX_T:
+            raise ValueError(f"energy-register bits t must be in [1, {MAX_T}], got {self.t}")
 
     @property
     def resolution(self) -> float:
@@ -74,9 +82,14 @@ class PhaseMap:
 
 
 def gershgorin_bounds(h: ManyBodyOperator) -> tuple[float, float]:
-    """Cheap spectral interval from Gershgorin row sums."""
-    diag = h.matrix.diagonal().real
-    radii = np.asarray(abs(h.matrix).sum(axis=1)).ravel() - np.abs(diag)
+    """Cheap spectral interval from Gershgorin row sums.
+
+    The rows are summed dense: CSR row sums add in another order, which moves
+    tau, and with it every decoded energy, in the last bits.
+    """
+    mat = dense_matrix(h)
+    diag = mat.diagonal().real
+    radii = np.abs(mat).sum(axis=1) - np.abs(diag)
     return float((diag - radii).min()), float((diag + radii).max())
 
 
@@ -262,7 +275,14 @@ def _problem_hamiltonian(
         # harmonic H is a sum of squares, so 0 is a tight lower bound
         lower = 0.0 if not problem.anharmonic else None
         phase_map = choose_phase_map(h, t, lower_bound=lower)
+    _check_register(phase_map, t)
     return route, h, pauli, phase_map
+
+
+def _check_register(phase_map: PhaseMap, t: int) -> None:
+    """Outcomes are sampled on t bits and decoded on the map's; they must agree."""
+    if phase_map.t != t:
+        raise ValueError(f"the phase map decodes t={phase_map.t} bits but the run samples t={t}")
 
 
 def _controlled_power_sweep(
@@ -331,6 +351,7 @@ def run_qpe(
         check_dense_bytes(16 << n_s, f"a {n_s}-qubit post-measurement state")
     if phase_map is None:
         phase_map = choose_phase_map(h, t)
+    _check_register(phase_map, t)
     code = codespace_indices(encoding, layout)
     u, basis, columns = _step_unitary(h, phase_map, backend, pauli_hamiltonian, code, n_s)
 
@@ -445,7 +466,7 @@ def run_qpe_thermal(
     register = np.argsort(code)
     rows = prepare_thermal(problem, cutoffs, thermal)[register]
     j_out, row, _, _ = _controlled_power_sweep(u, columns, rows, t, seed, shots)
-    levels = FockSpace.from_cutoffs(cutoffs).all_multi_indices()[register[row]]
+    levels = cutoffs.all_multi_indices()[register[row]]
     energies = phase_map.energy(j_out) - fock_state_energy(problem, levels)
 
     return SampledSpectrum(

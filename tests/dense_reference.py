@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from vibronic import fock
-from vibronic.fock import FockSpace, ManyBodyOperator
+from vibronic.fock import ManyBodyOperator
 from vibronic.hamiltonian import CREATE
 from vibronic.mapping import COEFF_PRUNE, Encoding, PauliSum, QubitLayout, _mode_terms, _render
 from vibronic.oracle import (
@@ -28,6 +28,7 @@ from vibronic.oracle import (
     eigensolve,
     sigma_from_convention,
 )
+from vibronic.problem import ModeCutoffs
 from vibronic.qpe import PhaseMap
 
 
@@ -43,7 +44,7 @@ def momentum(l_max: int) -> np.ndarray:
     return (a - a.conj().T) / (1j * math.sqrt(2))
 
 
-def embed(op: np.ndarray, mode: int, space: FockSpace) -> np.ndarray:
+def embed(op: np.ndarray, mode: int, space: ModeCutoffs) -> np.ndarray:
     """Dense matrix of a single-mode operator, identity on every other mode."""
     left = int(np.prod(space.local_dims[:mode], initial=1))
     right = int(np.prod(space.local_dims[mode + 1 :], initial=1))

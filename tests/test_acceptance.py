@@ -15,7 +15,6 @@ import pytest
 
 from vibronic import fock
 from vibronic.cli import REPRO_RECIPE, REPRO_ROUTE
-from vibronic.fock import FockSpace
 from vibronic.hamiltonian import (
     build_b_dagger,
     build_hamiltonian,
@@ -168,11 +167,10 @@ def test_criterion_3_cumulative_fcfs(so2_cumulative, level, target):
 def test_criterion_4_interior_elements(name):
     problem = bundled_problem(name)
     cutoffs = ModeCutoffs.uniform(6, problem.n_modes)
-    space = FockSpace.from_cutoffs(cutoffs)
     h_qp = build_hamiltonian(problem, cutoffs, route="qp").hamiltonian.to_dense()
     h_ld = build_hamiltonian(problem, cutoffs, route="ladder").hamiltonian.to_dense()
     interior = [
-        space.flat_index(levels)
+        np.ravel_multi_index(levels, cutoffs.local_dims)
         for levels in np.ndindex(*([5] * problem.n_modes))
     ]
     diff = np.abs(h_qp[np.ix_(interior, interior)] - h_ld[np.ix_(interior, interior)]).max()
@@ -183,9 +181,11 @@ def test_criterion_4_interior_elements(name):
 
 DUAL_ROUTE_CUTOFFS = {
     # largest cutoffs where the cross-route distance still improves at desk
-    # scale; for d2o/no2 the qp route's eigenvalue drift decays too slowly
-    # for 1e-4 to be reachable (measured flat across fixed 26..44 and varied
-    # 100..108), so those two checks record an honest failure
+    # scale; d2o and no2 stay above 1e-4 (measured flat across fixed 26..44
+    # and varied 100..108), so those two checks record an honest failure.
+    # d2o's route difference is genuine (direct-Gaussian L1 about 4.8e-4).
+    # no2's residue is 1 cm^-1 bin aliasing: its eigenvalues sit on bin
+    # edges, so round-off picks the bin (direct-Gaussian L1 about 5.5e-11).
     "so2": (26, 10),
     "h2o": (26, 78),
     "d2o": (26, 108),
@@ -302,7 +302,7 @@ def test_criterion_8_qpe_fidelity(so2_qpe_run):
 
 
 def test_criterion_8_exact_phase_determinism():
-    space = FockSpace((2,))
+    space = ModeCutoffs((1,))
     h = fock.ManyBodyOperator(space, np.diag([1.0, 5.0]).astype(complex))
     pmap = PhaseMap(tau=2 * math.pi * 3 / 16, energy_shift=0.0, t=4)
     spec = run_qpe(h, Encoding("binary", ModeCutoffs((1,))), t=4, shots=1000,

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from dense_reference import embed, momentum, position
 from vibronic import fock
-from vibronic.fock import CutoffError, FockSpace, ManyBodyOperator
+from vibronic.fock import CutoffError, ManyBodyOperator
+from vibronic.problem import ModeCutoffs
 
 
 def test_creation_l1():
@@ -77,36 +78,39 @@ def test_q2_plus_p2_identity(l_max):
 
 
 def test_fockspace_indexing():
-    space = FockSpace((3, 2, 4))
+    space = ModeCutoffs((2, 1, 3))
     assert space.dimension == 24
-    assert space.flat_index((0, 0, 0)) == 0
+    levels = space.all_multi_indices()
+    assert levels.shape == (24, 3)
     # mode 0 is the slowest index
-    assert space.flat_index((1, 0, 0)) == 8
-    assert space.flat_index((0, 1, 0)) == 4
-    assert space.flat_index((0, 0, 1)) == 1
-    for flat, levels in enumerate(space.all_multi_indices()):
-        assert space.flat_index(levels) == flat
+    assert levels[0].tolist() == [0, 0, 0]
+    assert levels[8].tolist() == [1, 0, 0]
+    assert levels[4].tolist() == [0, 1, 0]
+    assert levels[1].tolist() == [0, 0, 1]
+    for flat, row in enumerate(levels):
+        assert np.ravel_multi_index(tuple(row), space.local_dims) == flat
 
 
 def test_cross_mode_operators_commute_exactly():
-    space = FockSpace((4, 4))
+    space = ModeCutoffs((3, 3))
     q0 = embed(position(3), 0, space)
     p1 = embed(momentum(3), 1, space)
     assert np.abs(q0 @ p1 - p1 @ q0).max() == 0.0
 
 
 def test_same_mode_commutator_on_interior():
-    space = FockSpace((5, 3))
+    space = ModeCutoffs((4, 2))
     q = embed(position(4), 0, space)
     p = embed(momentum(4), 0, space)
     comm = q @ p - p @ q
-    interior = [space.flat_index((n0, n1)) for n0 in range(4) for n1 in range(3)]
+    interior = [np.ravel_multi_index((n0, n1), space.local_dims)
+                for n0 in range(4) for n1 in range(3)]
     sub = comm[np.ix_(interior, interior)]
     assert np.abs(sub - 1j * np.eye(len(interior))).max() < 1e-12
 
 
 def test_q_squared_vacuum_element():
-    space = FockSpace((3,))
+    space = ModeCutoffs((2,))
     q = ManyBodyOperator(space, embed(position(2), 0, space))
     q2 = q @ q
     assert q2.to_dense()[0, 0] == pytest.approx(0.5)
@@ -114,7 +118,7 @@ def test_q_squared_vacuum_element():
 
 def test_multiply_associative():
     rng = np.random.default_rng(11)
-    space = FockSpace((2, 3, 2))
+    space = ModeCutoffs((1, 2, 1))
     ops = []
     for _ in range(3):
         m = rng.normal(size=(space.dimension, space.dimension)) \
@@ -127,7 +131,7 @@ def test_multiply_associative():
 
 
 def test_hermiticity_flag_and_check():
-    space = FockSpace((3,))
+    space = ModeCutoffs((2,))
     q = ManyBodyOperator(space, embed(position(2), 0, space))
     assert q.verify_hermitian()
     prod = q @ q
@@ -137,20 +141,20 @@ def test_hermiticity_flag_and_check():
 
 
 def test_representation_independence():
-    # a product of CSR operators stays CSR and agrees with the dense product
-    space = FockSpace((4, 3))
+    # dense and sparse inputs are both stored as CSR; products and adjoints stay CSR
+    space = ModeCutoffs((3, 2))
     q = embed(position(3), 0, space)
     q_dense = ManyBodyOperator(space, q)
     q_sparse = ManyBodyOperator(space, sp.csr_array(q))
-    assert np.abs(q_dense.to_dense() - q_sparse.to_dense()).max() < 1e-15
-    prod_sparse = q_sparse @ q_sparse
-    assert sp.issparse(prod_sparse.matrix)
-    prod_d = (q_dense @ q_dense).to_dense()
-    assert np.abs(prod_d - prod_sparse.to_dense()).max() < 1e-12
+    for op in (q_dense, q_sparse, q_sparse @ q_dense, q_dense.dagger()):
+        assert isinstance(op.matrix, sp.csr_array)
+    assert np.array_equal(q_dense.to_dense(), q)
+    assert np.array_equal(q_sparse.to_dense(), q)
+    assert np.abs((q_sparse @ q_dense).to_dense() - q @ q).max() < 1e-12
 
 
 def test_space_mismatch_raises():
-    a = ManyBodyOperator(FockSpace((3,)), np.eye(3, dtype=complex))
-    b = ManyBodyOperator(FockSpace((4,)), np.eye(4, dtype=complex))
+    a = ManyBodyOperator(ModeCutoffs((2,)), np.eye(3, dtype=complex))
+    b = ManyBodyOperator(ModeCutoffs((3,)), np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         _ = a @ b

@@ -6,7 +6,6 @@ import pytest
 
 from dense_reference import embed, map_second_quantized_dicts
 from vibronic import fock
-from vibronic.fock import FockSpace
 from vibronic.hamiltonian import CREATE, DESTROY, SecondQuantizedTerm, ladder_terms
 from vibronic.mapping import (
     COEFF_PRUNE,
@@ -34,8 +33,7 @@ def random_orthogonal(m, rng):
 def level_bits(l, enc):
     """Codeword of level l on a one-mode encoding, qubit 0 rightmost."""
     layout = QubitLayout.for_encoding(enc)
-    flat = FockSpace.from_cutoffs(enc.cutoffs).flat_index((l,))
-    return format(codespace_indices(enc, layout)[flat], f"0{layout.total_qubits}b")
+    return format(codespace_indices(enc, layout)[l], f"0{layout.total_qubits}b")
 
 
 def one_hot(d, l, lp):
@@ -165,7 +163,6 @@ def test_roundtrip_random_operators(variant):
 def test_roundtrip_multimode():
     rng = np.random.default_rng(3)
     cuts = ModeCutoffs((2, 3))
-    space = FockSpace.from_cutoffs(cuts)
     for variant in ("binary", "unary"):
         enc = Encoding(variant, cuts)
         layout = QubitLayout.for_encoding(enc)
@@ -173,7 +170,7 @@ def test_roundtrip_multimode():
         ps = map_single_mode(a.astype(complex), 0, enc, layout)
         m = pauli_to_matrix(ps)
         code = codespace_indices(enc, layout)
-        ref = embed(a.astype(complex), 0, space)
+        ref = embed(a.astype(complex), 0, cuts)
         assert np.abs(m[np.ix_(code, code)] - ref).max() < 1e-12
 
 
@@ -227,7 +224,7 @@ def test_map_second_quantized_matches_fock_assembly():
     from vibronic.hamiltonian import assemble_terms
     for problem, cuts in ((two_mode, ModeCutoffs((3, 3))), (three_mode, ModeCutoffs((2, 2, 1)))):
         terms = ladder_terms(problem)
-        h_ref = assemble_terms(terms, FockSpace.from_cutoffs(cuts)).to_dense()
+        h_ref = assemble_terms(terms, cuts).to_dense()
         for variant in ("binary", "unary"):
             enc = Encoding(variant, cuts)
             layout = QubitLayout.for_encoding(enc)
@@ -414,12 +411,9 @@ def test_codeword_index_orderings():
     enc = Encoding("binary", cuts)
     layout = QubitLayout.for_encoding(enc)
     code = codespace_indices(enc, layout)
-    space = FockSpace.from_cutoffs(cuts)
     # mode 0 on qubits 0-1, mode 1 on qubit 2
-    assert code[space.flat_index((0, 0))] == 0
-    assert code[space.flat_index((2, 0))] == 2
-    assert code[space.flat_index((0, 1))] == 4
-    assert code[space.flat_index((2, 1))] == 6
+    for levels, word in (((0, 0), 0), ((2, 0), 2), ((0, 1), 4), ((2, 1), 6)):
+        assert code[np.ravel_multi_index(levels, cuts.local_dims)] == word
 
 
 def test_pauli_text_roundtrip():

@@ -170,6 +170,8 @@ def test_mode_cutoffs():
     assert len(cuts) == 2
     with pytest.raises(ProblemValidationError):
         ModeCutoffs((0, 3))
+    with pytest.raises(ProblemValidationError):  # a zero-mode, one-state space
+        ModeCutoffs(())
 
 
 def test_bundled_problem_unknown():

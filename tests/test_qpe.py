@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import scipy.sparse as sp
 
 from dense_reference import controlled_power_state, outcome_distribution
 from vibronic import qpe
-from vibronic.fock import FockSpace, ManyBodyOperator
+from vibronic.fock import ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
 from vibronic.mapping import (
     Encoding,
@@ -41,7 +46,7 @@ def toy_problem(delta=0.0, omega=1000.0):
 
 
 def diag_h(values):
-    space = FockSpace((len(values),))
+    space = ModeCutoffs((len(values) - 1,))
     return ManyBodyOperator(space, np.diag(values).astype(complex))
 
 
@@ -80,7 +85,7 @@ def test_choose_phase_map_psd_no_shift():
 def test_choose_phase_map_bounds_contain_spectrum():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(12, 12))
-    h = ManyBodyOperator(FockSpace((12,)), (m + m.T).astype(complex))
+    h = ManyBodyOperator(ModeCutoffs((11,)), (m + m.T).astype(complex))
     lo, hi = gershgorin_bounds(h)
     evals = np.linalg.eigvalsh(h.to_dense().real)
     assert lo <= evals.min() and evals.max() <= hi
@@ -102,6 +107,61 @@ def test_choose_phase_map_degenerate_spectrum():
     h = diag_h([0.0, 0.0])
     pmap = choose_phase_map(h, t=4)
     assert pmap.tau == 1.0
+
+
+#: Spaces of D < 4096 on all five bundled problems.
+PHASE_MAP_GRID = [
+    *[(name, cuts) for name in ("so2", "h2o", "d2o", "no2")
+      for cuts in ((3, 3), (8, 5), (20, 30), (40, 60))],
+    *[("so2_anharmonic", cuts) for cuts in ((2, 2, 2), (6, 5, 4), (12, 10, 8))],
+]
+
+
+def test_phase_map_bits_pinned():
+    # tau and shift to the last bit on both routes, with the PSD and the
+    # Gershgorin lower bound.  Summing the Gershgorin rows in CSR order moves
+    # 28 of these 76 lines, and every decoded energy with them.
+    lines = []
+    for name, cuts in PHASE_MAP_GRID:
+        problem = bundled_problem(name)
+        for route in ("qp", "ladder"):
+            h = build_hamiltonian(problem, ModeCutoffs(cuts), route=route).hamiltonian
+            for lower in (0.0, None):
+                pmap = choose_phase_map(h, t=10, lower_bound=lower)
+                lines.append(f"{pmap.tau.hex()} {pmap.energy_shift.hex()}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "6abda42bda0b5115a0fa0466bd5e175f845bce64b3a981a35538aae367e02543"
+
+
+def test_phase_map_register_width_checked():
+    for t in (0, 63, 10**12):
+        with pytest.raises(ValueError, match="energy-register bits"):
+            PhaseMap(tau=1.0, energy_shift=0.0, t=t)
+
+
+def test_phase_map_for_another_register_width_refused():
+    # sampling on t bits and decoding on the map's would misplace every energy
+    so2, cuts = bundled_problem("so2"), ModeCutoffs((3, 3))
+    h = build_hamiltonian(so2, cuts).hamiltonian
+    pmap = choose_phase_map(h, t=10, lower_bound=0.0)
+    with pytest.raises(ValueError, match="t=10 bits but the run samples t=8"):
+        run_qpe(h, Encoding("binary", cuts), t=8, shots=10, phase_map=pmap)
+    with pytest.raises(ValueError, match="t=10 bits but the run samples t=8"):
+        run_qpe_thermal(so2, cuts, t=8, shots=10, thermal=ThermalConfig(beta=0.01),
+                        phase_map=pmap)
+
+
+def test_huge_register_width_refused_before_forming_two_to_the_t():
+    # 2^t for t = 10^12 never finishes, so a late check would hang the child
+    child = ("from vibronic import ModeCutoffs, bundled_problem, run_qpe_problem\n"
+             "run_qpe_problem(bundled_problem('so2'), ModeCutoffs((2, 2)), t=10**12, shots=10)")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "ValueError: energy-register bits t must be in [1, 62]" in proc.stderr
 
 
 # -- zero-temperature QPE ----------------------------------------------
@@ -154,7 +214,7 @@ def test_outcome_distribution_mid_bin_neighbors():
 def test_emulator_matches_analytic_distribution():
     rng = np.random.default_rng(17)
     m = rng.normal(size=(8, 8))
-    h = ManyBodyOperator(FockSpace((8,)), (m + m.T).astype(complex))
+    h = ManyBodyOperator(ModeCutoffs((7,)), (m + m.T).astype(complex))
     enc = Encoding("binary", ModeCutoffs((7,)))
     pmap = choose_phase_map(h, t=5)
     shots = 10000
@@ -215,7 +275,7 @@ def test_return_state_bytes_checked_before_run(monkeypatch):
 
     monkeypatch.setattr(qpe, "eigensolve", refuse)
     cuts = ModeCutoffs((13, 13))
-    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(196, format="csr"))
+    h = ManyBodyOperator(cuts, sp.identity(196, format="csr"))
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
     with pytest.raises(QubitBudgetError, match="GiB"):
         run_qpe(h, Encoding("unary", cuts), t=4, shots=1, phase_map=pmap, return_state=True)
@@ -232,7 +292,7 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
     monkeypatch.setattr(qpe, "trotter_step_unitary", refuse)
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=6)
     cuts = ModeCutoffs((9, 9))
-    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(100, format="csr"))
+    h = ManyBodyOperator(cuts, sp.identity(100, format="csr"))
     if backend.kind == "trotter":
         with pytest.raises(QubitBudgetError, match="GiB"):
             run_qpe(h, Encoding("unary", cuts), t=6, shots=1, backend=backend,
@@ -242,7 +302,7 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
     # binary (1023,1023) has D = 2^20, so the D x D propagator would take 16 TiB
     monkeypatch.setattr(qpe, "eigensolve", refuse)
     cuts = ModeCutoffs((1023, 1023))
-    h = ManyBodyOperator(FockSpace.from_cutoffs(cuts), sp.identity(1 << 20, format="csr"))
+    h = ManyBodyOperator(cuts, sp.identity(1 << 20, format="csr"))
     with pytest.raises(QubitBudgetError, match="GiB"):
         run_qpe(h, Encoding("binary", cuts), t=6, shots=1, phase_map=pmap)
 
@@ -378,7 +438,7 @@ def test_prepare_thermal_two_modes_factorizes():
     p = VibronicProblem("two", [500.0, 900.0], [500.0, 900.0], np.eye(2), [0.0, 0.0])
     thermal = ThermalConfig.from_temperature_kelvin(400.0)
     kappa = prepare_thermal(p, ModeCutoffs((4, 4)), thermal)
-    space = FockSpace((5, 5))
+    dims = (5, 5)
     # amplitude at |n,m>_I |n,m>_S equals product of per-mode amplitudes
     k1 = prepare_thermal(VibronicProblem("a", [500.0], [500.0], [[1.0]], [0.0]),
                          ModeCutoffs((4,)), thermal)
@@ -386,7 +446,7 @@ def test_prepare_thermal_two_modes_factorizes():
                          ModeCutoffs((4,)), thermal)
     for n in range(5):
         for m in range(5):
-            flat = space.flat_index((n, m))
+            flat = np.ravel_multi_index((n, m), dims)
             assert kappa[flat, flat] == pytest.approx(k1[n, n] * k2[m, m], abs=1e-10)
 
 
@@ -468,7 +528,7 @@ def test_thermal_decode_matches_per_shot_lookup(monkeypatch):
                                 spec.phase_map.tau, 1)
     assert np.abs(np.delete(step, code, axis=0)[:, code]).max() > 1e-3
 
-    levels = FockSpace.from_cutoffs(cuts).all_multi_indices()
+    levels = cuts.all_multi_indices()
     decode = {int(c): tuple(levels[flat]) for flat, c in enumerate(code)}
     register = sorted(decode)
     kept_j, kept_levels = [], []
