@@ -18,7 +18,8 @@ import numpy as np
 
 from . import oracle
 from .hamiltonian import ladder_terms
-from .mapping import Encoding, QubitLayout, map_second_quantized, pauli_sum_to_text, resource_count
+from .mapping import (DenseBudgetError, Encoding, QubitLayout, map_second_quantized,
+                      pauli_sum_to_text, resource_count)
 from .problem import (
     ModeCutoffs,
     ProblemFormatError,
@@ -32,7 +33,6 @@ from .problem import (
 from .qpe import (
     MAX_T,
     EvolutionBackend,
-    QubitBudgetError,
     UnsupportedBackendError,
     run_qpe_problem,
     run_qpe_thermal,
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shots", type=_int_range(1, math.inf), default=100000)
         p.add_argument("--seed", type=_int_range(0, 2**64 - 1), default=0)  # a Philox key
         p.add_argument("--backend", default="exact", help="'exact' or 'trotter:ORDER:STEPS'")
-        p.add_argument("--hist-width", type=_positive_float, default=1.0)
+        p.add_argument("--hist-width", type=_positive_float, default=oracle.DEFAULT_BIN_WIDTH)
 
     p = sub.add_parser("exact", help="exact stick/binned/broadened spectra")
     common(p)
@@ -441,8 +441,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ProblemFormatError, ProblemValidationError, QubitBudgetError,
-            UnsupportedBackendError, oracle.OracleScaleError) as exc:
+    except (CliError, ProblemFormatError, ProblemValidationError, DenseBudgetError,
+            UnsupportedBackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,14 +19,9 @@ from .problem import ModeCutoffs
 HERMITICITY_RTOL = 1e-12
 
 
-class CutoffError(ValueError):
-    """Raised for invalid truncation levels (L_max < 1)."""
-
-
 def creation(l_max: int) -> np.ndarray:
     """Truncated creation operator: <l| a^dag |l-1> = sqrt(l) for l <= L_max."""
-    if l_max < 1:
-        raise CutoffError(f"L_max must be >= 1, got {l_max}")
+    ModeCutoffs((l_max,))  # refuses L_max < 1
     return np.diag(np.sqrt(np.arange(1, l_max + 1)), k=-1).astype(complex)
 
 

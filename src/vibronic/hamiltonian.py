@@ -29,13 +29,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import ManyBodyOperator
-from .problem import ModeCutoffs, VibronicProblem, duschinsky_J, duschinsky_J_inv_T
+from .problem import (ModeCutoffs, ProblemValidationError, VibronicProblem, duschinsky_J,
+                      duschinsky_J_inv_T)
 
 #: Ladder-operator factor kinds in second-quantized terms.
 CREATE = "create"
 DESTROY = "destroy"
 
-_COEFF_PRUNE = 1e-14
+#: Terms with |coefficient| at or below this are dropped when pruning.
+COEFF_PRUNE = 1e-14
+
+#: Largest |coefficient| accepted, about the square root of the largest float:
+#: the cutoff factors, the eigensolver and the phase map need the rest as headroom.
+MAX_COEFF = 1e154
 
 
 @dataclass(frozen=True)
@@ -111,13 +117,14 @@ def _times(left: Terms, right: Terms, scale: float = 1.0) -> Terms:
 
 
 def _grouped(terms: Terms) -> Terms:
-    """Sum coefficients of identical ordered factor tuples; prune near-zero sums."""
+    """Sum coefficients of identical ordered factor tuples; prune near-zero sums, not NaN."""
     sums: dict[tuple[tuple[str, int], ...], float] = {}
     for t in terms:
         sums[t.factors] = sums.get(t.factors, 0.0) + t.coefficient
-    return [SecondQuantizedTerm(f, c) for f, c in sums.items() if abs(c) > _COEFF_PRUNE]
+    return [SecondQuantizedTerm(f, c) for f, c in sums.items() if not abs(c) <= COEFF_PRUNE]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused below
 def hamiltonian_terms(
     problem: VibronicProblem, route: str = "qp", include_anharmonic: bool = True
 ) -> Terms:
@@ -131,6 +138,9 @@ def hamiltonian_terms(
     Each anharmonic monomial is the ordered product of q_B = (b^dag + b)/sqrt(2)
     symmetrized as (P + P^dag)/2: the coordinates commute exactly only in the
     untruncated algebra, and symmetrizing keeps H Hermitian at any cutoff.
+
+    Problem data that push a coefficient past MAX_COEFF, or prune every one,
+    raise ProblemValidationError instead of a numpy warning.
     """
     if route not in ("qp", "ladder"):
         raise ValueError(f"unknown route {route!r}, expected 'qp' or 'ladder'")
@@ -159,7 +169,15 @@ def hamiltonian_terms(
             for i in monomial.indices:
                 prod = _grouped(_times(prod, q_b[i]))
             terms += _scaled(prod + _adjoint(prod), 0.5)
-    return _grouped(terms)
+    terms = _grouped(terms)
+    bad = [t.coefficient for t in terms if not abs(t.coefficient) <= MAX_COEFF]  # NaN too
+    if bad:
+        raise ProblemValidationError(f"{problem.label}: omega or delta is too large: a "
+                                     f"Hamiltonian coefficient is {bad[0]:.4g}, past {MAX_COEFF:g}")
+    if not terms:
+        raise ProblemValidationError(f"{problem.label}: omega_B is too small: every "
+                                     f"Hamiltonian coefficient is at most {COEFF_PRUNE:g}")
+    return terms
 
 
 def ladder_terms(problem: VibronicProblem) -> Terms:

@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import fock
-from .hamiltonian import CREATE
+from .hamiltonian import COEFF_PRUNE, CREATE
 from .problem import ModeCutoffs
 
 PAULI_MATRICES = {
@@ -38,10 +38,7 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-#: Terms with |coefficient| below this are dropped when pruning.
-COEFF_PRUNE = 1e-14
-
-#: Largest dense complex array any step may allocate (1 GiB).
+#: The one size limit: the most bytes any dense step may hold (1 GiB).
 MAX_DENSE_BYTES = 1 << 30
 
 # i^k for k = 0..3
@@ -54,14 +51,14 @@ class EncodingError(ValueError):
     """Raised for an unknown encoding variant or mismatched shapes and layouts."""
 
 
-class QubitBudgetError(EncodingError):
-    """Raised when a run would exceed the dense-array byte budget."""
+class DenseBudgetError(ValueError):
+    """Raised when a step would hold more than MAX_DENSE_BYTES."""
 
 
 def check_dense_bytes(n_bytes: int, what: str) -> None:
-    """Raise QubitBudgetError, before allocating, if ``what`` needs over MAX_DENSE_BYTES."""
+    """Raise DenseBudgetError, before allocating, if ``what`` needs over MAX_DENSE_BYTES."""
     if n_bytes > MAX_DENSE_BYTES:
-        raise QubitBudgetError(
+        raise DenseBudgetError(
             f"{what} would take {n_bytes / 2**30:.4g} GiB > the 1 GiB dense-array budget"
         )
 
@@ -239,6 +236,8 @@ def map_second_quantized(
     occurrence: the keys, order and bits of adding them into a dict one by one.
     """
     cutoffs = encoding.cutoffs.levels
+    for l_max in cutoffs:  # each mode's ladder products are dense matrices
+        check_dense_bytes(16 * (l_max + 1) ** 2, f"a {l_max + 1}-level single-mode matrix")
     tables: list[dict[tuple[int, int], int]] = [{(0, 0): 0} for _ in cutoffs]
     mapped: dict[tuple[int, tuple[str, ...]], tuple] = {}
     plan, keep, size = [], [], 0  # plan: (coefficient, factors, span, shape) per term

@@ -25,18 +25,11 @@ from .hamiltonian import build_b_dagger, build_hamiltonian
 from .mapping import check_dense_bytes
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
-#: Dense full eigendecomposition is used up to this dimension.
-DENSE_EIG_LIMIT = 8192
-
 #: Default histogram bin width and Gaussian broadening, both cm^-1.
 DEFAULT_BIN_WIDTH = 1.0
 DEFAULT_SIGMA = 100.0
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-
-
-class OracleScaleError(ValueError):
-    """Raised when a space is too large for full dense diagonalization."""
 
 
 @dataclass
@@ -72,8 +65,8 @@ class BinnedSpectrum:
 
     @property
     def bin_centers(self) -> np.ndarray:
-        idx = np.arange(self.first_bin, self.first_bin + len(self.values))
-        return (idx + 0.5) * self.width
+        # in float: energies past 2^63 widths have bin indices that int64 cannot hold
+        return (np.arange(len(self.values)) + (self.first_bin + 0.5)) * self.width
 
     @property
     def total_intensity(self) -> float:
@@ -101,14 +94,11 @@ class BroadenedSpectrum:
 def dense_matrix(h: ManyBodyOperator) -> np.ndarray:
     """H as a dense array, real when it has no imaginary part above 1e-12.
 
-    Every dense copy of an operator is made here, behind the dimension guard.
+    Every dense copy of an operator is made here, behind the byte budget: a
+    complex D x D array, so up to D = 8192 states.
     """
     d = h.space.dimension
-    if d > DENSE_EIG_LIMIT:
-        raise OracleScaleError(
-            f"space dimension {d} exceeds the dense diagonalization limit "
-            f"{DENSE_EIG_LIMIT}; reduce the cutoffs"
-        )
+    check_dense_bytes(16 * d * d, f"a {d}-state dense eigensolve")
     mat = h.to_dense()
     if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) < 1e-12:
         return mat.real
@@ -179,8 +169,6 @@ def bin_spectrum(sticks: StickSpectrum, width: float = DEFAULT_BIN_WIDTH) -> Bin
     if not math.isfinite(n_bins):
         n_bins = Decimal(float(np.ptp(sticks.energies))) / Decimal(width) + 1
     check_dense_bytes(8 * n_bins, f"a {n_bins:.4g}-bin histogram")
-    if not np.abs(idx).max() < 2.0**63:
-        raise ValueError(f"bin width {width} puts bin indices outside the int64 range")
     values = np.zeros(int(n_bins))
     np.add.at(values, (idx - idx.min()).astype(int), sticks.intensities)
     return BinnedSpectrum(

@@ -26,14 +26,14 @@ from .hamiltonian import build_hamiltonian, ladder_terms
 from .mapping import (
     Encoding,
     PauliSum,
-    QubitBudgetError,
     QubitLayout,
     apply_pauli_string,
     check_dense_bytes,
     codespace_indices,
     map_second_quantized,
 )
-from .oracle import BinnedSpectrum, StickSpectrum, bin_spectrum, dense_matrix, eigensolve
+from .oracle import (DEFAULT_BIN_WIDTH, BinnedSpectrum, StickSpectrum, bin_spectrum,
+                     dense_matrix, eigensolve)
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Share of the 2 pi phase window left empty above the highest eigenphase.
@@ -41,6 +41,14 @@ PHASE_SAFETY_MARGIN = 0.05
 
 #: Largest energy-register width: the 2^t outcome integers index as int64.
 MAX_T = 62
+
+#: Bytes a QPE step holds per entry of its S x S unitary, checked before it is
+#: built: up to four complex S x S arrays live at once (U with the eigenvectors
+#: and their phased copy, with the Trotter rotation's copies, or with two powers
+#: in the squaring ladder), plus BLAS workspace.  Peak RSS over the interpreter's
+#: (2 vCPUs, OpenBLAS): 57-65 bytes per entry exact (D = 1,891-3,111), 64 Trotter
+#: (S = 1,024-2,048).
+STEP_BYTES_PER_ENTRY = 72
 
 
 class UnsupportedBackendError(ValueError):
@@ -139,6 +147,12 @@ class EvolutionBackend:
     def trotter(cls, order: int, steps: int) -> "EvolutionBackend":
         return cls(kind="trotter", order=order, steps=steps)
 
+    def as_dict(self) -> dict:
+        """Run metadata; the Trotter order and steps are None on the exact backend."""
+        trotter = self.kind == "trotter"
+        return {"backend": self.kind, "trotter_order": self.order if trotter else None,
+                "trotter_steps": self.steps if trotter else None}
+
 
 @dataclass
 class SampledSpectrum:
@@ -152,7 +166,7 @@ class SampledSpectrum:
     initial_levels: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
-    def histogram(self, width: float = 1.0) -> BinnedSpectrum:
+    def histogram(self, width: float = DEFAULT_BIN_WIDTH) -> BinnedSpectrum:
         """Probability histogram of decoded energies (intensity = count/shots).
 
         A zero-weight stick at E = 0 keeps bin 0 inside the binned range.
@@ -228,17 +242,18 @@ def _step_unitary(
     column ``columns[k]``.  The exact propagator never leaves the code space,
     so it is the D x D Fock-space matrix with basis ``code``; the Trotter
     backend evolves the whole 2^n_s register under the mapped Pauli sum,
-    where it may leak out of the code space.  Each byte estimate is checked
-    before its unitary is built.
+    where it may leak out of the code space.  The step's byte estimate is
+    checked before either is built.
     """
+    side = len(code) if backend.kind == "exact" else 1 << n_s
+    check_dense_bytes(STEP_BYTES_PER_ENTRY * side * side,
+                      f"a {side}-state {backend.kind} QPE step")
     if backend.kind == "exact":
-        check_dense_bytes(16 * len(code) ** 2, f"a {len(code)}-state step unitary")
         evals, evecs = eigensolve(h)
         phases = np.exp(-1j * phase_map.tau * (evals + phase_map.energy_shift))
         return (evecs * phases) @ evecs.conj().T, code, np.arange(len(code))
     if pauli is None:
         raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
-    check_dense_bytes(16 << (2 * n_s), f"a {n_s}-qubit step unitary")
     u = trotter_unitary(pauli, phase_map.tau, backend.order, backend.steps)
     u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
     return u, np.arange(1 << n_s), code
@@ -370,9 +385,7 @@ def run_qpe(
         seed=seed,
         metadata={
             "encoding": encoding.variant,
-            "backend": backend.kind,
-            "trotter_order": backend.order if backend.kind == "trotter" else None,
-            "trotter_steps": backend.steps if backend.kind == "trotter" else None,
+            **backend.as_dict(),
             "system_qubits": n_s,
             "t": t,
         },
@@ -478,7 +491,7 @@ def run_qpe_thermal(
         initial_levels=levels,
         metadata={
             "encoding": encoding_variant,
-            "backend": backend.kind,
+            **backend.as_dict(),
             "beta_invcm": thermal.beta,
             "system_qubits": n_s,
             "t": t,

@@ -121,6 +121,20 @@ def test_thermal_hot_bands(tmp_path):
     assert values[energies < -100].sum() > 0  # hot bands below the 0-0 line
 
 
+@pytest.mark.parametrize("command", ["qpe", "thermal"])
+def test_sampler_metadata_records_the_backend(command, so2_file, tmp_path):
+    extra = ["--temperature-K", "300"] if command == "thermal" else []
+    recorded = {}
+    for backend in ("trotter:2:3", "exact"):
+        out = tmp_path / backend.replace(":", "_")
+        assert main([command, "--problem", so2_file, "--cutoffs", "2,2", "--encoding", "unary",
+                     "--t", "6", "--shots", "100", "--backend", backend, *extra,
+                     "--out", str(out)]) == 0
+        meta = json.loads(next(out.glob("*_metadata.json")).read_text())
+        recorded[backend] = [meta[key] for key in ("backend", "trotter_order", "trotter_steps")]
+    assert recorded == {"trotter:2:3": ["trotter", 2, 3], "exact": ["exact", None, None]}
+
+
 def test_thermal_requires_temperature(so2_file, tmp_path, capsys):
     code = main(["thermal", "--problem", so2_file, "--cutoffs", "4,4",
                  "--t", "8", "--shots", "10", "--out", str(tmp_path)])
@@ -351,6 +365,19 @@ def _written_numbers(out: Path):
         elif path.suffix == ".csv":
             for row in path.read_text().splitlines()[1:]:
                 yield from (float(field) for field in row.split(","))
+        elif path.suffix == ".txt":  # a Pauli file: re,im,string rows after the header
+            for row in path.read_text().splitlines():
+                if not row.startswith(("#", "re,")):
+                    yield from (float(field) for field in row.split(",")[:2])
+
+
+def _main_quietly(argv) -> int:
+    """``main``'s exit code, with stdout and stderr swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            return exc.code
 
 
 @st.composite
@@ -382,13 +409,63 @@ def test_numeric_flags_never_raise_warn_or_write_non_finite(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         out = Path(tmp) / "out"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main([*argv, "--problem", str(so2), "--out", str(out)])
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
-        assert code in (0, 1, 2)
+        assert _main_quietly([*argv, "--problem", str(so2), "--out", str(out)]) in (0, 1, 2)
         assert all(math.isfinite(x) for x in _written_numbers(out))
+
+
+#: tiny, subnormal and huge magnitudes of problem-file data
+_EXTREMES = [1e-12, 1e-300, 1e-310, 5e-324, 1e100, 1e200, 1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def _random_problem(draw):
+    """(problem-file document, --cutoffs) with 1-2 modes, cutoffs <= 2 and a random orthogonal S.
+
+    Each frequency and delta is drawn half from ordinary values (so2's) and
+    half from the extremes.
+    """
+    n = draw(st.integers(1, 2))
+    angle = draw(st.floats(-math.pi, math.pi))
+    sign = draw(st.sampled_from([1.0, -1.0]))  # a rotation or a reflection
+    s = ([[sign]] if n == 1 else
+         [[math.cos(angle), -math.sin(angle)], [sign * math.sin(angle), sign * math.cos(angle)]])
+
+    def values(ordinary, signed=False):
+        magnitude = st.one_of(st.sampled_from(ordinary), st.sampled_from(_EXTREMES))
+        if signed:
+            magnitude = st.builds(lambda m, sg: sg * m, magnitude, st.sampled_from([1.0, -1.0]))
+        return draw(st.lists(magnitude, min_size=n, max_size=n))
+
+    doc = {"label": "random", "omega_A": values([943.3, 464.7]),
+           "omega_B": values([1178.1, 518.8]), "S": s,
+           "delta": values([0.0, 1.883, 0.4551], signed=True)}
+    return doc, ",".join(str(draw(st.integers(1, 2))) for _ in range(n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_random_problem())
+@example(case=({"label": "huge delta", "omega_A": [1000.0], "omega_B": [1000.0], "S": [[1.0]],
+                "delta": [1e200]}, "2"))
+@example(case=({"label": "tiny omega", "omega_A": [1e-300], "omega_B": [1e-300], "S": [[1.0]],
+                "delta": [1.0]}, "2"))
+@example(case=({"label": "bins past int64", "omega_A": [1e100], "omega_B": [1178.1],
+                "S": [[1.0]], "delta": [0.0]}, "1"))
+def test_problem_files_never_raise_warn_or_write_non_finite(case):
+    # every route and the mapper on one drawn problem: exit 0, 1 or 2, no
+    # exception, no warning, no inf or nan in any CSV, JSON or Pauli file
+    doc, cutoffs = case
+    sampling = ["--t", "4", "--shots", "50"]
+    runs = [["exact"], ["qpe", *sampling], ["thermal", *sampling, "--temperature-K", "300"],
+            ["map"]]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc))
+        for argv in runs:
+            out = Path(tmp) / argv[0]
+            argv = [*argv, "--problem", str(path), "--cutoffs", cutoffs, "--out", str(out)]
+            assert _main_quietly(argv) in (0, 1, 2)
+            assert all(math.isfinite(x) for x in _written_numbers(out))
 
 
 def test_repro_rejects_route_exit_2():

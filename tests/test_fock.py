@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from dense_reference import embed, momentum, position
 from vibronic import fock
-from vibronic.fock import CutoffError, ManyBodyOperator
-from vibronic.problem import ModeCutoffs
+from vibronic.fock import ManyBodyOperator
+from vibronic.problem import ModeCutoffs, ProblemValidationError
 
 
 def test_creation_l1():
@@ -25,9 +25,10 @@ def test_creation_is_annihilation_transpose():
 
 
 def test_invalid_cutoff():
-    with pytest.raises(CutoffError):
+    # the rule and its message live in ModeCutoffs
+    with pytest.raises(ProblemValidationError, match="L_max >= 1"):
         fock.creation(0)
-    with pytest.raises(CutoffError):
+    with pytest.raises(ProblemValidationError, match="L_max >= 1"):
         fock.annihilation(-2)
 
 

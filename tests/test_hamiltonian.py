@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from functools import reduce
 
@@ -11,6 +12,7 @@ from vibronic import fock
 from vibronic.hamiltonian import (
     CREATE,
     DESTROY,
+    MAX_COEFF,
     assemble_terms,
     build_b_dagger,
     build_hamiltonian,
@@ -20,6 +22,7 @@ from vibronic.hamiltonian import (
 from vibronic.problem import (
     AnharmonicTerm,
     ModeCutoffs,
+    ProblemValidationError,
     VibronicProblem,
     bundled_problem,
     duschinsky_J,
@@ -253,3 +256,26 @@ def test_routes_match_dense_reference(name, levels, route):
     cutoffs = ModeCutoffs(levels)
     h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian.to_dense()
     assert np.abs(h - dense_reference(problem, cutoffs, route)).max() < 1e-9
+
+
+@pytest.mark.parametrize("omega_a, omega_b, delta, match", [
+    (1000.0, 1000.0, 1e200, "omega or delta is too large"),
+    (1.7976931348623157e308, 1178.1, 0.0, "omega or delta is too large"),
+    (1e-300, 1e-300, 1.0, "omega_B is too small"),
+])
+def test_extreme_problem_data_refused_without_warning(omega_a, omega_b, delta, match):
+    problem = VibronicProblem("x", [omega_a], [omega_b], [[1.0]], [delta])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in ("qp", "ladder"):
+            with pytest.raises(ProblemValidationError, match=match):
+                hamiltonian_terms(problem, route)
+
+
+def test_largest_accepted_coefficient():
+    # delta = sqrt(2) s gives the constant w s^2 on the qp route
+    s = math.sqrt(MAX_COEFF / 1000.0)
+    terms = hamiltonian_terms(toy_problem(delta=s * math.sqrt(2) * 0.999))
+    assert max(abs(t.coefficient) for t in terms) <= MAX_COEFF
+    with pytest.raises(ProblemValidationError, match=r"past 1e\+154"):
+        hamiltonian_terms(toy_problem(delta=s * math.sqrt(2) * 1.001))

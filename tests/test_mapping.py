@@ -9,8 +9,8 @@ from vibronic import fock
 from vibronic.hamiltonian import CREATE, DESTROY, SecondQuantizedTerm, ladder_terms
 from vibronic.mapping import (
     COEFF_PRUNE,
+    DenseBudgetError,
     Encoding,
-    EncodingError,
     PauliSum,
     QubitLayout,
     ResourceReport,
@@ -139,9 +139,21 @@ def test_pauli_to_matrix_inverts_op01():
     assert np.allclose(pauli_to_matrix(ps), np.array([[0, 1], [0, 0]]))
 
 
+def test_single_mode_matrix_bytes_checked_before_allocation(monkeypatch):
+    # a 20001-level mode's dense ladder matrix would take 6 GiB
+    def refuse(*args, **kwargs):
+        pytest.fail("a single-mode matrix was built despite its byte estimate")
+
+    monkeypatch.setattr(fock, "creation", refuse)
+    problem = VibronicProblem("toy", [1000.0], [1000.0], [[1.0]], [0.5])
+    enc = Encoding("binary", ModeCutoffs((20000,)))
+    with pytest.raises(DenseBudgetError, match="20001-level single-mode matrix"):
+        map_second_quantized(ladder_terms(problem), enc, QubitLayout.for_encoding(enc))
+
+
 def test_pauli_to_matrix_guard():
     ps = PauliSum(25, {"I" * 25: 1.0})
-    with pytest.raises(EncodingError):
+    with pytest.raises(DenseBudgetError, match=r"2\^25 x 2\^25 Pauli matrix"):
         pauli_to_matrix(ps)
 
 

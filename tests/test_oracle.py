@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from vibronic import oracle
 from vibronic.fock import ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian
+from vibronic.mapping import DenseBudgetError
 from vibronic.oracle import (
     BinnedSpectrum,
     BroadenedSpectrum,
-    OracleScaleError,
     bin_spectrum,
     broaden,
     converge_sweep,
@@ -141,9 +141,28 @@ def test_scaled_roundoff_asymmetry_passes_hermiticity_gate():
 
 def test_eigensolver_dimension_guard():
     space = ModeCutoffs((100, 100))
-    with pytest.raises(OracleScaleError):
+    with pytest.raises(DenseBudgetError, match="10201-state dense eigensolve"):
         identity = sp.identity(space.dimension, dtype=complex, format="csr")
         oracle.eigensolve(ManyBodyOperator(space, identity))
+
+
+class DenseCopyMade(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_budget_admits_8192_states_and_refuses_8193(dtype, monkeypatch):
+    # 16 bytes x 8192^2 is exactly the 1 GiB budget, which only a larger need exceeds
+    def sentinel(self):
+        raise DenseCopyMade
+
+    monkeypatch.setattr(ManyBodyOperator, "to_dense", sentinel)
+    fits, over = ModeCutoffs((127, 63)), ModeCutoffs((2, 2730))
+    assert (fits.dimension, over.dimension) == (8192, 8193)
+    with pytest.raises(DenseCopyMade):
+        oracle.dense_matrix(ManyBodyOperator(fits, sp.identity(8192, dtype=dtype, format="csr")))
+    with pytest.raises(DenseBudgetError, match="8193-state dense eigensolve"):
+        oracle.dense_matrix(ManyBodyOperator(over, sp.identity(8193, dtype=dtype, format="csr")))
 
 
 def test_bin_single_stick():
@@ -209,10 +228,12 @@ def test_broaden_smallest_accepted_sigma_stays_finite():
     assert np.isfinite(spike.values).all() and spike.values.max() > 1e153
 
 
-def test_bin_index_range_checked_before_cast():
+def test_bin_index_past_int64_range():
+    # floor(1000 / 1e-17) is about 1e20, past int64; the bin and its centre still work
     sticks = oracle.StickSpectrum(np.array([1000.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="int64"):
-        bin_spectrum(sticks, width=1e-17)
+    binned = bin_spectrum(sticks, width=1e-17)
+    assert binned.first_bin > 2**63 and binned.values.tolist() == [1.0]
+    assert binned.bin_centers[0] == pytest.approx(1000.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("name,levels", [("so2", (8, 24)), ("h2o", (10, 68)), ("no2", (36, 88))])

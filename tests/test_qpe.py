@@ -10,10 +10,12 @@ import pytest
 import scipy.sparse as sp
 
 from dense_reference import controlled_power_state, outcome_distribution
-from vibronic import qpe
+from vibronic import oracle, qpe
 from vibronic.fock import ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
 from vibronic.mapping import (
+    MAX_DENSE_BYTES,
+    DenseBudgetError,
     Encoding,
     PauliSum,
     QubitLayout,
@@ -26,7 +28,6 @@ from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem, bundle
 from vibronic.qpe import (
     EvolutionBackend,
     PhaseMap,
-    QubitBudgetError,
     choose_phase_map,
     fock_state_energy,
     gershgorin_bounds,
@@ -255,7 +256,7 @@ def test_seed_reproducibility():
 def test_qubit_budget_enforced():
     rep = build_hamiltonian(toy_problem(), ModeCutoffs((3,)))
     enc = Encoding("binary", ModeCutoffs((3,)))
-    with pytest.raises(QubitBudgetError):
+    with pytest.raises(DenseBudgetError):
         run_qpe(rep.hamiltonian, enc, t=25, shots=1, seed=0)
 
 
@@ -277,7 +278,7 @@ def test_return_state_bytes_checked_before_run(monkeypatch):
     cuts = ModeCutoffs((13, 13))
     h = ManyBodyOperator(cuts, sp.identity(196, format="csr"))
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
-    with pytest.raises(QubitBudgetError, match="GiB"):
+    with pytest.raises(DenseBudgetError, match="GiB"):
         run_qpe(h, Encoding("unary", cuts), t=4, shots=1, phase_map=pmap, return_state=True)
 
 
@@ -294,7 +295,7 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
     cuts = ModeCutoffs((9, 9))
     h = ManyBodyOperator(cuts, sp.identity(100, format="csr"))
     if backend.kind == "trotter":
-        with pytest.raises(QubitBudgetError, match="GiB"):
+        with pytest.raises(DenseBudgetError, match="GiB"):
             run_qpe(h, Encoding("unary", cuts), t=6, shots=1, backend=backend,
                     phase_map=pmap, pauli_hamiltonian=PauliSum(20))
         return
@@ -303,8 +304,34 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
     monkeypatch.setattr(qpe, "eigensolve", refuse)
     cuts = ModeCutoffs((1023, 1023))
     h = ManyBodyOperator(cuts, sp.identity(1 << 20, format="csr"))
-    with pytest.raises(QubitBudgetError, match="GiB"):
+    with pytest.raises(DenseBudgetError, match="GiB"):
         run_qpe(h, Encoding("binary", cuts), t=6, shots=1, phase_map=pmap)
+
+
+@pytest.mark.parametrize("variant, cuts, backend, side", [
+    ("binary", (63, 63), EvolutionBackend.exact(), 4096),
+    ("unary", (5, 5), EvolutionBackend.trotter(1, 1), 4096),
+])
+def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend, side,
+                                                         monkeypatch):
+    # a 4096 x 4096 U alone is 0.25 GiB, but the step holds four such arrays
+    # (eigenvectors and their phased copy, or the Trotter rotation copies) and
+    # the squaring ladder three
+    def refuse(*args, **kwargs):
+        pytest.fail("a D x D array was built despite the step's byte estimate")
+
+    for module, name in ((qpe, "eigensolve"), (oracle, "eigensolve"),
+                         (qpe, "trotter_step_unitary")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(ManyBodyOperator, "to_dense", refuse)
+    cutoffs = ModeCutoffs(cuts)
+    enc = Encoding(variant, cutoffs)
+    assert 16 * side**2 <= MAX_DENSE_BYTES < qpe.STEP_BYTES_PER_ENTRY * side**2
+    h = ManyBodyOperator(cutoffs, sp.identity(cutoffs.dimension, format="csr"))
+    pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
+    with pytest.raises(DenseBudgetError, match=f"a {side}-state {backend.kind} QPE step"):
+        run_qpe(h, enc, t=4, shots=1, backend=backend, phase_map=pmap,
+                pauli_hamiltonian=PauliSum(QubitLayout.for_encoding(enc).total_qubits))
 
 
 def test_unary_encoding_agrees_with_binary():
@@ -483,7 +510,7 @@ def test_thermal_qpe_zero_temperature_matches_shifted_zero_t():
 
 def test_thermal_qpe_budget():
     p = toy_problem()
-    with pytest.raises(QubitBudgetError):
+    with pytest.raises(DenseBudgetError):
         run_qpe_thermal(p, ModeCutoffs((15,)), t=20, shots=1,
                         thermal=ThermalConfig(beta=0.01), seed=0)
 
