@@ -19,7 +19,7 @@ from vibronic import (
     bundled_problem,
     diagonalize_fcp,
 )
-from vibronic.oracle import broadened_to_csv, sticks_to_csv
+from vibronic.oracle import write_csv
 
 # -- sanity: displaced oscillator gives the Poisson progression ---------
 
@@ -44,7 +44,8 @@ print(f"\nSO2 at cutoffs {cutoffs.levels}: {len(sticks.energies)} sticks, "
 
 binned = bin_spectrum(sticks, width=1.0)
 broadened = broaden(binned, sigma=100.0)
-print(f"broadened area {broadened.area:.6f}, grid {broadened.grid[0]:.0f}.."
+area = broadened.values.sum() * broadened.grid_step
+print(f"broadened area {area:.6f}, grid {broadened.grid[0]:.0f}.."
       f"{broadened.grid[-1]:.0f} cm^-1")
 
 top = np.argsort(sticks.intensities)[::-1][:5]
@@ -52,8 +53,6 @@ print("strongest sticks (energy, FCF):")
 for i in sorted(top):
     print(f"  {sticks.energies[i]:9.2f}  {sticks.intensities[i]:.4f}")
 
-with open("so2_sticks.csv", "w") as fh:
-    fh.write(sticks_to_csv(sticks))
-with open("so2_broadened.csv", "w") as fh:
-    fh.write(broadened_to_csv(broadened))
+write_csv("so2_sticks.csv", "energy_cm1,intensity\r\n", sticks.energies, sticks.intensities)
+write_csv("so2_broadened.csv", "energy_cm1,density\r\n", broadened.grid, broadened.values)
 print("wrote so2_sticks.csv, so2_broadened.csv")

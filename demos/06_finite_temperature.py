@@ -17,9 +17,8 @@ mode = VibronicProblem("single-mode", [500.0], [500.0], [[1.0]], [1.0])
 thermal = ThermalConfig.from_temperature_kelvin(300.0)
 print(f"beta = {thermal.beta:.5f} (cm^-1)^-1 at 300 K")
 
-# thermofield amplitudes: kappa_n^2 follows the Boltzmann distribution
-kappa = prepare_thermal(mode, ModeCutoffs((9,)), thermal)
-weights = np.diag(kappa) ** 2
+# thermofield pair amplitudes: kappa_n^2 follows the Boltzmann distribution
+weights = prepare_thermal(mode, ModeCutoffs((9,)), thermal) ** 2
 boltzmann = math.exp(-thermal.beta * 500.0)
 print("kappa_n^2 vs (1 - q) q^n with q = exp(-beta w):")
 for n in range(4):

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import oracle
 from .hamiltonian import ladder_terms
-from .mapping import (DenseBudgetError, Encoding, QubitLayout, map_second_quantized,
-                      pauli_sum_to_text, resource_count)
+from .fock import DenseBudgetError
+from .mapping import (Encoding, QubitLayout, map_second_quantized, pauli_sum_to_text,
+                      resource_count)
 from .problem import (
     ModeCutoffs,
     ProblemFormatError,
@@ -160,9 +161,11 @@ def cmd_exact(args) -> int:
     )
     out = _out_dir(args)
     base = _slug(problem.label)
-    (out / f"{base}_sticks.csv").write_text(oracle.sticks_to_csv(sticks))
-    (out / f"{base}_binned.csv").write_text(oracle.binned_to_csv(binned))
-    (out / f"{base}_broadened.csv").write_text(oracle.broadened_to_csv(broad))
+    header = "energy_cm1,intensity\r\n"
+    oracle.write_csv(out / f"{base}_sticks.csv", header, sticks.energies, sticks.intensities)
+    oracle.write_csv(out / f"{base}_binned.csv", header, binned.bin_centers, binned.values)
+    oracle.write_csv(out / f"{base}_broadened.csv", "energy_cm1,density\r\n", broad.grid,
+                     broad.values)
     meta = {
         "problem": problem.label,
         "cutoffs": list(cutoffs.levels),
@@ -204,14 +207,8 @@ def _write_sampled(args, problem: VibronicProblem, spectrum) -> int:
     out = _out_dir(args)
     base = _slug(problem.label) + ("_thermal" if spectrum.initial_levels is not None else "_qpe")
     hist = spectrum.histogram(width=args.hist_width)
-    centers, tail = hist.bin_centers, f",{spectrum.shots}\n"
-    # blocks of Python floats: formatting numpy scalars one by one is slow,
-    # and lists of the whole histogram would raise the peak memory
-    with open(out / f"{base}_histogram.csv", "w") as fh:
-        fh.write("energy_cm1,intensity,shots\n")
-        for lo in range(0, len(centers), 4096):
-            block = zip(centers[lo : lo + 4096].tolist(), hist.values[lo : lo + 4096].tolist())
-            fh.write("".join(f"{e:.10g},{v:.10g}{tail}" for e, v in block))
+    oracle.write_csv(out / f"{base}_histogram.csv", "energy_cm1,intensity,shots\n",
+                     hist.bin_centers, hist.values, tail=f",{spectrum.shots}\n")
     meta = {
         "problem": problem.label,
         "phase_map": spectrum.phase_map.as_dict(),

@@ -2,7 +2,8 @@
 
 Single-mode operators are plain square matrices over levels 0..L_max.  A
 many-body operator is a scipy CSR matrix over the states of a
-``ModeCutoffs`` space, in that space's flat-index order.
+``ModeCutoffs`` space, in that space's flat-index order.  The byte budget
+that every large allocation is checked against lives here too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,21 @@ from .problem import ModeCutoffs
 #: problems); a genuinely non-Hermitian matrix deviates at the size of its
 #: entries.
 HERMITICITY_RTOL = 1e-12
+
+#: The one size limit: the most bytes any dense step may hold (1 GiB).
+MAX_DENSE_BYTES = 1 << 30
+
+
+class DenseBudgetError(ValueError):
+    """Raised when a step would hold more than MAX_DENSE_BYTES."""
+
+
+def check_dense_bytes(n_bytes: int, what: str) -> None:
+    """Raise DenseBudgetError, before allocating, if ``what`` needs over MAX_DENSE_BYTES."""
+    if n_bytes > MAX_DENSE_BYTES:
+        raise DenseBudgetError(
+            f"{what} would take {n_bytes / 2**30:.4g} GiB > the 1 GiB dense-array budget"
+        )
 
 
 def creation(l_max: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import ManyBodyOperator
+from .fock import ManyBodyOperator, check_dense_bytes
 from .problem import (ModeCutoffs, ProblemValidationError, VibronicProblem, duschinsky_J,
                       duschinsky_J_inv_T)
 
@@ -203,6 +203,10 @@ def assemble_terms(terms: Terms, space: ModeCutoffs) -> ManyBodyOperator:
     """
     if not terms:
         raise ValueError("empty term list")
+    # each term's value grid, its products and the COO/CSR copies: traced peaks
+    # of 6-60 bytes per term and state on the bundled and one-mode problems
+    check_dense_bytes(64 * len(terms) * space.dimension,
+                      f"a {len(terms)}-term sparse H on {space.dimension} states")
     dims = space.local_dims
 
     @functools.cache

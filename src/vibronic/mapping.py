@@ -28,6 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import fock
+from .fock import check_dense_bytes
 from .hamiltonian import COEFF_PRUNE, CREATE
 from .problem import ModeCutoffs
 
@@ -38,9 +39,6 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-#: The one size limit: the most bytes any dense step may hold (1 GiB).
-MAX_DENSE_BYTES = 1 << 30
-
 # i^k for k = 0..3
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _X_BITS = str.maketrans("IXYZ", "0110")
@@ -49,18 +47,6 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 
 class EncodingError(ValueError):
     """Raised for an unknown encoding variant or mismatched shapes and layouts."""
-
-
-class DenseBudgetError(ValueError):
-    """Raised when a step would hold more than MAX_DENSE_BYTES."""
-
-
-def check_dense_bytes(n_bytes: int, what: str) -> None:
-    """Raise DenseBudgetError, before allocating, if ``what`` needs over MAX_DENSE_BYTES."""
-    if n_bytes > MAX_DENSE_BYTES:
-        raise DenseBudgetError(
-            f"{what} would take {n_bytes / 2**30:.4g} GiB > the 1 GiB dense-array budget"
-        )
 
 
 @dataclass(frozen=True)

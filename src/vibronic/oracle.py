@@ -20,9 +20,8 @@ from decimal import Decimal
 import numpy as np
 from scipy.linalg import lapack
 
-from .fock import ManyBodyOperator
+from .fock import ManyBodyOperator, check_dense_bytes
 from .hamiltonian import build_b_dagger, build_hamiltonian
-from .mapping import check_dense_bytes
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Default histogram bin width and Gaussian broadening, both cm^-1.
@@ -85,10 +84,6 @@ class BroadenedSpectrum:
     @property
     def grid(self) -> np.ndarray:
         return self.grid_start + self.grid_step * np.arange(len(self.values))
-
-    @property
-    def area(self) -> float:
-        return float(self.values.sum() * self.grid_step)
 
 
 def dense_matrix(h: ManyBodyOperator) -> np.ndarray:
@@ -168,7 +163,8 @@ def bin_spectrum(sticks: StickSpectrum, width: float = DEFAULT_BIN_WIDTH) -> Bin
     n_bins = idx.max() - idx.min() + 1  # in float, where no int64 cast can wrap it
     if not math.isfinite(n_bins):
         n_bins = Decimal(float(np.ptp(sticks.energies))) / Decimal(width) + 1
-    check_dense_bytes(8 * n_bins, f"a {n_bins:.4g}-bin histogram")
+    # the values and the bin centres that every writer forms
+    check_dense_bytes(16 * n_bins, f"a {n_bins:.4g}-bin histogram")
     values = np.zeros(int(n_bins))
     np.add.at(values, (idx - idx.min()).astype(int), sticks.intensities)
     return BinnedSpectrum(
@@ -422,25 +418,18 @@ def rebin(binned: BinnedSpectrum, new_width: float) -> BinnedSpectrum:
 # -- file output -------------------------------------------------------
 
 
-def _two_column_csv(header: str, xs: np.ndarray, ys: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["energy_cm1", header])
-    for x, y in zip(xs, ys):
-        writer.writerow([f"{x:.10g}", f"{y:.10g}"])
-    return buf.getvalue()
+def write_csv(path, header: str, xs: np.ndarray, ys: np.ndarray, tail: str = "\r\n") -> None:
+    """Write ``header``, then one row f"{x:.10g},{y:.10g}{tail}" per (x, y).
 
-
-def sticks_to_csv(sticks: StickSpectrum) -> str:
-    return _two_column_csv("intensity", sticks.energies, sticks.intensities)
-
-
-def binned_to_csv(binned: BinnedSpectrum) -> str:
-    return _two_column_csv("intensity", binned.bin_centers, binned.values)
-
-
-def broadened_to_csv(broad: BroadenedSpectrum) -> str:
-    return _two_column_csv("density", broad.grid, broad.values)
+    The default tail is the csv module's line terminator.  Rows go out in
+    blocks of Python floats: formatting numpy scalars one by one is slow,
+    and lists of a whole spectrum would raise the peak memory.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for lo in range(0, len(xs), 4096):
+            block = zip(xs[lo : lo + 4096].tolist(), ys[lo : lo + 4096].tolist())
+            fh.write("".join(f"{x:.10g},{y:.10g}{tail}" for x, y in block))
 
 
 def read_spectrum_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -20,15 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import fock
-from .fock import ManyBodyOperator
+from .fock import ManyBodyOperator, check_dense_bytes
 from .hamiltonian import build_hamiltonian, ladder_terms
 from .mapping import (
     Encoding,
     PauliSum,
     QubitLayout,
     apply_pauli_string,
-    check_dense_bytes,
     codespace_indices,
     map_second_quantized,
 )
@@ -314,10 +312,13 @@ def _controlled_power_sweep(
     Returns (j, row, amplitudes, joint probabilities)."""
     e_dim = 2**t
     n_rows, dim = len(rows), len(u)
+    block = max(1, 8192 // dim)  # (j, row) categories squared at a time
     # every mode has at least two levels, so a register of R Fock states
     # decodes each shot to fewer than R.bit_length() levels
     check_dense_bytes(8 * shots * n_rows.bit_length(), f"{shots} sampled shots")
-    check_dense_bytes(16 * e_dim * n_rows * dim,
+    # the state, the ladder's two newest powers of U, the joint law with its
+    # cdf, and one block of |amplitude|^2 with its square
+    check_dense_bytes(16 * (e_dim * n_rows * (dim + 1) + 2 * dim * dim + block * dim),
                       f"a {t}-qubit x {n_rows}-row x {dim}-state QPE state")
     amps = np.zeros((e_dim, n_rows, dim), dtype=complex)
     amps[0][:, columns] = rows / math.sqrt(e_dim)
@@ -328,9 +329,11 @@ def _controlled_power_sweep(
         np.matmul(flat[:done], u_power.T, out=flat[done : 2 * done])
         if k + 1 < t:
             u_power = u_power @ u_power
-    del flat  # a live view would keep the pre-FFT state through abs()**2
-    amps = np.fft.ifft(amps, axis=0) * math.sqrt(e_dim)
-    joint = (np.abs(amps) ** 2).sum(axis=2).reshape(-1)
+    np.fft.ifft(amps, axis=0, out=amps)
+    amps *= math.sqrt(e_dim)
+    joint = np.empty(len(flat))
+    for lo in range(0, len(flat), block):
+        joint[lo : lo + block] = (np.abs(flat[lo : lo + block]) ** 2).sum(axis=1)
     outcomes = _sample_from_probabilities(joint, seed, shots)
     return outcomes // n_rows, outcomes % n_rows, amps, joint
 
@@ -418,30 +421,21 @@ def thermal_angles(problem: VibronicProblem, beta: float) -> np.ndarray:
 def prepare_thermal(
     problem: VibronicProblem, cutoffs: ModeCutoffs, thermal: ThermalConfig
 ) -> np.ndarray:
-    """Thermofield-double amplitudes kappa over (initial, system) Fock indices.
+    """Thermofield-double amplitudes kappa_n of the pairs |n>_I |n>_S, in Fock order.
 
-    Applies exp(theta_i (a_I^dag a_S^dag - a_I a_S) / 2) per mode via the
-    matrix exponential of the truncated two-mode generator, then
-    renormalizes.  Amplitudes are diagonal in the pair basis |n>_I |n>_S.
-    At beta = inf every angle is 0, so kappa is exactly |0>_I |0>_S.
+    Mode i's squeezer exp(theta_i (a_I^dag a_S^dag - a_I a_S) / 2) keeps its pair
+    states |l>|l> invariant, where its generator is the d x d tridiagonal with
+    (theta_i / 2)(l + 1) below the diagonal and its negative above: the mode's
+    amplitudes are column 0 of its expm.  Modes multiply out with mode 0 slowest,
+    and kappa is renormalized; at beta = inf it is exactly e_0.
     """
-    thetas = thermal_angles(problem, thermal.beta)
-    per_mode = []
-    for d, theta in zip(cutoffs.local_dims, thetas):
-        a = fock.annihilation(d - 1)
-        ad = fock.creation(d - 1)
-        gen = (theta / 2.0) * (np.kron(ad, ad) - np.kron(a, a))
-        col = scipy.linalg.expm(gen)[:, 0]
-        per_mode.append(col.reshape(d, d).real)
-
-    # kappa[n_I, n_S] = prod_i per_mode[i][n_Ii, n_Si], mode 0 slowest
-    kappa = per_mode[0]
-    for block in per_mode[1:]:
-        kappa = np.einsum("ab,cd->acbd", kappa, block).reshape(
-            kappa.shape[0] * block.shape[0], kappa.shape[1] * block.shape[1]
-        )
-    kappa /= np.linalg.norm(kappa)
-    return kappa
+    kappa = np.ones(1)
+    for d, theta in zip(cutoffs.local_dims, thermal_angles(problem, thermal.beta)):
+        # gen, gen - gen.T and expm's workspace: traced 80 bytes per entry, RSS 74 at d = 3,000
+        check_dense_bytes(80 * d * d, f"a {d}-level two-mode squeezer")
+        gen = np.diag((theta / 2.0) * np.arange(1, d), -1)
+        kappa = np.multiply.outer(kappa, scipy.linalg.expm(gen - gen.T)[:, 0]).ravel()
+    return kappa / np.linalg.norm(kappa)
 
 
 def run_qpe_thermal(
@@ -477,7 +471,7 @@ def run_qpe_thermal(
     # register row r holds Fock state register[r]: increasing basis index, so
     # the (j, register) categories keep the order of the full register
     register = np.argsort(code)
-    rows = prepare_thermal(problem, cutoffs, thermal)[register]
+    rows = np.diag(prepare_thermal(problem, cutoffs, thermal))[register]
     j_out, row, _, _ = _controlled_power_sweep(u, columns, rows, t, seed, shots)
     levels = cutoffs.all_multi_indices()[register[row]]
     energies = phase_map.energy(j_out) - fock_state_energy(problem, levels)

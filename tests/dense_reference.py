@@ -8,7 +8,10 @@ It also keeps the dense spectrum post-processing that ``oracle`` replaced:
 Gaussian broadening by ``np.convolve`` over every bin, and the L1 distance
 that resamples both spectra onto their union grid with ``np.interp``; and
 the term mapper that adds every Pauli product into a dict one at a time,
-which ``mapping.map_second_quantized`` must reproduce bit for bit.
+which ``mapping.map_second_quantized`` must reproduce bit for bit; and the
+thermofield double built as a D x D (initial, system) matrix from each mode's
+d^2 x d^2 two-mode generator, which ``qpe.prepare_thermal`` reduces to its
+diagonal.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from functools import reduce
 
 import numpy as np
+import scipy.linalg
 
 from vibronic import fock
 from vibronic.fock import ManyBodyOperator
@@ -28,8 +32,8 @@ from vibronic.oracle import (
     eigensolve,
     sigma_from_convention,
 )
-from vibronic.problem import ModeCutoffs
-from vibronic.qpe import PhaseMap
+from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem
+from vibronic.qpe import PhaseMap, thermal_angles
 
 
 def position(l_max: int) -> np.ndarray:
@@ -107,6 +111,27 @@ def controlled_power_state(
     state = np.stack([psi @ np.linalg.matrix_power(u, x).T for x in range(e_dim)])
     amps = np.fft.ifft(state / math.sqrt(e_dim), axis=0) * math.sqrt(e_dim)
     return amps, (np.abs(amps) ** 2).sum(axis=2).reshape(-1)
+
+
+def thermofield_matrix(
+    problem: VibronicProblem, cutoffs: ModeCutoffs, thermal: ThermalConfig
+) -> np.ndarray:
+    """Thermofield-double amplitudes kappa[n_I, n_S] over (initial, system) Fock indices.
+
+    Applies exp(theta_i (a_I^dag a_S^dag - a_I a_S) / 2) per mode as the
+    expm of the truncated two-mode generator on the d^2 pair-product states,
+    combines the modes with mode 0 slowest, then renormalizes.
+    """
+    kappa = np.ones((1, 1))
+    for d, theta in zip(cutoffs.local_dims, thermal_angles(problem, thermal.beta)):
+        a = fock.annihilation(d - 1)
+        ad = fock.creation(d - 1)
+        gen = (theta / 2.0) * (np.kron(ad, ad) - np.kron(a, a))
+        block = scipy.linalg.expm(gen)[:, 0].reshape(d, d).real
+        kappa = np.einsum("ab,cd->acbd", kappa, block).reshape(
+            kappa.shape[0] * d, kappa.shape[1] * d
+        )
+    return kappa / np.linalg.norm(kappa)
 
 
 def broaden_dense(

@@ -343,8 +343,7 @@ def test_criterion_10_boltzmann_amplitudes():
     problem = VibronicProblem("warm", [500.0], [500.0], [[1.0]], [1.0])
     thermal = ThermalConfig.from_temperature_kelvin(300.0)
     q = math.exp(-thermal.beta * 500.0)
-    kappa = prepare_thermal(problem, ModeCutoffs((14,)), thermal)
-    weights = np.diag(kappa) ** 2
+    weights = prepare_thermal(problem, ModeCutoffs((14,)), thermal) ** 2
     analytic = (1 - q) * q ** np.arange(15)
     err = np.abs(weights[:7] - analytic[:7]).max()
     ok = err < 1e-8

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -52,6 +53,22 @@ def test_exact_writes_files(so2_file, tmp_path, capsys):
     assert meta["cutoffs"] == [13, 20]
     assert abs(meta["leakage"]) < 1e-6
     assert "leakage" in capsys.readouterr().out
+
+
+#: sha256 of every `exact` file for the bundled so2 at cutoffs (4,4)
+EXACT_SO2_4_SHA256 = {
+    "so2_so2_e_sticks.csv": "d54a55586e36069979d244478ea13674665d6e55d848da07f25e6d16a47cc2bf",
+    "so2_so2_e_binned.csv": "7afca09e52d929d973e8954057ddd8ee6e86eac4f214005c5144f1354a4912ce",
+    "so2_so2_e_broadened.csv": "1a07eceb18e2a199f2fa3398c5554e373f8616e4d98bb69596861f80131f5f80",
+    "so2_so2_e_metadata.json": "f14c27f4d500c2bfded9307f544eaf269fa88943b8d95c2db23ad2669b204ed9",
+}
+
+
+def test_exact_file_bytes_pinned(tmp_path):
+    so2 = ROOT / "src" / "vibronic" / "data" / "so2.json"
+    assert main(["exact", "--problem", str(so2), "--cutoffs", "4,4", "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == EXACT_SO2_4_SHA256
 
 
 def test_exact_identity_single_stick(toy_file, tmp_path):
@@ -177,6 +194,15 @@ def test_histogram_bin_bytes_checked_exit_2(so2_file, tmp_path):
                         "--shots", "100", "--hist-width", "1e-7", "--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert "-bin histogram" in proc.stderr and "GiB" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["exact", "qpe"])
+def test_sparse_assembly_bytes_checked_exit_2(command, toy_file, tmp_path):
+    # 1e8 + 1 levels of one mode: the assembly's value grids would take several GiB
+    proc = _run_capped([command, "--problem", toy_file, "--cutoffs", "100000000",
+                        "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "-term sparse H on 100000001 states" in proc.stderr and "GiB" in proc.stderr
 
 
 def test_tiny_histogram_width_exit_2_with_real_bin_count(so2_file, tmp_path, capsys):

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from dense_reference import embed, momentum, position
 from vibronic import fock
+from vibronic.fock import DenseBudgetError
 from vibronic.hamiltonian import (
     CREATE,
     DESTROY,
@@ -279,3 +280,15 @@ def test_largest_accepted_coefficient():
     assert max(abs(t.coefficient) for t in terms) <= MAX_COEFF
     with pytest.raises(ProblemValidationError, match=r"past 1e\+154"):
         hamiltonian_terms(toy_problem(delta=s * math.sqrt(2) * 1.001))
+
+
+def test_assembly_bytes_checked_before_any_state_array(monkeypatch):
+    # 100,000,001 states: each term's value grid alone would take 0.75 GiB
+    terms = hamiltonian_terms(VibronicProblem("one", [1000.0], [900.0], [[1.0]], [1.2]))
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a per-level array was built despite the assembly's byte estimate")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(DenseBudgetError, match=f"a {len(terms)}-term sparse H on 100000001 states"):
+        assemble_terms(terms, ModeCutoffs((100_000_000,)))

@@ -6,10 +6,10 @@ import pytest
 
 from dense_reference import embed, map_second_quantized_dicts
 from vibronic import fock
+from vibronic.fock import DenseBudgetError
 from vibronic.hamiltonian import CREATE, DESTROY, SecondQuantizedTerm, ladder_terms
 from vibronic.mapping import (
     COEFF_PRUNE,
-    DenseBudgetError,
     Encoding,
     PauliSum,
     QubitLayout,

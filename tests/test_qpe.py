@@ -3,19 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dense_reference import controlled_power_state, outcome_distribution
+from dense_reference import controlled_power_state, outcome_distribution, thermofield_matrix
 from vibronic import oracle, qpe
-from vibronic.fock import ManyBodyOperator
+from vibronic.fock import MAX_DENSE_BYTES, DenseBudgetError, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
 from vibronic.mapping import (
-    MAX_DENSE_BYTES,
-    DenseBudgetError,
     Encoding,
     PauliSum,
     QubitLayout,
@@ -442,7 +441,8 @@ def test_thermal_angles_formula():
 def test_prepare_thermal_zero_temperature():
     kappa = prepare_thermal(toy_problem(omega=500.0), ModeCutoffs((5,)),
                             ThermalConfig(beta=math.inf))
-    assert kappa[0, 0] == 1.0
+    assert kappa.shape == (6,)
+    assert kappa[0] == 1.0
     assert np.abs(kappa).sum() == 1.0
 
 
@@ -450,15 +450,12 @@ def test_prepare_thermal_boltzmann_ratios():
     p = toy_problem(omega=500.0)
     thermal = ThermalConfig.from_temperature_kelvin(300.0)
     bw = math.exp(-thermal.beta * 500.0)
-    kappa = prepare_thermal(p, ModeCutoffs((14,)), thermal)
-    diag = np.diag(kappa) ** 2
-    assert diag[0] == pytest.approx(1 - bw, abs=1e-8)
+    weights = prepare_thermal(p, ModeCutoffs((14,)), thermal) ** 2
+    assert weights[0] == pytest.approx(1 - bw, abs=1e-8)
     # boundary distortion decays geometrically away from the cutoff, so
     # levels up to 6 are clean at L_max = 14
     for n in range(1, 7):
-        assert diag[n] / diag[n - 1] == pytest.approx(bw, abs=1e-8)
-    off = kappa - np.diag(np.diag(kappa))
-    assert np.abs(off).max() < 1e-12
+        assert weights[n] / weights[n - 1] == pytest.approx(bw, abs=1e-8)
 
 
 def test_prepare_thermal_two_modes_factorizes():
@@ -474,7 +471,33 @@ def test_prepare_thermal_two_modes_factorizes():
     for n in range(5):
         for m in range(5):
             flat = np.ravel_multi_index((n, m), dims)
-            assert kappa[flat, flat] == pytest.approx(k1[n, n] * k2[m, m], abs=1e-10)
+            assert kappa[flat] == pytest.approx(k1[n] * k2[m], abs=1e-10)
+
+
+@pytest.mark.parametrize("name, cuts, kelvin", [
+    ("so2", (1, 1), 300.0), ("so2", (3, 3), 300.0), ("so2", (14, 14), 300.0),
+    ("so2", (6, 9), 120.0), ("so2", (10, 10), 1000.0), ("so2", (2, 2), 0.0),
+    ("so2_anharmonic", (3, 2, 4), 500.0),
+])
+def test_prepare_thermal_is_the_pair_diagonal_of_the_two_mode_squeezer(name, cuts, kelvin):
+    # the d^2 x d^2 generators' thermofield double has no amplitude off the pairs
+    problem, cutoffs = bundled_problem(name), ModeCutoffs(cuts)
+    thermal = ThermalConfig.from_temperature_kelvin(kelvin)
+    reference = thermofield_matrix(problem, cutoffs, thermal)
+    kappa = prepare_thermal(problem, cutoffs, thermal)
+    assert np.array_equal(reference, np.diag(np.diag(reference)))
+    assert np.abs(kappa - np.diag(reference)).max() <= 1e-15
+
+
+def test_prepare_thermal_generator_bytes_checked_before_expm(monkeypatch):
+    # a 100,001-level mode: its pair generator alone would take 75 GiB
+    def refuse(*args, **kwargs):
+        pytest.fail("expm ran despite the squeezer's byte estimate")
+
+    monkeypatch.setattr(qpe.scipy.linalg, "expm", refuse)
+    with pytest.raises(DenseBudgetError, match="a 100001-level two-mode squeezer"):
+        prepare_thermal(toy_problem(omega=500.0), ModeCutoffs((100000,)),
+                        ThermalConfig.from_temperature_kelvin(300.0))
 
 
 def test_fock_state_energy():
@@ -651,10 +674,29 @@ def test_ladder_matches_matrix_powers_for_thermal_register():
     t = 6
     problem, cutoffs, _, _, _, _, code, u, _, columns = _sweep_inputs(
         (1, 1), "binary", EvolutionBackend.exact(), t)
-    rows = prepare_thermal(problem, cutoffs, ThermalConfig.from_temperature_kelvin(300.0))
-    rows = rows[np.argsort(code)]
-    assert len(rows) == len(code) == 4
+    kappa = prepare_thermal(problem, cutoffs, ThermalConfig.from_temperature_kelvin(300.0))
+    rows = np.diag(kappa)[np.argsort(code)]
+    assert rows.shape == (len(code), len(code)) == (4, 4)
+    assert np.count_nonzero(rows) == 4
     ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
     _, _, amps, joint = qpe._controlled_power_sweep(u, columns, rows, t, seed=4, shots=100)
     assert np.abs(amps - ref_amps).max() < 1e-12
     assert np.abs(joint - ref_joint).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim, n_rows, t", [(16, 16, 10), (64, 1, 12), (121, 121, 6)])
+def test_sweep_peak_stays_within_its_checked_bytes(dim, n_rows, t, monkeypatch):
+    # the inverse FFT runs in place and |amplitude|^2 is formed a block at a
+    # time, so the state holds 16 bytes per entry where it held 32
+    checked = []
+    monkeypatch.setattr(qpe, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    rows, columns = np.eye(n_rows, dim), np.arange(dim)
+    tracemalloc.start()
+    try:
+        qpe._controlled_power_sweep(u, columns, rows, t, seed=0, shots=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(checked) + 4096  # a few Python objects ride on the arrays
