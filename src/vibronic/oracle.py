@@ -110,21 +110,31 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
 
 
-def _vacuum_sticks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a real symmetric matrix and |<0|psi_i>|^2, without eigenvectors.
+def _vacuum_sticks(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a real symmetric H and |<0|psi_i>|^2, without eigenvectors.
 
     ``np.linalg.eigh`` is LAPACK dsyevd: the lower-storage tridiagonal
-    reduction T = Q^T mat Q (dsytrd), dstedc('I') for T = Z diag(w) Z^T, then
+    reduction T = Q^T H Q (dsytrd), dstedc('I') for T = Z diag(w) Z^T, then
     the back-transform Q Z (dormtr).  None of the lower reduction's
     Householder reflectors touches row 0, so row 0 of Q Z is row 0 of Z bit
     for bit.  This runs the first two steps (dstevd calls the same
     dstedc('I') on T) and skips the back-transform, so the sticks equal
     dsyevd's bit for bit when both come from the same LAPACK, as with
     ``scipy.linalg.eigh(driver="evd")``.
+
+    One D x D array of H is held at a time.  The dense copy of H^T in C
+    order, transposed, holds H's own elements in Fortran order, so dsytrd
+    reduces it in place; only T's diagonal and off-diagonal are kept, and
+    the copy is released before dstevd allocates Z and its D^2 workspace.
+    The peak is the 16 D^2 bytes that ``dense_matrix`` checks, plus O(D).
     """
+    mat = dense_matrix(ManyBodyOperator(h.space, h.matrix.T)).T
+    if np.iscomplexobj(mat):
+        raise ValueError("the stick spectrum needs a real Hamiltonian; use eigensolve for complex H")
     lwork, info = lapack.dsytrd_lwork(mat.shape[0], lower=1)
     _check_info("dsytrd_lwork", info)
-    _, d, e, _, info = lapack.dsytrd(mat, lower=1, lwork=int(lwork))
+    reduced, d, e, _, info = lapack.dsytrd(mat, lower=1, lwork=int(lwork), overwrite_a=1)
+    del mat, reduced
     _check_info("dsytrd", info)
     vals, z, info = lapack.dstevd(d, e)
     _check_info("dstevd", info)
@@ -136,17 +146,16 @@ def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickS
 
     The initial state is the vacuum (flat index 0), giving the
     zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
-    separate sticks.  No eigenvector matrix of H is formed (``_vacuum_sticks``),
-    which takes real H only: dsytrd would drop an imaginary part.
+    separate sticks.  No eigenvector matrix of H is formed, and only one
+    dense copy of H exists, reduced in place (``_vacuum_sticks``): 16 D^2
+    bytes in all with dstevd's Z and workspace.  H must be real: dsytrd
+    would drop an imaginary part.
     """
     if not h.verify_hermitian():
         raise ValueError(
             f"Hamiltonian is not Hermitian (deviation {h.hermiticity_deviation():.2e})"
         )
-    mat = dense_matrix(h)
-    if np.iscomplexobj(mat):
-        raise ValueError("the stick spectrum needs a real Hamiltonian; use eigensolve for complex H")
-    evals, fcf = _vacuum_sticks(mat)
+    evals, fcf = _vacuum_sticks(h)
     meta = {"cutoffs": list(h.space.levels)}
     meta.update(metadata or {})
     return StickSpectrum(energies=evals, intensities=fcf, metadata=meta)
@@ -194,7 +203,10 @@ def kernel_half_width(sig: float, width: float, n_bins: int) -> int:
     n_grid = n_bins + 2 * half
     if not math.isfinite(n_grid):
         n_grid = 12 * Decimal(sig) / Decimal(width) + n_bins
-    check_dense_bytes(8 * n_grid, f"a {n_grid:.4g}-point broadened grid")
+    # 32 bytes a point: at most four float arrays no longer than the grid live
+    # at once, while the kernel is built and added and while the writers form
+    # the grid beside the values
+    check_dense_bytes(32 * n_grid, f"a {n_grid:.4g}-point broadened grid")
     return int(half)
 
 

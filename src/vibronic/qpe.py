@@ -313,9 +313,11 @@ def _controlled_power_sweep(
     e_dim = 2**t
     n_rows, dim = len(rows), len(u)
     block = max(1, 8192 // dim)  # (j, row) categories squared at a time
-    # every mode has at least two levels, so a register of R Fock states
-    # decodes each shot to fewer than R.bit_length() levels
-    check_dense_bytes(8 * shots * n_rows.bit_length(), f"{shots} sampled shots")
+    # words per shot: the uniforms, outcomes, j and row here, then j, the
+    # energies, the decoded levels (fewer than R.bit_length(): every mode has
+    # two levels or more) with their copy in fock_state_energy, and the
+    # histogram's five stick-length arrays
+    check_dense_bytes(8 * shots * (7 + 2 * n_rows.bit_length()), f"{shots} sampled shots")
     # the state, the ladder's two newest powers of U, the joint law with its
     # cdf, and one block of |amplitude|^2 with its square
     check_dense_bytes(16 * (e_dim * n_rows * (dim + 1) + 2 * dim * dim + block * dim),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vibronic import oracle
-from vibronic.fock import DenseBudgetError, ManyBodyOperator
+from vibronic.fock import HERMITICITY_RTOL, DenseBudgetError, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian
 from vibronic.oracle import (
     BinnedSpectrum,
@@ -95,6 +96,44 @@ def test_sticks_bit_identical_to_dsyevd(name, cutoffs, route):
     evals, evecs = np.linalg.eigh(mat)
     assert np.abs(sticks.energies - evals).max() <= 1e-12 * np.abs(evals).max()
     assert np.abs(sticks.intensities - np.abs(evecs[0]) ** 2).max() <= 1e-12
+
+
+def test_sticks_read_the_lower_triangle_of_h_bit_for_bit():
+    # the Fortran-order copy must hold H's own elements: dsytrd(lower=1) on
+    # H^T's would read H's upper triangle, which differs here in its last bits
+    rng = np.random.default_rng(11)
+    d = 200  # above dsytrd's blocking crossover
+    m = rng.normal(size=(d, d))
+    mat = m + m.T + np.tril(rng.normal(size=(d, d)), -1) * 1e-14
+    h = ManyBodyOperator(ModeCutoffs((d - 1,)), mat)
+    assert 0 < h.hermiticity_deviation() <= HERMITICITY_RTOL * np.abs(mat).max()
+    sticks = diagonalize_fcp(h)
+
+    def lower_sticks(a):
+        lwork, _ = scipy.linalg.lapack.dsytrd_lwork(d, lower=1)
+        _, diag, off, _, _ = scipy.linalg.lapack.dsytrd(a, lower=1, lwork=int(lwork))
+        vals, z, _ = scipy.linalg.lapack.dstevd(diag, off)
+        return vals, z[0] ** 2
+
+    vals, weights = lower_sticks(h.to_dense())
+    assert np.array_equal(sticks.energies, vals)
+    assert np.array_equal(sticks.intensities, weights)
+    assert not np.array_equal(lower_sticks(h.to_dense().T)[0], vals)
+
+
+def test_stick_solve_holds_one_dense_copy_of_h():
+    # the copy is reduced in place and released before dstevd's Z and
+    # workspace: 16 D^2 bytes at the peak, where two copies made 24 D^2
+    h = build_hamiltonian(bundled_problem("no2"), ModeCutoffs((36, 40))).hamiltonian
+    d = h.space.dimension
+    assert d >= 1500
+    tracemalloc.start()
+    try:
+        diagonalize_fcp(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * d * d + 128 * d
 
 
 def test_complex_hermitian_sticks_match_eigh():
@@ -225,6 +264,34 @@ def test_broaden_smallest_accepted_sigma_stays_finite():
     with np.errstate(over="raise", divide="raise", invalid="raise"):  # no clamp, no inf or nan
         spike = broaden(binned, sigma=1.5e-154)
     assert np.isfinite(spike.values).all() and spike.values.max() > 1e153
+
+
+@pytest.mark.parametrize("sigma, values", [
+    (1e5, [1.0]),
+    (30.0, [0.5] + [0.0] * 100_000 + [0.5]),
+    (3e3, [2e-3] * 500),
+], ids=["one-bin", "wide-histogram", "wide-kernel"])
+def test_broaden_peak_stays_within_its_checked_bytes(sigma, values, monkeypatch):
+    # at most four float arrays no longer than the grid live at once, while
+    # the kernel is built and added and while the writers form the grid
+    checked = []
+    monkeypatch.setattr(oracle, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
+    binned = BinnedSpectrum(width=1.0, first_bin=500, values=np.array(values))
+    tracemalloc.start()
+    try:
+        broad = broaden(binned, sigma=sigma)
+        broad.grid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(checked) + 4096  # a few Python objects ride on the arrays
+
+
+def test_largest_accepted_sigma_at_32_bytes_a_grid_point():
+    stdev = oracle.sigma_from_convention(6.58e6, "fwhm")
+    oracle.kernel_half_width(stdev, 1.0, 1)
+    with pytest.raises(DenseBudgetError, match="broadened grid"):
+        oracle.kernel_half_width(stdev * 1.001, 1.0, 1)
 
 
 def test_bin_index_past_int64_range():

@@ -684,10 +684,16 @@ def test_ladder_matches_matrix_powers_for_thermal_register():
     assert np.abs(joint - ref_joint).max() < 1e-12
 
 
-@pytest.mark.parametrize("dim, n_rows, t", [(16, 16, 10), (64, 1, 12), (121, 121, 6)])
-def test_sweep_peak_stays_within_its_checked_bytes(dim, n_rows, t, monkeypatch):
+@pytest.mark.parametrize("dim, n_rows, t, shots", [
+    pytest.param(16, 16, 10, 10, id="16-16-10"),
+    pytest.param(64, 1, 12, 10, id="64-1-12"),
+    pytest.param(121, 121, 6, 10, id="121-121-6"),
+    pytest.param(2, 1, 1, 10**6, id="2-1-1-1e6shots"),
+])
+def test_sweep_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkeypatch):
     # the inverse FFT runs in place and |amplitude|^2 is formed a block at a
-    # time, so the state holds 16 bytes per entry where it held 32
+    # time, so the state holds 16 bytes per entry where it held 32; a shot
+    # holds its uniform, outcome, j and row
     checked = []
     monkeypatch.setattr(qpe, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
     rng = np.random.default_rng(5)
@@ -695,8 +701,33 @@ def test_sweep_peak_stays_within_its_checked_bytes(dim, n_rows, t, monkeypatch):
     rows, columns = np.eye(n_rows, dim), np.arange(dim)
     tracemalloc.start()
     try:
-        qpe._controlled_power_sweep(u, columns, rows, t, seed=0, shots=10)
+        qpe._controlled_power_sweep(u, columns, rows, t, seed=0, shots=shots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= sum(checked) + 4096  # a few Python objects ride on the arrays
+
+
+@pytest.mark.parametrize("thermal, cutoffs", [
+    (False, (1, 1)), (True, (1, 1)), (True, (2, 2)),
+], ids=["qpe-1,1", "thermal-1,1", "thermal-2,2"])
+def test_sampled_run_peak_stays_within_its_checked_bytes(thermal, cutoffs, monkeypatch):
+    # 1e6 shots, through decoding and the histogram: the per-shot words
+    # dominate every other checked array
+    checked = []
+    for module in (qpe, oracle):
+        monkeypatch.setattr(module, "check_dense_bytes",
+                            lambda n_bytes, what: checked.append(n_bytes))
+    problem, space = bundled_problem("so2"), ModeCutoffs(cutoffs)
+    tracemalloc.start()
+    try:
+        if thermal:
+            spectrum = run_qpe_thermal(problem, space, 6, 10**6,
+                                       ThermalConfig.from_temperature_kelvin(300.0), seed=1)
+        else:
+            spectrum = run_qpe_problem(problem, space, t=6, shots=10**6, seed=1)
+        spectrum.histogram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(checked) + 4096
