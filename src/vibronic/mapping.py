@@ -298,19 +298,22 @@ def pauli_to_matrix(ps: PauliSum) -> np.ndarray:
     return out
 
 
-def apply_pauli_string(string: str, arr: np.ndarray) -> np.ndarray:
+def apply_pauli_string(string: str, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply one Pauli string along axis 0 without building its matrix.
 
     ``arr`` is a statevector or a matrix whose rows are basis states (qubit 0
     the least significant bit).  The string sends |r ^ x> to phase(r) |r>:
     X and Y flip their qubit (mask x), Z and Y give (-1)^bit, and each Y a
-    further -i.  Costs one gather and one multiply over ``arr``.
+    further -i.  Costs one gather and one multiply over ``arr``, both into
+    ``out`` when it is given (a complex array of ``arr``'s shape, not ``arr``).
     """
     x, z = pauli_masks(string)
     rows = np.arange(1 << len(string))
     parity = np.bitwise_count(rows & z) & 1
     phase = (-1j) ** (x & z).bit_count() * (1.0 - 2.0 * parity)
-    return phase.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[rows ^ x]
+    # the indices are in range; "clip" writes straight into out, where "raise" buffers
+    gathered = np.take(arr, rows ^ x, axis=0, out=out, mode="clip")
+    return np.multiply(phase.reshape((-1,) + (1,) * (arr.ndim - 1)), gathered, out=gathered)
 
 
 @dataclass

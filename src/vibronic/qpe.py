@@ -3,9 +3,11 @@
 The emulator prepares the encoded vacuum (or a thermofield-double pair at
 finite temperature), runs Hadamards + controlled powers of U = exp(-i tau
 (H + shift)) + inverse QFT on the energy register, and samples measurement
-outcomes with a counter-based deterministic generator.  Energies are decoded
-through an explicit affine PhaseMap so every sampled value is exactly
-reconstructible from the raw register integer.
+outcomes with a counter-based deterministic generator.  On the exact backend
+the outcome law has a closed form in H's eigenpairs, a Fejer-kernel mixture,
+and is sampled from it; only the Trotter backend runs the controlled-power
+ladder.  Energies are decoded through an explicit affine PhaseMap so every
+sampled value is exactly reconstructible from the raw register integer.
 
 The QFT convention is chosen so that phases map positively: the energy
 register transform has kernel exp(+2 pi i x j / 2^t), concentrating outcome
@@ -30,8 +32,7 @@ from .mapping import (
     codespace_indices,
     map_second_quantized,
 )
-from .oracle import (DEFAULT_BIN_WIDTH, BinnedSpectrum, StickSpectrum, bin_spectrum,
-                     dense_matrix, eigensolve)
+from .oracle import DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, dense_matrix, eigensolve
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Share of the 2 pi phase window left empty above the highest eigenphase.
@@ -40,13 +41,21 @@ PHASE_SAFETY_MARGIN = 0.05
 #: Largest energy-register width: the 2^t outcome integers index as int64.
 MAX_T = 62
 
-#: Bytes a QPE step holds per entry of its S x S unitary, checked before it is
-#: built: up to four complex S x S arrays live at once (U with the eigenvectors
-#: and their phased copy, with the Trotter rotation's copies, or with two powers
-#: in the squaring ladder), plus BLAS workspace.  Peak RSS over the interpreter's
-#: (2 vCPUs, OpenBLAS): 57-65 bytes per entry exact (D = 1,891-3,111), 64 Trotter
-#: (S = 1,024-2,048).
+#: Bytes a Trotter QPE step holds per entry of its S x S unitary, checked before
+#: it is built: up to four complex S x S arrays live at once (U with the Trotter
+#: rotation's copies, or with two powers in the squaring ladder), plus BLAS
+#: workspace.  Peak RSS over the interpreter's (2 vCPUs, OpenBLAS): 64 bytes per
+#: entry (S = 1,024-2,048).
 STEP_BYTES_PER_ENTRY = 72
+
+#: Bytes the exact backend's eigensolve holds per entry of a real D x D H: the
+#: dense copy, LAPACK's copy, dsyevd's workspace and the eigenvectors.  Peak RSS
+#: over the interpreter's (2 vCPUs, OpenBLAS): 41 bytes per entry (D = 1,681-3,721);
+#: an H stored complex is counted twice (82 measured at D = 2,000).
+EIGH_BYTES_PER_ENTRY = 48
+
+#: Entries of the (j, eigenphase) kernel block that the exact law forms at a time.
+KERNEL_BLOCK = 1 << 15
 
 
 class UnsupportedBackendError(ValueError):
@@ -167,15 +176,18 @@ class SampledSpectrum:
     def histogram(self, width: float = DEFAULT_BIN_WIDTH) -> BinnedSpectrum:
         """Probability histogram of decoded energies (intensity = count/shots).
 
-        A zero-weight stick at E = 0 keeps bin 0 inside the binned range.
+        Bin 0 (energy 0) is always inside the binned range.  A bin of c shots
+        holds the sum of c terms 1/shots added in order, bit for bit what
+        adding each shot's weight into its bin gives; count/shots is not.
         """
-        n = len(self.energies)
-        sticks = StickSpectrum(
-            energies=np.append(self.energies, 0.0),
-            intensities=np.append(np.full(n, 1.0 / max(n, 1)), 0.0),
-            metadata={"shots": self.shots, **self.metadata},
-        )
-        return bin_spectrum(sticks, width)
+        offsets, first, n_bins = bin_offsets(self.energies, width, with_zero=True)
+        counts = np.bincount(offsets, minlength=n_bins)
+        del offsets
+        sums = np.full(counts.max() + 1, 1.0 / max(len(self.energies), 1))
+        sums[0] = 0.0
+        np.cumsum(sums, out=sums)
+        return BinnedSpectrum(width=width, first_bin=first, values=sums[counts],
+                              metadata={"shots": self.shots, **self.metadata})
 
 
 def shot_uniforms(seed: int, shots: int) -> np.ndarray:
@@ -201,7 +213,9 @@ def trotter_step_unitary(ps: PauliSum, dt: float, order: int) -> np.ndarray:
     """Dense unitary of one Trotter substep in the mapper's stable term order.
 
     Each term's rotation exp(-i theta P) = cos(theta) - i sin(theta) P is
-    applied to the rows of the running product, never built as a matrix.
+    applied to the rows of the running product, never built as a matrix, and
+    in place: a fresh S x S temporary per term costs a page-faulted
+    allocation once the arrays outgrow the allocator's mmap threshold.
     """
     if ps.max_imag_coeff() > 1e-10:
         raise ValueError("Trotter evolution requires a Hermitian Pauli sum (real coefficients)")
@@ -211,9 +225,13 @@ def trotter_step_unitary(ps: PauliSum, dt: float, order: int) -> np.ndarray:
     else:
         sequence = [(s, c, dt) for s, c in terms]
     u = np.eye(1 << ps.n_qubits, dtype=complex)
+    rotated = np.empty_like(u)
     for string, coeff, step in sequence:
         theta = float(coeff.real) * step
-        u = math.cos(theta) * u - 1j * math.sin(theta) * apply_pauli_string(string, u)
+        apply_pauli_string(string, u, out=rotated)
+        np.multiply(1j * math.sin(theta), rotated, out=rotated)
+        np.multiply(math.cos(theta), u, out=u)
+        np.subtract(u, rotated, out=u)
     return u
 
 
@@ -227,34 +245,108 @@ def trotter_unitary(ps: PauliSum, time: float, order: int, steps: int) -> np.nda
 
 
 def _step_unitary(
-    h: ManyBodyOperator,
-    phase_map: PhaseMap,
-    backend: EvolutionBackend,
-    pauli: PauliSum | None,
-    code: np.ndarray,
-    n_s: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, basis, columns) for U = exp(-i tau (H + shift)).
+    phase_map: PhaseMap, backend: EvolutionBackend, pauli: PauliSum | None, n_s: int
+) -> np.ndarray:
+    """The Trotter step U = exp(-i tau (H + shift)) on the whole 2^n_s register.
 
-    U acts on the system-register states ``basis`` and Fock state k sits in
-    column ``columns[k]``.  The exact propagator never leaves the code space,
-    so it is the D x D Fock-space matrix with basis ``code``; the Trotter
-    backend evolves the whole 2^n_s register under the mapped Pauli sum,
-    where it may leak out of the code space.  The step's byte estimate is
-    checked before either is built.
+    It evolves under the mapped Pauli sum, so it may leak out of the code
+    space.  The step's byte estimate is checked before it is built.
     """
-    side = len(code) if backend.kind == "exact" else 1 << n_s
-    check_dense_bytes(STEP_BYTES_PER_ENTRY * side * side,
-                      f"a {side}-state {backend.kind} QPE step")
-    if backend.kind == "exact":
-        evals, evecs = eigensolve(h)
-        phases = np.exp(-1j * phase_map.tau * (evals + phase_map.energy_shift))
-        return (evecs * phases) @ evecs.conj().T, code, np.arange(len(code))
+    side = 1 << n_s
+    check_dense_bytes(STEP_BYTES_PER_ENTRY * side * side, f"a {side}-state trotter QPE step")
     if pauli is None:
         raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
     u = trotter_unitary(pauli, phase_map.tau, backend.order, backend.steps)
     u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
-    return u, np.arange(1 << n_s), code
+    return u
+
+
+def _eigenphases(
+    h: ManyBodyOperator, phase_map: PhaseMap, n_rows: int, shots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases phi_i = tau (lambda_i + shift) / 2 pi of H, and its eigenvectors.
+
+    The exact run's bytes are checked first, as a whole: the eigensolve, the
+    R x D weights, the (2^t, R) law with its cdf, one kernel block and the
+    shots.  U itself is never formed.
+    """
+    dim, e_dim = h.space.dimension, 2**phase_map.t
+    per_entry = EIGH_BYTES_PER_ENTRY * (2 if np.iscomplexobj(h.matrix) else 1)
+    block = max(1, KERNEL_BLOCK // dim)
+    check_dense_bytes(
+        per_entry * dim * dim + 8 * n_rows * dim + 16 * e_dim * n_rows
+        + 8 * block * (2 * dim + n_rows),
+        f"a {phase_map.t}-qubit x {n_rows}-row x {dim}-state exact QPE law")
+    _check_shots(shots, n_rows)
+    evals, evecs = eigensolve(h)
+    return phase_map.phase(evals), evecs
+
+
+def _fejer(phases: np.ndarray, j, e_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ratio, angle) with A(j, phi) = 2^-t sum_x exp(2 pi i x (j/N - phi)) = ratio exp(i angle).
+
+    With d = phi - j/N reduced to [-1/2, 1/2] and N = 2^t, A is
+    exp(-i pi (N - 1) d) sin(pi N d) / (N sin(pi d)), and 1 at d = 0.  N d is
+    reduced mod 2 exactly (N is a power of two), so A keeps its accuracy as
+    phi nears j/N, where the kernel K = ratio^2 nears 1.
+    """
+    d = phases - np.asarray(j) / e_dim
+    d -= np.rint(d)
+    nd = e_dim * d
+    nd -= 2.0 * np.rint(nd / 2.0)
+    ratio = np.ones_like(d)
+    off = d != 0.0
+    ratio[off] = np.sin(np.pi * nd[off]) / (e_dim * np.sin(np.pi * d[off]))
+    return ratio, np.pi * (d - nd)
+
+
+def _eigenphase_law(phases: np.ndarray, weights: np.ndarray, t: int) -> np.ndarray:
+    """The j-major (j, row) QPE law p(j, r) = sum_i W[r, i] K(j, phi_i).
+
+    W[r, i] = |<v_i|psi_r>|^2 and K(j, phi) = sin^2(pi N phi) / (N^2 sin^2(pi
+    (phi - j/N))), N = 2^t (Cleve, Ekert, Macchiavello & Mosca, Proc. R. Soc.
+    A 454, 339 (1998)).  K is formed a block of j at a time, its denominator
+    as the outer form sin(pi phi) cos(pi j/N) - cos(pi phi) sin(pi j/N).  That
+    form cancels as phi nears j/N (K at the nearest j read 0.743 for phi =
+    1/16 + 1e-17 at t = 4), so the two j nearest each phase take K from
+    ``_fejer`` instead.
+    """
+    e_dim, dim = 2**t, len(phases)
+    frac = phases - np.floor(phases)
+    scaled = e_dim * frac  # exact, so the numerator is reduced exactly too
+    num = np.sin(np.pi * (scaled - np.rint(scaled))) / e_dim
+    sin_p, cos_p = np.sin(np.pi * frac), np.cos(np.pi * frac)
+    nearest = (np.floor(scaled).astype(np.int64) + np.array([[0], [1]])) % e_dim
+    near_k = np.stack([_fejer(frac, j, e_dim)[0] ** 2 for j in nearest])
+    law = np.empty((e_dim, len(weights)))
+    block = max(1, KERNEL_BLOCK // dim)
+    for lo in range(0, e_dim, block):
+        angle = (np.pi / e_dim) * np.arange(lo, min(lo + block, e_dim))
+        kernel = np.multiply.outer(np.cos(angle), sin_p)
+        kernel -= np.multiply.outer(np.sin(angle), cos_p)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(num, kernel, out=kernel)  # inf or nan only at a nearest j
+            np.square(kernel, out=kernel)
+        hit = (nearest >= lo) & (nearest < lo + len(angle))
+        kernel[nearest[hit] - lo, np.nonzero(hit)[1]] = near_k[hit]
+        np.matmul(kernel, weights.T, out=law[lo : lo + len(angle)])
+    return law.reshape(-1)
+
+
+def _check_shots(shots: int, n_rows: int) -> None:
+    # words a shot holds at the peak: j, the energy and two temporaries (the
+    # sampler's outcome and row, the decode's, the histogram's bin index), and
+    # in a thermal run the row and the decoded levels with their float copy,
+    # fewer than R.bit_length() words each (every mode has two levels or more)
+    check_dense_bytes(16 * shots * (1 + n_rows.bit_length()), f"{shots} sampled shots")
+
+
+def _sample_joint(
+    joint: np.ndarray, n_rows: int, seed: int, shots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(j, row) of each shot, sampled from the j-major (j, row) law."""
+    outcomes = _sample_from_probabilities(joint, seed, shots)
+    return outcomes // n_rows, outcomes % n_rows
 
 
 def _problem_hamiltonian(
@@ -303,7 +395,8 @@ def _controlled_power_sweep(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sample QPE outcomes for an R x D block of initial Fock amplitudes.
 
-    Register row r starts the system in ``rows[r]``, whose Fock state k sits
+    This is the Trotter backend's sampler, and the tests' reference for the
+    exact backend's closed-form law.  Register row r starts the system in ``rows[r]``, whose Fock state k sits
     in column ``columns[k]`` of U.  E-register value x of the (2^t, R, len(U))
     state holds U^x rows / sqrt(2^t), built by doubling: level k sets values
     [2^k, 2^(k+1)) to values [0, 2^k) times U^(2^k) in one GEMM, (2^t - 1) R
@@ -313,11 +406,7 @@ def _controlled_power_sweep(
     e_dim = 2**t
     n_rows, dim = len(rows), len(u)
     block = max(1, 8192 // dim)  # (j, row) categories squared at a time
-    # words per shot: the uniforms, outcomes, j and row here, then j, the
-    # energies, the decoded levels (fewer than R.bit_length(): every mode has
-    # two levels or more) with their copy in fock_state_energy, and the
-    # histogram's five stick-length arrays
-    check_dense_bytes(8 * shots * (7 + 2 * n_rows.bit_length()), f"{shots} sampled shots")
+    _check_shots(shots, n_rows)
     # the state, the ladder's two newest powers of U, the joint law with its
     # cdf, and one block of |amplitude|^2 with its square
     check_dense_bytes(16 * (e_dim * n_rows * (dim + 1) + 2 * dim * dim + block * dim),
@@ -336,8 +425,7 @@ def _controlled_power_sweep(
     joint = np.empty(len(flat))
     for lo in range(0, len(flat), block):
         joint[lo : lo + block] = (np.abs(flat[lo : lo + block]) ** 2).sum(axis=1)
-    outcomes = _sample_from_probabilities(joint, seed, shots)
-    return outcomes // n_rows, outcomes % n_rows, amps, joint
+    return *_sample_joint(joint, n_rows, seed, shots), amps, joint
 
 
 def run_qpe(
@@ -373,14 +461,19 @@ def run_qpe(
         phase_map = choose_phase_map(h, t)
     _check_register(phase_map, t)
     code = codespace_indices(encoding, layout)
-    u, basis, columns = _step_unitary(h, phase_map, backend, pauli_hamiltonian, code, n_s)
-
     if initial_state is None:
-        rows = np.eye(1, len(code))
+        psi = np.eye(1, len(code))[0]
     else:
         vec = np.asarray(initial_state, dtype=complex)
-        rows = (vec / np.linalg.norm(vec))[None, :]
-    outcomes, _, amps, probs = _controlled_power_sweep(u, columns, rows, t, seed, shots)
+        psi = vec / np.linalg.norm(vec)
+    if backend.kind == "exact":
+        phases, evecs = _eigenphases(h, phase_map, 1, shots)
+        coeffs = (evecs.T @ psi.conj()).conj()  # <v_i|psi>
+        probs = _eigenphase_law(phases, np.abs(coeffs)[None, :] ** 2, t)
+        outcomes = _sample_from_probabilities(probs, seed, shots)
+    else:
+        u = _step_unitary(phase_map, backend, pauli_hamiltonian, n_s)
+        outcomes, _, amps, probs = _controlled_power_sweep(u, code, psi[None, :], t, seed, shots)
     energies = phase_map.energy(outcomes)
     spectrum = SampledSpectrum(
         j_outcomes=outcomes,
@@ -399,7 +492,13 @@ def run_qpe(
         return spectrum
     extras: list = [spectrum]
     if return_state:
-        post = amps[int(outcomes[-1]), 0, :]
+        j = int(outcomes[-1])
+        if backend.kind == "exact":
+            # sum_i <v_i|psi> A_i(j) v_i, scattered from the code space
+            ratio, angle = _fejer(phases, j, 2**t)
+            post, basis = evecs @ (coeffs * ratio * np.exp(1j * angle)), code
+        else:
+            post, basis = amps[j, 0, :], slice(None)
         state = np.zeros(1 << n_s, dtype=complex)
         state[basis] = post / np.linalg.norm(post)
         extras.append(state)
@@ -468,13 +567,21 @@ def run_qpe_thermal(
         problem, cutoffs, t, encoding, backend, route, phase_map
     )
     code = codespace_indices(encoding, layout)
-    u, basis, columns = _step_unitary(h, phase_map, backend, pauli, code, n_s)
-
     # register row r holds Fock state register[r]: increasing basis index, so
     # the (j, register) categories keep the order of the full register
     register = np.argsort(code)
-    rows = np.diag(prepare_thermal(problem, cutoffs, thermal))[register]
-    j_out, row, _, _ = _controlled_power_sweep(u, columns, rows, t, seed, shots)
+    kappa = prepare_thermal(problem, cutoffs, thermal)
+    if backend.kind == "exact":
+        phases, evecs = _eigenphases(h, phase_map, len(code), shots)
+        # row r starts in kappa_k |k>, k = register[r]: W[r, i] = kappa_k^2 |V[k, i]|^2
+        weights = np.abs(evecs[register]) ** 2 * kappa[register, None] ** 2
+        del evecs
+        law = _eigenphase_law(phases, weights, t)
+        j_out, row = _sample_joint(law, len(code), seed, shots)
+    else:
+        u = _step_unitary(phase_map, backend, pauli, n_s)
+        rows = np.diag(kappa)[register]
+        j_out, row, _, _ = _controlled_power_sweep(u, code, rows, t, seed, shots)
     levels = cutoffs.all_multi_indices()[register[row]]
     energies = phase_map.energy(j_out) - fock_state_energy(problem, levels)
 

@@ -485,6 +485,35 @@ def test_csv_roundtrip(tmp_path):
     assert np.allclose(v, broad.values)
 
 
+@pytest.mark.parametrize("tail", ["\r\n", ",100000\n", ",5%d%%s\n"], ids=["crlf", "shots", "percent"])
+def test_write_csv_rows_match_the_f_string_form(tail, tmp_path):
+    # one % per block formats as {:.10g}, on special values, subnormals, huge
+    # magnitudes and 10-digit rounding, and past the first 4,096-row block
+    rng = np.random.default_rng(11)
+    edge = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e-300,
+            123456789012.5, 0.1, 1 / 3, 2.0**53, -7.0]
+    xs = np.concatenate([edge, rng.normal(size=4100) * 10.0 ** rng.integers(-320, 300, 4100)])
+    ys = np.concatenate([edge[::-1], rng.normal(size=4100)])
+    oracle.write_csv(tmp_path / "rows.csv", "x,y\n", xs, ys, tail=tail)
+    expected = "x,y\n" + "".join(f"{x:.10g},{y:.10g}{tail}" for x, y in zip(xs.tolist(), ys.tolist()))
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        assert fh.read() == expected
+
+
+@pytest.mark.parametrize("shots", [1, 7, 20_000, 100_000, 1_000_000])
+def test_sampled_histogram_equals_adding_each_shot_bit_for_bit(shots):
+    # count/shots differs in the last bit at 2e4 and 1e5 shots; the running sum does not
+    energies = np.random.default_rng(shots).normal(300.0, 800.0, shots)
+    sampled = SampledSpectrum(np.zeros(shots, dtype=np.int64), energies, PhaseMap(1.0, 0.0, 4),
+                              shots=shots, seed=0)
+    hist = sampled.histogram(width=2.0)
+    sticks = oracle.StickSpectrum(np.append(energies, 0.0),
+                                  np.append(np.full(shots, 1.0 / shots), 0.0))
+    reference = bin_spectrum(sticks, 2.0)
+    assert hist.first_bin == reference.first_bin <= 0
+    assert hist.values.tobytes() == reference.values.tobytes()
+
+
 def test_read_spectrum_csv_rejects_garbage():
     with pytest.raises(ValueError):
         oracle.read_spectrum_csv("")

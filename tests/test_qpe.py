@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dense_reference import controlled_power_state, outcome_distribution, thermofield_matrix
+from dense_reference import (controlled_power_state, outcome_distribution, qpe_kernel_sq,
+                             thermofield_matrix)
 from vibronic import oracle, qpe
 from vibronic.fock import MAX_DENSE_BYTES, DenseBudgetError, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
@@ -253,10 +254,11 @@ def test_seed_reproducibility():
 
 
 def test_qubit_budget_enforced():
+    # the exact law and its cdf hold 16 bytes per outcome: 2^26 of them fill the budget
     rep = build_hamiltonian(toy_problem(), ModeCutoffs((3,)))
     enc = Encoding("binary", ModeCutoffs((3,)))
-    with pytest.raises(DenseBudgetError):
-        run_qpe(rep.hamiltonian, enc, t=25, shots=1, seed=0)
+    with pytest.raises(DenseBudgetError, match="a 26-qubit x 1-row x 4-state exact QPE law"):
+        run_qpe(rep.hamiltonian, enc, t=26, shots=1, seed=0)
 
 
 def test_many_system_qubits_small_code_space_runs():
@@ -307,28 +309,41 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
         run_qpe(h, Encoding("binary", cuts), t=6, shots=1, phase_map=pmap)
 
 
-@pytest.mark.parametrize("variant, cuts, backend, side", [
-    ("binary", (63, 63), EvolutionBackend.exact(), 4096),
-    ("unary", (5, 5), EvolutionBackend.trotter(1, 1), 4096),
+@pytest.mark.parametrize("variant, cuts, backend, refusal", [
+    pytest.param("binary", (63, 63), EvolutionBackend.exact(), None,
+                 id="binary-cuts0-backend0-4096"),
+    pytest.param("unary", (5, 5), EvolutionBackend.trotter(1, 1), "a 4096-state trotter QPE step",
+                 id="unary-cuts1-backend1-4096"),
+    pytest.param("binary", (67, 69), EvolutionBackend.exact(),
+                 "a 4-qubit x 1-row x 4760-state exact QPE law", id="binary-67-69-exact-4760"),
 ])
-def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend, side,
+def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend, refusal,
                                                          monkeypatch):
-    # a 4096 x 4096 U alone is 0.25 GiB, but the step holds four such arrays
-    # (eigenvectors and their phased copy, or the Trotter rotation copies) and
-    # the squaring ladder three
+    # a 4096 x 4096 Trotter U alone is 0.25 GiB, but the step holds four such
+    # arrays (the rotation copies, or the squaring ladder's).  The exact
+    # backend never forms U: its eigensolve holds 48 bytes per entry of H, so
+    # D = 4096 now reaches the eigensolve and D = 4760 is refused.
+    class Admitted(Exception):
+        pass
+
+    def admit(*args, **kwargs):
+        raise Admitted
+
     def refuse(*args, **kwargs):
         pytest.fail("a D x D array was built despite the step's byte estimate")
 
     for module, name in ((qpe, "eigensolve"), (oracle, "eigensolve"),
                          (qpe, "trotter_step_unitary")):
-        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(module, name, admit)
     monkeypatch.setattr(ManyBodyOperator, "to_dense", refuse)
     cutoffs = ModeCutoffs(cuts)
     enc = Encoding(variant, cutoffs)
-    assert 16 * side**2 <= MAX_DENSE_BYTES < qpe.STEP_BYTES_PER_ENTRY * side**2
+    assert 16 * cutoffs.dimension**2 <= MAX_DENSE_BYTES
     h = ManyBodyOperator(cutoffs, sp.identity(cutoffs.dimension, format="csr"))
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
-    with pytest.raises(DenseBudgetError, match=f"a {side}-state {backend.kind} QPE step"):
+    expected = (pytest.raises(Admitted) if refusal is None
+                else pytest.raises(DenseBudgetError, match=refusal))
+    with expected:
         run_qpe(h, enc, t=4, shots=1, backend=backend, phase_map=pmap,
                 pauli_hamiltonian=PauliSum(QubitLayout.for_encoding(enc).total_qubits))
 
@@ -532,10 +547,14 @@ def test_thermal_qpe_zero_temperature_matches_shifted_zero_t():
 
 
 def test_thermal_qpe_budget():
-    p = toy_problem()
-    with pytest.raises(DenseBudgetError):
-        run_qpe_thermal(p, ModeCutoffs((15,)), t=20, shots=1,
-                        thermal=ThermalConfig(beta=0.01), seed=0)
+    # R = D = 16 register rows: the exact law and its cdf take 16 R 2^t bytes.
+    # At t = 18 that is 64 MiB, where the (2^t, R, D) ladder state took 1.06 GiB;
+    # at t = 22 it fills the budget.
+    p, thermal = toy_problem(), ThermalConfig(beta=0.01)
+    spec = run_qpe_thermal(p, ModeCutoffs((15,)), t=18, shots=1, thermal=thermal, seed=0)
+    assert len(spec.energies) == 1
+    with pytest.raises(DenseBudgetError, match="a 22-qubit x 16-row x 16-state exact QPE law"):
+        run_qpe_thermal(p, ModeCutoffs((15,)), t=22, shots=1, thermal=thermal, seed=0)
 
 
 def test_thermal_trotter_backend_matches_exact_ladder():
@@ -623,36 +642,47 @@ def test_emulator_distribution_equals_kernel_mixture(name, cuts, variant):
 
 
 def _sweep_inputs(cuts, variant, backend, t):
+    # the exact U = V exp(-2 pi i phi) V^dagger is built here, for the ladder reference only
     problem = bundled_problem("so2")
     cutoffs = ModeCutoffs(cuts)
     enc = Encoding(variant, cutoffs)
     layout = QubitLayout.for_encoding(enc)
     _, h, pauli, pmap = qpe._problem_hamiltonian(problem, cutoffs, t, enc, backend, "qp")
     code = codespace_indices(enc, layout)
-    u, basis, columns = qpe._step_unitary(h, pmap, backend, pauli, code, layout.total_qubits)
-    return problem, cutoffs, enc, h, pauli, pmap, code, u, basis, columns
+    if backend.kind == "exact":
+        phases, evecs = qpe._eigenphases(h, pmap, 1, 1)
+        u = (evecs * np.exp(-2j * np.pi * phases)) @ evecs.conj().T
+        return problem, cutoffs, enc, h, pmap, code, u, code, np.arange(len(code))
+    u = qpe._step_unitary(pmap, backend, pauli, layout.total_qubits)
+    return problem, cutoffs, enc, h, pmap, code, u, np.arange(len(u)), code
 
 
-def test_ladder_matches_matrix_powers_from_initial_state():
-    # exact binary, one register row in a complex non-vacuum state
+def test_law_matches_matrix_powers_from_initial_state():
+    # exact binary, one register row in a complex non-vacuum state: the law, and
+    # the post-measurement state at each outcome 40 seeds draw, against U^x for each x
     t = 6
-    _, _, enc, h, _, pmap, code, u, basis, columns = _sweep_inputs((2, 2), "binary",
-                                                                   EvolutionBackend.exact(), t)
+    _, _, enc, h, pmap, code, u, basis, columns = _sweep_inputs((2, 2), "binary",
+                                                                EvolutionBackend.exact(), t)
     rng = np.random.default_rng(3)
     vec = rng.normal(size=len(code)) + 1j * rng.normal(size=len(code))
     rows = (vec / np.linalg.norm(vec))[None, :]
     ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
-    _, _, amps, joint = qpe._controlled_power_sweep(u, columns, rows, t, seed=4, shots=100)
-    assert np.abs(amps - ref_amps).max() < 1e-12
-    assert np.abs(joint - ref_joint).max() < 1e-12
-
-    spec, state, probs = run_qpe(h, enc, t, shots=100, seed=4, initial_state=vec,
-                                 phase_map=pmap, return_state=True, return_distribution=True)
-    post = ref_amps[spec.j_outcomes[-1], 0]
-    expected = np.zeros(len(state), dtype=complex)
-    expected[basis] = post / np.linalg.norm(post)
-    assert np.abs(state - expected).max() < 1e-12
+    _, probs = run_qpe(h, enc, t, shots=100, seed=4, initial_state=vec, phase_map=pmap,
+                       return_distribution=True)
     assert np.abs(probs - ref_joint).max() < 1e-12
+    seen = set()
+    for seed in range(40):
+        spec, state = run_qpe(h, enc, t, shots=1, seed=seed, initial_state=vec,
+                              phase_map=pmap, return_state=True)
+        j = int(spec.j_outcomes[-1])
+        if j in seen:
+            continue
+        seen.add(j)
+        post = ref_amps[j, 0]
+        expected = np.zeros(len(state), dtype=complex)
+        expected[basis] = post / np.linalg.norm(post)
+        assert np.abs(state - expected).max() < 1e-12
+    assert len(seen) >= 8
 
 
 def test_ladder_matches_matrix_powers_with_trotter_leakage():
@@ -669,19 +699,58 @@ def test_ladder_matches_matrix_powers_with_trotter_leakage():
     assert np.abs(joint - ref_joint).max() < 1e-12
 
 
-def test_ladder_matches_matrix_powers_for_thermal_register():
-    # thermofield rows at 300 K: R = D register rows evolved together
+def _thermal_law(cuts, t, monkeypatch):
+    # the law that run_qpe_thermal samples at 300 K, with the register rows and U
+    problem, cutoffs, _, _, pmap, code, u, _, columns = _sweep_inputs(
+        cuts, "binary", EvolutionBackend.exact(), t)
+    thermal = ThermalConfig.from_temperature_kelvin(300.0)
+    rows = np.diag(prepare_thermal(problem, cutoffs, thermal))[np.argsort(code)]
+    laws = []
+    real_law = qpe._eigenphase_law
+
+    def keep_law(*args):
+        laws.append(real_law(*args))
+        return laws[-1]
+
+    monkeypatch.setattr(qpe, "_eigenphase_law", keep_law)
+    run_qpe_thermal(problem, cutoffs, t, shots=10, thermal=thermal, phase_map=pmap)
+    return laws[0], u, columns, rows
+
+
+def test_law_matches_matrix_powers_for_thermal_register(monkeypatch):
+    # thermofield rows at 300 K: R = D register rows, against U^x for each x
     t = 6
-    problem, cutoffs, _, _, _, _, code, u, _, columns = _sweep_inputs(
-        (1, 1), "binary", EvolutionBackend.exact(), t)
-    kappa = prepare_thermal(problem, cutoffs, ThermalConfig.from_temperature_kelvin(300.0))
-    rows = np.diag(kappa)[np.argsort(code)]
-    assert rows.shape == (len(code), len(code)) == (4, 4)
-    assert np.count_nonzero(rows) == 4
-    ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
-    _, _, amps, joint = qpe._controlled_power_sweep(u, columns, rows, t, seed=4, shots=100)
-    assert np.abs(amps - ref_amps).max() < 1e-12
-    assert np.abs(joint - ref_joint).max() < 1e-12
+    law, u, columns, rows = _thermal_law((1, 1), t, monkeypatch)
+    assert rows.shape == (4, 4) and np.count_nonzero(rows) == 4
+    _, ref_joint = controlled_power_state(u, columns, rows, t)
+    assert np.abs(law - ref_joint).max() < 1e-12
+
+
+def test_thermal_law_matches_the_ladder_at_benchmark_size(monkeypatch):
+    # the benchmark's thermal op: so2 binary (3,3), t = 10, R = D = 16
+    law, u, columns, rows = _thermal_law((3, 3), 10, monkeypatch)
+    joint = qpe._controlled_power_sweep(u, columns, rows, 10, seed=4, shots=100)[3]
+    assert law.shape == joint.shape == (2**10 * 16,)
+    assert np.abs(law - joint).max() < 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-17, 1e-14, 1e-11, 0.0, -1e-17, -1e-14])
+def test_law_accurate_next_to_an_outcome(delta):
+    # phi = 1/16 + delta at t = 4: the outer-form denominator cancels there
+    # (K at j = 1 read 0.743 at delta = 1e-17, and sum_j K 1 - 0.26)
+    law = qpe._eigenphase_law(np.array([1 / 16 + delta]), np.ones((1, 1)), 4)
+    assert abs(law[1] - 1.0) < 1e-12
+    assert abs(law.sum() - 1.0) < 1e-12
+
+
+def test_law_matches_the_analytic_kernel_away_from_the_grid():
+    rng = np.random.default_rng(8)
+    phases, t = rng.random(50), 7
+    weights = rng.random((3, 50))
+    j = np.arange(2**t)
+    delta = phases[None, :] - j[:, None] / 2**t
+    expected = qpe_kernel_sq(delta, t) @ weights.T
+    assert np.abs(qpe._eigenphase_law(phases, weights, t) - expected.reshape(-1)).max() < 1e-12
 
 
 @pytest.mark.parametrize("dim, n_rows, t, shots", [
@@ -706,6 +775,44 @@ def test_sweep_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkey
     finally:
         tracemalloc.stop()
     assert peak <= sum(checked) + 4096  # a few Python objects ride on the arrays
+
+
+@pytest.mark.parametrize("dim, n_rows, t, shots", [
+    pytest.param(16, 16, 12, 10, id="16-16-12"),
+    pytest.param(121, 1, 14, 10, id="121-1-14"),
+    pytest.param(121, 121, 8, 10, id="121-121-8"),
+    pytest.param(2, 1, 1, 10**6, id="2-1-1-1e6shots"),
+])
+def test_law_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkeypatch):
+    # the eigensolve, the weights, the law with its cdf, a kernel block and the
+    # sampled shots, as the exact runs take them
+    rng = np.random.default_rng(6)
+    m = rng.normal(size=(dim, dim))
+    h = ManyBodyOperator(ModeCutoffs((dim - 1,)), m + m.T)
+    pmap = choose_phase_map(h, t)
+    checked = []
+    monkeypatch.setattr(qpe, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
+    tracemalloc.start()
+    try:
+        phases, evecs = qpe._eigenphases(h, pmap, n_rows, shots)
+        weights = np.abs(evecs[:n_rows]) ** 2
+        law = qpe._eigenphase_law(phases, weights, t)
+        qpe._sample_joint(law, n_rows, 0, shots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(checked) + 4096
+
+
+def test_largest_accepted_shot_count_at_16_bytes_per_word():
+    # a zero-temperature shot holds 32 bytes, so 2^25 shots fill the budget;
+    # a 16-row thermal register (b = 5) holds up to 96
+    qpe._check_shots(2**25, 1)
+    with pytest.raises(DenseBudgetError, match="33554433 sampled shots"):
+        qpe._check_shots(2**25 + 1, 1)
+    qpe._check_shots(MAX_DENSE_BYTES // 96, 16)
+    with pytest.raises(DenseBudgetError, match="sampled shots"):
+        qpe._check_shots(MAX_DENSE_BYTES // 96 + 1, 16)
 
 
 @pytest.mark.parametrize("thermal, cutoffs", [
