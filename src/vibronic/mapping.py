@@ -298,22 +298,56 @@ def pauli_to_matrix(ps: PauliSum) -> np.ndarray:
     return out
 
 
-def apply_pauli_string(string: str, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def apply_pauli_string(
+    string: str, arr: np.ndarray, out: np.ndarray | None = None, basis: np.ndarray | None = None
+) -> np.ndarray:
     """Apply one Pauli string along axis 0 without building its matrix.
 
-    ``arr`` is a statevector or a matrix whose rows are basis states (qubit 0
-    the least significant bit).  The string sends |r ^ x> to phase(r) |r>:
-    X and Y flip their qubit (mask x), Z and Y give (-1)^bit, and each Y a
-    further -i.  Costs one gather and one multiply over ``arr``, both into
-    ``out`` when it is given (a complex array of ``arr``'s shape, not ``arr``).
+    ``arr`` is a statevector or a matrix whose rows are the sorted basis
+    indices ``basis`` (default: the whole register; qubit 0 the least
+    significant bit), which the string's x mask must map onto themselves.
+    The string sends |r ^ x> to phase(r) |r>: X and Y flip their qubit (mask
+    x), Z and Y give (-1)^bit, and each Y a further -i.  Costs one gather and
+    one multiply over ``arr``, both into ``out`` when it is given (a complex
+    array of ``arr``'s shape, not ``arr``).
     """
     x, z = pauli_masks(string)
-    rows = np.arange(1 << len(string))
+    rows = np.arange(1 << len(string)) if basis is None else basis
     parity = np.bitwise_count(rows & z) & 1
     phase = (-1j) ** (x & z).bit_count() * (1.0 - 2.0 * parity)
     # the indices are in range; "clip" writes straight into out, where "raise" buffers
-    gathered = np.take(arr, rows ^ x, axis=0, out=out, mode="clip")
+    gathered = np.take(arr, np.searchsorted(rows, rows ^ x), axis=0, out=out, mode="clip")
     return np.multiply(phase.reshape((-1,) + (1,) * (arr.ndim - 1)), gathered, out=gathered)
+
+
+def invariant_sector(ps: PauliSum, starts: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(coset representatives, GF(2) generators) of the states the sum's terms reach from ``starts``.
+
+    A term sends |r> to |r ^ x>, so every coset b ^ span{x masks} is invariant
+    under exp(-i theta P): the Z2 symmetries that qubit tapering removes
+    (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213).  Gaussian
+    elimination keeps generators with distinct leading bits, in descending
+    order; reducing by them, r -> min(r, r ^ g) in turn, maps a state to the
+    least state of its coset.  The sector holds len(reps) << len(generators)
+    states, so its size is known before ``sector_states`` enumerates it.
+    """
+    generators: list[int] = []
+    for string in ps.terms:
+        x = reduce(lambda r, g: min(r, r ^ g), generators, pauli_masks(string)[0])
+        if x:
+            generators = sorted([*generators, x], reverse=True)
+    reps = np.array(starts, dtype=np.int64)
+    for g in generators:
+        np.minimum(reps, reps ^ g, out=reps)
+    return np.unique(reps), generators
+
+
+def sector_states(reps: np.ndarray, generators: list[int]) -> np.ndarray:
+    """Sorted basis indices of the cosets reps ^ span(generators)."""
+    span = np.zeros(1, dtype=np.int64)
+    for g in generators:
+        span = np.concatenate([span, span ^ g])
+    return np.sort(np.bitwise_xor.outer(reps, span).ravel())
 
 
 @dataclass

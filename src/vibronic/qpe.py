@@ -30,7 +30,9 @@ from .mapping import (
     QubitLayout,
     apply_pauli_string,
     codespace_indices,
+    invariant_sector,
     map_second_quantized,
+    sector_states,
 )
 from .oracle import DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, dense_matrix, eigensolve
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
@@ -209,13 +211,17 @@ def _sample_from_probabilities(probs: np.ndarray, seed: int, shots: int) -> np.n
 # -- Trotterized propagation ------------------------------------------
 
 
-def trotter_step_unitary(ps: PauliSum, dt: float, order: int) -> np.ndarray:
+def trotter_step_unitary(
+    ps: PauliSum, dt: float, order: int, basis: np.ndarray | None = None
+) -> np.ndarray:
     """Dense unitary of one Trotter substep in the mapper's stable term order.
 
-    Each term's rotation exp(-i theta P) = cos(theta) - i sin(theta) P is
-    applied to the rows of the running product, never built as a matrix, and
-    in place: a fresh S x S temporary per term costs a page-faulted
-    allocation once the arrays outgrow the allocator's mmap threshold.
+    It acts on the sorted basis indices ``basis``, an invariant sector of the
+    sum (default: the whole register).  Each term's rotation exp(-i theta P)
+    = cos(theta) - i sin(theta) P is applied to the rows of the running
+    product, never built as a matrix, and in place: a fresh S x S temporary
+    per term costs a page-faulted allocation once the arrays outgrow the
+    allocator's mmap threshold.
     """
     if ps.max_imag_coeff() > 1e-10:
         raise ValueError("Trotter evolution requires a Hermitian Pauli sum (real coefficients)")
@@ -224,20 +230,22 @@ def trotter_step_unitary(ps: PauliSum, dt: float, order: int) -> np.ndarray:
         sequence = [(s, c, dt / 2) for s, c in terms + terms[::-1]]
     else:
         sequence = [(s, c, dt) for s, c in terms]
-    u = np.eye(1 << ps.n_qubits, dtype=complex)
+    u = np.eye(1 << ps.n_qubits if basis is None else len(basis), dtype=complex)
     rotated = np.empty_like(u)
     for string, coeff, step in sequence:
         theta = float(coeff.real) * step
-        apply_pauli_string(string, u, out=rotated)
+        apply_pauli_string(string, u, out=rotated, basis=basis)
         np.multiply(1j * math.sin(theta), rotated, out=rotated)
         np.multiply(math.cos(theta), u, out=u)
         np.subtract(u, rotated, out=u)
     return u
 
 
-def trotter_unitary(ps: PauliSum, time: float, order: int, steps: int) -> np.ndarray:
-    """Trotterized exp(-i * time * H) using `steps` substeps."""
-    step = trotter_step_unitary(ps, time / steps, order)
+def trotter_unitary(
+    ps: PauliSum, time: float, order: int, steps: int, basis: np.ndarray | None = None
+) -> np.ndarray:
+    """Trotterized exp(-i * time * H) using `steps` substeps, on ``basis`` as above."""
+    step = trotter_step_unitary(ps, time / steps, order, basis)
     return np.linalg.matrix_power(step, steps)
 
 
@@ -245,20 +253,25 @@ def trotter_unitary(ps: PauliSum, time: float, order: int, steps: int) -> np.nda
 
 
 def _step_unitary(
-    phase_map: PhaseMap, backend: EvolutionBackend, pauli: PauliSum | None, n_s: int
-) -> np.ndarray:
-    """The Trotter step U = exp(-i tau (H + shift)) on the whole 2^n_s register.
+    phase_map: PhaseMap, backend: EvolutionBackend, pauli: PauliSum | None, code: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(U, sector): the Trotter step U = exp(-i tau (H + shift)) on the code states' sector.
 
     It evolves under the mapped Pauli sum, so it may leak out of the code
-    space.  The step's byte estimate is checked before it is built.
+    space, but never out of the sector that the sum's terms reach from it
+    (``mapping.invariant_sector``): U's entries between the sector and the
+    rest of the 2^n_s register are exactly 0.  The step's byte estimate is
+    checked before the sector is enumerated.
     """
-    side = 1 << n_s
-    check_dense_bytes(STEP_BYTES_PER_ENTRY * side * side, f"a {side}-state trotter QPE step")
     if pauli is None:
         raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
-    u = trotter_unitary(pauli, phase_map.tau, backend.order, backend.steps)
+    reps, generators = invariant_sector(pauli, code)
+    side = len(reps) << len(generators)
+    check_dense_bytes(STEP_BYTES_PER_ENTRY * side * side, f"a {side}-state trotter QPE step")
+    sector = sector_states(reps, generators)
+    u = trotter_unitary(pauli, phase_map.tau, backend.order, backend.steps, sector)
     u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
-    return u
+    return u, sector
 
 
 def _eigenphases(
@@ -266,18 +279,19 @@ def _eigenphases(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases phi_i = tau (lambda_i + shift) / 2 pi of H, and its eigenvectors.
 
-    The exact run's bytes are checked first, as a whole: the eigensolve, the
+    The exact run's bytes are checked first, in one sum: the eigensolve, the
     R x D weights, the (2^t, R) law with its cdf, one kernel block and the
-    shots.  U itself is never formed.
+    shots, which are sampled while the law is alive.  U itself is never
+    formed.
     """
     dim, e_dim = h.space.dimension, 2**phase_map.t
     per_entry = EIGH_BYTES_PER_ENTRY * (2 if np.iscomplexobj(h.matrix) else 1)
     block = max(1, KERNEL_BLOCK // dim)
     check_dense_bytes(
         per_entry * dim * dim + 8 * n_rows * dim + 16 * e_dim * n_rows
-        + 8 * block * (2 * dim + n_rows),
-        f"a {phase_map.t}-qubit x {n_rows}-row x {dim}-state exact QPE law")
-    _check_shots(shots, n_rows)
+        + 8 * block * (2 * dim + n_rows) + _shot_bytes(shots, n_rows),
+        f"a {phase_map.t}-qubit x {n_rows}-row x {dim}-state exact QPE law"
+        f" and {shots} sampled shots")
     evals, evecs = eigensolve(h)
     return phase_map.phase(evals), evecs
 
@@ -333,12 +347,12 @@ def _eigenphase_law(phases: np.ndarray, weights: np.ndarray, t: int) -> np.ndarr
     return law.reshape(-1)
 
 
-def _check_shots(shots: int, n_rows: int) -> None:
+def _shot_bytes(shots: int, n_rows: int) -> int:
     # words a shot holds at the peak: j, the energy and two temporaries (the
     # sampler's outcome and row, the decode's, the histogram's bin index), and
     # in a thermal run the row and the decoded levels with their float copy,
     # fewer than R.bit_length() words each (every mode has two levels or more)
-    check_dense_bytes(16 * shots * (1 + n_rows.bit_length()), f"{shots} sampled shots")
+    return 16 * shots * (1 + n_rows.bit_length())
 
 
 def _sample_joint(
@@ -392,25 +406,28 @@ def _check_register(phase_map: PhaseMap, t: int) -> None:
 
 def _controlled_power_sweep(
     u: np.ndarray, columns: np.ndarray, rows: np.ndarray, t: int, seed: int, shots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Sample QPE outcomes for an R x D block of initial Fock amplitudes.
 
     This is the Trotter backend's sampler, and the tests' reference for the
-    exact backend's closed-form law.  Register row r starts the system in ``rows[r]``, whose Fock state k sits
-    in column ``columns[k]`` of U.  E-register value x of the (2^t, R, len(U))
-    state holds U^x rows / sqrt(2^t), built by doubling: level k sets values
-    [2^k, 2^(k+1)) to values [0, 2^k) times U^(2^k) in one GEMM, (2^t - 1) R
-    len(U)^2 multiply-adds in all.  After the inverse QFT the system axis is
-    summed and the shots sample the joint (j, row) categories j-major.
-    Returns (j, row, amplitudes, joint probabilities)."""
+    exact backend's closed-form law.  Register row r starts the system in
+    ``rows[r]``, whose Fock state k sits in column ``columns[k]`` of U.
+    E-register value x of the (2^t, R, len(U)) state holds U^x rows /
+    sqrt(2^t), built by doubling: level k sets values [2^k, 2^(k+1)) to
+    values [0, 2^k) times U^(2^k) in one GEMM, (2^t - 1) R len(U)^2
+    multiply-adds in all.  After the inverse QFT the system axis is summed
+    and the shots sample the joint (j, row) categories j-major.  Returns (j,
+    row, amplitudes, joint probabilities, the state's weight outside the
+    columns)."""
     e_dim = 2**t
     n_rows, dim = len(rows), len(u)
     block = max(1, 8192 // dim)  # (j, row) categories squared at a time
-    _check_shots(shots, n_rows)
-    # the state, the ladder's two newest powers of U, the joint law with its
-    # cdf, and one block of |amplitude|^2 with its square
-    check_dense_bytes(16 * (e_dim * n_rows * (dim + 1) + 2 * dim * dim + block * dim),
-                      f"a {t}-qubit x {n_rows}-row x {dim}-state QPE state")
+    # the state, U with the ladder's two newest powers of it, the joint law
+    # with its cdf, one block of |amplitude|^2 with its square, and the shots
+    check_dense_bytes(
+        16 * (e_dim * n_rows * (dim + 1) + 3 * dim * dim + block * dim)
+        + _shot_bytes(shots, n_rows),
+        f"a {t}-qubit x {n_rows}-row x {dim}-state QPE state and {shots} sampled shots")
     amps = np.zeros((e_dim, n_rows, dim), dtype=complex)
     amps[0][:, columns] = rows / math.sqrt(e_dim)
     flat = amps.reshape(e_dim * n_rows, dim)
@@ -423,9 +440,14 @@ def _controlled_power_sweep(
     np.fft.ifft(amps, axis=0, out=amps)
     amps *= math.sqrt(e_dim)
     joint = np.empty(len(flat))
+    outside = np.ones(dim, dtype=bool)
+    outside[columns] = False
+    leaked = 0.0
     for lo in range(0, len(flat), block):
-        joint[lo : lo + block] = (np.abs(flat[lo : lo + block]) ** 2).sum(axis=1)
-    return *_sample_joint(joint, n_rows, seed, shots), amps, joint
+        square = np.abs(flat[lo : lo + block]) ** 2
+        joint[lo : lo + block] = square.sum(axis=1)
+        leaked += float(square[:, outside].sum())
+    return *_sample_joint(joint, n_rows, seed, shots), amps, joint, leaked
 
 
 def run_qpe(
@@ -472,8 +494,9 @@ def run_qpe(
         probs = _eigenphase_law(phases, np.abs(coeffs)[None, :] ** 2, t)
         outcomes = _sample_from_probabilities(probs, seed, shots)
     else:
-        u = _step_unitary(phase_map, backend, pauli_hamiltonian, n_s)
-        outcomes, _, amps, probs = _controlled_power_sweep(u, code, psi[None, :], t, seed, shots)
+        u, sector = _step_unitary(phase_map, backend, pauli_hamiltonian, code)
+        outcomes, _, amps, probs, leaked = _controlled_power_sweep(
+            u, np.searchsorted(sector, code), psi[None, :], t, seed, shots)
     energies = phase_map.energy(outcomes)
     spectrum = SampledSpectrum(
         j_outcomes=outcomes,
@@ -488,6 +511,8 @@ def run_qpe(
             "t": t,
         },
     )
+    if backend.kind == "trotter":
+        spectrum.metadata["leaked_weight"] = leaked
     if not return_state and not return_distribution:
         return spectrum
     extras: list = [spectrum]
@@ -498,7 +523,7 @@ def run_qpe(
             ratio, angle = _fejer(phases, j, 2**t)
             post, basis = evecs @ (coeffs * ratio * np.exp(1j * angle)), code
         else:
-            post, basis = amps[j, 0, :], slice(None)
+            post, basis = amps[j, 0, :], sector
         state = np.zeros(1 << n_s, dtype=complex)
         state[basis] = post / np.linalg.norm(post)
         extras.append(state)
@@ -579,13 +604,14 @@ def run_qpe_thermal(
         law = _eigenphase_law(phases, weights, t)
         j_out, row = _sample_joint(law, len(code), seed, shots)
     else:
-        u = _step_unitary(phase_map, backend, pauli, n_s)
+        u, sector = _step_unitary(phase_map, backend, pauli, code)
         rows = np.diag(kappa)[register]
-        j_out, row, _, _ = _controlled_power_sweep(u, code, rows, t, seed, shots)
+        j_out, row, _, _, leaked = _controlled_power_sweep(
+            u, np.searchsorted(sector, code), rows, t, seed, shots)
     levels = cutoffs.all_multi_indices()[register[row]]
     energies = phase_map.energy(j_out) - fock_state_energy(problem, levels)
 
-    return SampledSpectrum(
+    spectrum = SampledSpectrum(
         j_outcomes=j_out,
         energies=energies,
         phase_map=phase_map,
@@ -601,6 +627,9 @@ def run_qpe_thermal(
             "route": route,
         },
     )
+    if backend.kind == "trotter":
+        spectrum.metadata["leaked_weight"] = leaked
+    return spectrum
 
 
 def run_qpe_problem(

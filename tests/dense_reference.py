@@ -3,7 +3,9 @@
 The package builds operators only through its ladder-term assembler and
 never needs these: the single-mode q and p, a single-mode operator embedded
 as identity on the other modes, the analytic QPE outcome distribution, and
-the QPE state with every controlled power U^x taken by ``matrix_power``.
+the QPE state with every controlled power U^x taken by ``matrix_power``,
+and the Trotter step on the whole 2^n register, where ``qpe`` builds it on
+the initial states' invariant sector only.
 It also keeps the dense spectrum post-processing that ``oracle`` replaced:
 Gaussian broadening by ``np.convolve`` over every bin, and the L1 distance
 that resamples both spectra onto their union grid with ``np.interp``; and
@@ -25,7 +27,15 @@ import scipy.linalg
 from vibronic import fock
 from vibronic.fock import ManyBodyOperator
 from vibronic.hamiltonian import CREATE
-from vibronic.mapping import COEFF_PRUNE, Encoding, PauliSum, QubitLayout, _mode_terms, _render
+from vibronic.mapping import (
+    COEFF_PRUNE,
+    Encoding,
+    PauliSum,
+    QubitLayout,
+    _mode_terms,
+    _render,
+    pauli_masks,
+)
 from vibronic.oracle import (
     BinnedSpectrum,
     BroadenedSpectrum,
@@ -33,7 +43,7 @@ from vibronic.oracle import (
     sigma_from_convention,
 )
 from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem
-from vibronic.qpe import PhaseMap, thermal_angles
+from vibronic.qpe import EvolutionBackend, PhaseMap, thermal_angles
 
 
 def position(l_max: int) -> np.ndarray:
@@ -111,6 +121,36 @@ def controlled_power_state(
     state = np.stack([psi @ np.linalg.matrix_power(u, x).T for x in range(e_dim)])
     amps = np.fft.ifft(state / math.sqrt(e_dim), axis=0) * math.sqrt(e_dim)
     return amps, (np.abs(amps) ** 2).sum(axis=2).reshape(-1)
+
+
+def trotter_register_step(ps: PauliSum, dt: float, order: int) -> np.ndarray:
+    """One Trotter substep on the whole 2^n register, in the mapper's stable term order.
+
+    Each rotation cos(theta) - i sin(theta) P updates every row r from row
+    r ^ x, with P's phase (-i)^|x & z| (-1)^|r & z|.
+    """
+    rows = np.arange(1 << ps.n_qubits)
+    terms = ps.sorted_terms()
+    if order == 2:
+        sequence = [(s, c, dt / 2) for s, c in terms + terms[::-1]]
+    else:
+        sequence = [(s, c, dt) for s, c in terms]
+    u = np.eye(len(rows), dtype=complex)
+    for string, coeff, step in sequence:
+        x, z = pauli_masks(string)
+        phase = (-1j) ** (x & z).bit_count() * (1.0 - 2.0 * (np.bitwise_count(rows & z) & 1))
+        theta = coeff.real * step
+        u = math.cos(theta) * u - 1j * math.sin(theta) * phase[:, None] * u[rows ^ x]
+    return u
+
+
+def trotter_register_unitary(
+    ps: PauliSum, phase_map: PhaseMap, backend: EvolutionBackend
+) -> np.ndarray:
+    """The Trotter QPE step U = exp(-i tau (H + shift)) on the whole 2^n register."""
+    step = trotter_register_step(ps, phase_map.tau / backend.steps, backend.order)
+    u = np.linalg.matrix_power(step, backend.steps)
+    return u * np.exp(-1j * phase_map.tau * phase_map.energy_shift)
 
 
 def thermofield_matrix(

@@ -64,6 +64,16 @@ def test_histogram_bytes_at_recorded_seed(op, tmp_path):
     assert hashlib.sha256(histogram).hexdigest() == PINNED_HISTOGRAMS[op.key]
 
 
+@pytest.mark.parametrize("op", workloads.WORKLOADS["qpe"], ids=lambda op: op.key)
+def test_full_size_qpe_histogram_matches_benchmark_reference(op, tmp_path):
+    # the benchmark's qpe ops at the recorded seed, against the sha256 its check reads
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    data = PERFBENCH.parent / "src" / "vibronic" / "data"
+    assert main(op.render(str(data), str(tmp_path), reference["recorded_seed"])) == 0
+    histogram = next(tmp_path.glob("*_histogram.csv")).read_bytes()
+    assert hashlib.sha256(histogram).hexdigest() == reference["ops"][op.key]["sha256"]
+
+
 @pytest.mark.parametrize("op", workloads.WORKLOADS["compile"], ids=lambda op: op.key)
 def test_compile_pauli_file_matches_reference(op, tmp_path):
     # the benchmark's full-size compile ops, against the benchmark's own reference text

@@ -148,8 +148,11 @@ def test_sampler_metadata_records_the_backend(command, so2_file, tmp_path):
                      "--t", "6", "--shots", "100", "--backend", backend, *extra,
                      "--out", str(out)]) == 0
         meta = json.loads(next(out.glob("*_metadata.json")).read_text())
-        recorded[backend] = [meta[key] for key in ("backend", "trotter_order", "trotter_steps")]
-    assert recorded == {"trotter:2:3": ["trotter", 2, 3], "exact": ["exact", None, None]}
+        recorded[backend] = [meta.get(key) for key in
+                             ("backend", "trotter_order", "trotter_steps", "leaked_weight")]
+    # only a Trotter run leaves the code space, so only it reports the weight it leaked
+    assert 0.0 < recorded["trotter:2:3"].pop() < 1e-2
+    assert recorded == {"trotter:2:3": ["trotter", 2, 3], "exact": ["exact", None, None, None]}
 
 
 def test_thermal_requires_temperature(so2_file, tmp_path, capsys):

@@ -11,17 +11,25 @@ import pytest
 import scipy.sparse as sp
 
 from dense_reference import (controlled_power_state, outcome_distribution, qpe_kernel_sq,
-                             thermofield_matrix)
-from vibronic import oracle, qpe
+                             thermofield_matrix, trotter_register_step,
+                             trotter_register_unitary)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vibronic import fock, oracle, qpe
 from vibronic.fock import MAX_DENSE_BYTES, DenseBudgetError, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, ladder_terms
 from vibronic.mapping import (
     Encoding,
     PauliSum,
     QubitLayout,
+    _render,
     codespace_indices,
+    invariant_sector,
     map_second_quantized,
+    pauli_masks,
     pauli_to_matrix,
+    sector_states,
 )
 from vibronic.oracle import rebin, tv_distance
 from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem, bundled_problem
@@ -283,22 +291,29 @@ def test_return_state_bytes_checked_before_run(monkeypatch):
         run_qpe(h, Encoding("unary", cuts), t=4, shots=1, phase_map=pmap, return_state=True)
 
 
+def _so2_ladder_sum(enc):
+    return map_second_quantized(ladder_terms(bundled_problem("so2")), enc,
+                                QubitLayout.for_encoding(enc))
+
+
 @pytest.mark.parametrize("backend", [EvolutionBackend.exact(), EvolutionBackend.trotter(1, 1)])
 def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
-    # unary (9,9) has 20 system qubits.  The Trotter step unitary on that
-    # register would take 16 TiB; the exact backend evolves on the D = 100
-    # code space and runs.
+    # unary (9,9) has 20 system qubits.  so2's mapped ladder sum reaches a
+    # 2^18-state sector from the code space, whose Trotter step would take
+    # 324 GiB; the exact backend evolves on the D = 100 code space and runs.
     def refuse(*args, **kwargs):
         pytest.fail("dense step unitary built despite the byte estimate")
 
     monkeypatch.setattr(qpe, "trotter_step_unitary", refuse)
+    monkeypatch.setattr(qpe, "sector_states", refuse)
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=6)
     cuts = ModeCutoffs((9, 9))
     h = ManyBodyOperator(cuts, sp.identity(100, format="csr"))
     if backend.kind == "trotter":
-        with pytest.raises(DenseBudgetError, match="GiB"):
-            run_qpe(h, Encoding("unary", cuts), t=6, shots=1, backend=backend,
-                    phase_map=pmap, pauli_hamiltonian=PauliSum(20))
+        enc = Encoding("unary", cuts)
+        with pytest.raises(DenseBudgetError, match="a 262144-state trotter QPE step"):
+            run_qpe(h, enc, t=6, shots=1, backend=backend, phase_map=pmap,
+                    pauli_hamiltonian=_so2_ladder_sum(enc))
         return
     assert len(run_qpe(h, Encoding("unary", cuts), t=6, shots=7, phase_map=pmap).j_outcomes) == 7
     # binary (1023,1023) has D = 2^20, so the D x D propagator would take 16 TiB
@@ -312,7 +327,7 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
 @pytest.mark.parametrize("variant, cuts, backend, refusal", [
     pytest.param("binary", (63, 63), EvolutionBackend.exact(), None,
                  id="binary-cuts0-backend0-4096"),
-    pytest.param("unary", (5, 5), EvolutionBackend.trotter(1, 1), "a 4096-state trotter QPE step",
+    pytest.param("unary", (6, 6), EvolutionBackend.trotter(1, 1), "a 4096-state trotter QPE step",
                  id="unary-cuts1-backend1-4096"),
     pytest.param("binary", (67, 69), EvolutionBackend.exact(),
                  "a 4-qubit x 1-row x 4760-state exact QPE law", id="binary-67-69-exact-4760"),
@@ -320,9 +335,10 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
 def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend, refusal,
                                                          monkeypatch):
     # a 4096 x 4096 Trotter U alone is 0.25 GiB, but the step holds four such
-    # arrays (the rotation copies, or the squaring ladder's).  The exact
-    # backend never forms U: its eigensolve holds 48 bytes per entry of H, so
-    # D = 4096 now reaches the eigensolve and D = 4760 is refused.
+    # arrays (the rotation copies, or the squaring ladder's); so2's mapped
+    # ladder sum reaches 2^6 x 2^6 states of unary (6,6)'s 2^14 register.
+    # The exact backend never forms U: its eigensolve holds 48 bytes per entry
+    # of H, so D = 4096 now reaches the eigensolve and D = 4760 is refused.
     class Admitted(Exception):
         pass
 
@@ -343,9 +359,9 @@ def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend,
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
     expected = (pytest.raises(Admitted) if refusal is None
                 else pytest.raises(DenseBudgetError, match=refusal))
+    pauli = _so2_ladder_sum(enc) if backend.kind == "trotter" else None
     with expected:
-        run_qpe(h, enc, t=4, shots=1, backend=backend, phase_map=pmap,
-                pauli_hamiltonian=PauliSum(QubitLayout.for_encoding(enc).total_qubits))
+        run_qpe(h, enc, t=4, shots=1, backend=backend, phase_map=pmap, pauli_hamiltonian=pauli)
 
 
 def test_unary_encoding_agrees_with_binary():
@@ -398,6 +414,58 @@ def test_trotter_step_matches_dense_rotation_product(order):
         pmat = pauli_to_matrix(PauliSum(4, {string: 1.0}))
         expected = (np.cos(coeff * step) * np.eye(16) - 1j * np.sin(coeff * step) * pmat) @ expected
     assert np.abs(trotter_step_unitary(ps, dt, order) - expected).max() < 1e-13
+
+
+@st.composite
+def _masked_sums(draw):
+    n = draw(st.integers(1, 8))
+    masks = st.integers(0, (1 << n) - 1)
+    terms = draw(st.lists(st.tuples(masks, masks), max_size=6))
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(terms), max_size=len(terms)))
+    starts = draw(st.lists(masks, min_size=1, max_size=4))
+    return PauliSum(n, {_render(x, z, n): c for (x, z), c in zip(terms, coeffs)}), starts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_masked_sums(), order=st.sampled_from([1, 2]))
+def test_sector_step_is_the_register_step_block(case, order):
+    # the sector holds the initial states and is closed under every term's x;
+    # the step on it is the whole-register step's block, which no rotation
+    # couples to the rest of the register
+    ps, starts = case
+    sector = sector_states(*invariant_sector(ps, np.array(starts)))
+    assert np.array_equal(sector, np.unique(sector))
+    assert np.isin(starts, sector).all()
+    for string in ps.terms:
+        assert np.isin(sector ^ pauli_masks(string)[0], sector).all()
+    full = trotter_register_step(ps, 0.37, order)
+    block = trotter_step_unitary(ps, 0.37, order, sector)
+    assert np.abs(block - full[np.ix_(sector, sector)]).max() < 1e-13
+    assert not np.delete(full, sector, axis=0)[:, sector].any()
+
+
+@pytest.mark.parametrize("name", ["so2", "h2o", "d2o", "no2"])
+@pytest.mark.parametrize("cuts", [(3, 3), (10, 10)])
+def test_binary_sector_is_the_whole_register(name, cuts):
+    # the x masks of a binary mode span all its qubits, so the sector is the
+    # 2^n_s register and nothing is dropped
+    enc = Encoding("binary", ModeCutoffs(cuts))
+    layout = QubitLayout.for_encoding(enc)
+    pauli = map_second_quantized(ladder_terms(bundled_problem(name)), enc, layout)
+    reps, generators = invariant_sector(pauli, codespace_indices(enc, layout))
+    assert len(reps) == 1 and len(generators) == layout.total_qubits
+    assert np.array_equal(sector_states(reps, generators), np.arange(1 << layout.total_qubits))
+
+
+def test_unary_sector_is_each_modes_odd_weight_words():
+    # a unary mode's transitions flip two qubits, so from the one-hot code its
+    # words keep odd weight: 2^3 of 2^4 per mode at (3,3), 64 of 256 states
+    enc = Encoding("unary", ModeCutoffs((3, 3)))
+    layout = QubitLayout.for_encoding(enc)
+    pauli = map_second_quantized(ladder_terms(bundled_problem("so2")), enc, layout)
+    sector = sector_states(*invariant_sector(pauli, codespace_indices(enc, layout)))
+    odd = [w for w in range(16) if w.bit_count() % 2]
+    assert np.array_equal(sector, sorted(a | b << 4 for a in odd for b in odd))
 
 
 def test_trotter_rejects_complex_coefficients():
@@ -642,7 +710,8 @@ def test_emulator_distribution_equals_kernel_mixture(name, cuts, variant):
 
 
 def _sweep_inputs(cuts, variant, backend, t):
-    # the exact U = V exp(-2 pi i phi) V^dagger is built here, for the ladder reference only
+    # the exact U = V exp(-2 pi i phi) V^dagger, or the Trotter step on the
+    # whole register, is built here for the ladder reference only
     problem = bundled_problem("so2")
     cutoffs = ModeCutoffs(cuts)
     enc = Encoding(variant, cutoffs)
@@ -653,8 +722,8 @@ def _sweep_inputs(cuts, variant, backend, t):
         phases, evecs = qpe._eigenphases(h, pmap, 1, 1)
         u = (evecs * np.exp(-2j * np.pi * phases)) @ evecs.conj().T
         return problem, cutoffs, enc, h, pmap, code, u, code, np.arange(len(code))
-    u = qpe._step_unitary(pmap, backend, pauli, layout.total_qubits)
-    return problem, cutoffs, enc, h, pmap, code, u, np.arange(len(u)), code
+    u = trotter_register_unitary(pauli, pmap, backend)
+    return problem, cutoffs, enc, pauli, pmap, code, u, np.arange(len(u)), code
 
 
 def test_law_matches_matrix_powers_from_initial_state():
@@ -685,18 +754,75 @@ def test_law_matches_matrix_powers_from_initial_state():
     assert len(seen) >= 8
 
 
-def test_ladder_matches_matrix_powers_with_trotter_leakage():
-    # unary trotter:1:1 evolves all 2^6 register states; about 1e-3 of the
-    # vacuum's weight leaks off the code space
+TROTTER = EvolutionBackend.trotter(1, 1)
+
+
+def _sector_sweeps(monkeypatch):
+    # (amplitudes, joint law, leaked weight) of every ladder the runs sweep
+    sweeps = []
+    real_sweep = qpe._controlled_power_sweep
+
+    def keep_sweep(*args):
+        sweeps.append(real_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(qpe, "_controlled_power_sweep", keep_sweep)
+    return sweeps
+
+
+def test_ladder_matches_matrix_powers_with_trotter_leakage(monkeypatch):
+    # unary trotter:1:1: the reference evolves all 2^6 register states, the
+    # run the 16-state sector of the code space; about 1e-3 of the vacuum's
+    # weight leaks off the code space, and none off the sector
     t = 6
-    *_, code, u, _, columns = _sweep_inputs((2, 2), "unary", EvolutionBackend.trotter(1, 1), t)
+    problem, cutoffs, _, pauli, pmap, code, u, _, columns = _sweep_inputs((2, 2), "unary",
+                                                                         TROTTER, t)
     rows = np.eye(1, len(code))
     ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
-    _, _, amps, joint = qpe._controlled_power_sweep(u, columns, rows, t, seed=4, shots=100)
     leaked = (np.abs(np.delete(ref_amps, code, axis=2)) ** 2).sum()
     assert 1e-4 < leaked < 1e-2
-    assert np.abs(amps - ref_amps).max() < 1e-12
+    sweeps = _sector_sweeps(monkeypatch)
+    spec = run_qpe_problem(problem, cutoffs, t, shots=100, encoding_variant="unary",
+                           backend=TROTTER, seed=4)
+    _, _, amps, joint, sector_leaked = sweeps[0]
+    sector = sector_states(*invariant_sector(pauli, code))
+    assert len(sector) == 16 and spec.phase_map == pmap
+    assert np.abs(amps - ref_amps[:, :, sector]).max() < 1e-12
+    assert not np.delete(ref_amps, sector, axis=2).any()
     assert np.abs(joint - ref_joint).max() < 1e-12
+    assert abs(sector_leaked - leaked) < 1e-12
+    assert abs(spec.metadata["leaked_weight"] - leaked) < 1e-12
+
+
+def test_thermal_ladder_matches_matrix_powers_with_trotter_leakage(monkeypatch):
+    # the same sector ladder with the thermofield rows, R = D = 9
+    t = 6
+    problem, cutoffs, _, _, pmap, code, u, _, columns = _sweep_inputs((2, 2), "unary",
+                                                                     TROTTER, t)
+    thermal = ThermalConfig(beta=0.002)
+    rows = np.diag(prepare_thermal(problem, cutoffs, thermal))[np.argsort(code)]
+    ref_amps, ref_joint = controlled_power_state(u, columns, rows, t)
+    leaked = (np.abs(np.delete(ref_amps, code, axis=2)) ** 2).sum()
+    assert 1e-4 < leaked < 1e-2
+    sweeps = _sector_sweeps(monkeypatch)
+    spec = run_qpe_thermal(problem, cutoffs, t, shots=100, thermal=thermal,
+                           encoding_variant="unary", backend=TROTTER, seed=4, phase_map=pmap)
+    assert np.abs(sweeps[0][3] - ref_joint).max() < 1e-12
+    assert abs(spec.metadata["leaked_weight"] - leaked) < 1e-12
+
+
+def test_trotter_return_state_scatters_the_sector():
+    # the post-measurement state is the sector's amplitudes at the last j,
+    # placed at the sector's register indices
+    t = 6
+    _, cutoffs, enc, pauli, pmap, code, u, _, columns = _sweep_inputs((2, 2), "unary",
+                                                                     TROTTER, t)
+    ref_amps, _ = controlled_power_state(u, columns, np.eye(1, len(code)), t)
+    h = build_hamiltonian(bundled_problem("so2"), cutoffs, route="ladder").hamiltonian
+    spec, state = run_qpe(h, enc, t, shots=5, backend=TROTTER, seed=2, phase_map=pmap,
+                          pauli_hamiltonian=pauli, return_state=True)
+    post = ref_amps[int(spec.j_outcomes[-1]), 0]
+    assert np.abs(state - post / np.linalg.norm(post)).max() < 1e-12
 
 
 def _thermal_law(cuts, t, monkeypatch):
@@ -762,7 +888,8 @@ def test_law_matches_the_analytic_kernel_away_from_the_grid():
 def test_sweep_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkeypatch):
     # the inverse FFT runs in place and |amplitude|^2 is formed a block at a
     # time, so the state holds 16 bytes per entry where it held 32; a shot
-    # holds its uniform, outcome, j and row
+    # holds its uniform, outcome, j and row.  The caller's U is traced too:
+    # it stays alive beside the ladder's two newest powers
     checked = []
     monkeypatch.setattr(qpe, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
     rng = np.random.default_rng(5)
@@ -770,6 +897,7 @@ def test_sweep_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkey
     rows, columns = np.eye(n_rows, dim), np.arange(dim)
     tracemalloc.start()
     try:
+        u = u.copy()
         qpe._controlled_power_sweep(u, columns, rows, t, seed=0, shots=shots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -805,14 +933,46 @@ def test_law_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkeypa
 
 
 def test_largest_accepted_shot_count_at_16_bytes_per_word():
-    # a zero-temperature shot holds 32 bytes, so 2^25 shots fill the budget;
-    # a 16-row thermal register (b = 5) holds up to 96
-    qpe._check_shots(2**25, 1)
-    with pytest.raises(DenseBudgetError, match="33554433 sampled shots"):
-        qpe._check_shots(2**25 + 1, 1)
-    qpe._check_shots(MAX_DENSE_BYTES // 96, 16)
-    with pytest.raises(DenseBudgetError, match="sampled shots"):
-        qpe._check_shots(MAX_DENSE_BYTES // 96 + 1, 16)
+    # a zero-temperature shot holds 32 bytes, so 2^25 shots alone fill the
+    # budget; a 16-row thermal register (b = 5) holds up to 96
+    assert qpe._shot_bytes(2**25, 1) == MAX_DENSE_BYTES
+    assert qpe._shot_bytes(MAX_DENSE_BYTES // 96, 16) <= MAX_DENSE_BYTES
+    assert qpe._shot_bytes(MAX_DENSE_BYTES // 96 + 1, 16) > MAX_DENSE_BYTES
+    h = diag_h([0.0, 1.0])
+    pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=1)
+    with pytest.raises(DenseBudgetError, match="33554432 sampled shots"):
+        run_qpe(h, Encoding("binary", h.space), t=1, shots=2**25, phase_map=pmap)
+
+
+@pytest.mark.parametrize("backend", [EvolutionBackend.exact(), TROTTER], ids=["exact", "trotter"])
+def test_one_byte_check_per_sampled_run(backend, monkeypatch):
+    # the law (or the ladder's state) is alive while the shots are sampled and
+    # decoded, so a run whose parts each fit the budget, but not their sum, is
+    # refused before a shot is drawn
+    problem, cutoffs = bundled_problem("so2"), ModeCutoffs((2, 2))
+    checked = []
+    real_check = qpe.check_dense_bytes
+
+    def record(n_bytes, what):
+        checked.append(n_bytes)
+        real_check(n_bytes, what)
+
+    monkeypatch.setattr(qpe, "check_dense_bytes", record)
+    run_qpe_problem(problem, cutoffs, t=6, shots=1, encoding_variant="unary", backend=backend)
+    held = checked[-1] - qpe._shot_bytes(1, 1)
+    shots = held // 32
+    budget = max(held, qpe._shot_bytes(shots, 1))
+    # the run's other checks (the Trotter step) fit too
+    assert budget < held + qpe._shot_bytes(shots, 1) and max(checked[:-1], default=0) < budget
+
+    def refuse(*args, **kwargs):
+        pytest.fail("shots were drawn although the run exceeds the byte budget")
+
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", budget)
+    monkeypatch.setattr(qpe, "shot_uniforms", refuse)
+    with pytest.raises(DenseBudgetError, match=f"{shots} sampled shots"):
+        run_qpe_problem(problem, cutoffs, t=6, shots=shots, encoding_variant="unary",
+                        backend=backend)
 
 
 @pytest.mark.parametrize("thermal, cutoffs", [
