@@ -38,7 +38,7 @@ for n in range(5):
 so2 = bundled_problem("so2")
 cutoffs = ModeCutoffs((16, 10))
 rep = build_hamiltonian(so2, cutoffs)
-sticks = diagonalize_fcp(rep.hamiltonian, metadata={"problem": so2.label})
+sticks = diagonalize_fcp(rep.hamiltonian)
 print(f"\nSO2 at cutoffs {cutoffs.levels}: {len(sticks.energies)} sticks, "
       f"total intensity {sticks.total_intensity:.9f}")
 

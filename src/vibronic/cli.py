@@ -205,7 +205,7 @@ def cmd_thermal(args) -> int:
 
 def _write_sampled(args, problem: VibronicProblem, spectrum) -> int:
     out = _out_dir(args)
-    base = _slug(problem.label) + ("_thermal" if spectrum.initial_levels is not None else "_qpe")
+    base = f"{_slug(problem.label)}_{args.command}"
     hist = spectrum.histogram(width=args.hist_width)
     oracle.write_csv(out / f"{base}_histogram.csv", "energy_cm1,intensity,shots\n",
                      hist.bin_centers, hist.values, tail=f",{spectrum.shots}\n")
@@ -284,8 +284,8 @@ def cmd_converge(args) -> int:
     base = _slug(problem.label)
     for name, header, rows in (("converge_trace", "successive_l1", result.trace),
                                ("l1_vs_exact", "l1_vs_largest", result.vs_exact)):
-        lines = [f"l_max,{header}"] + [f"{l},{d:.10g}" for l, d in rows]
-        (out / f"{base}_{name}.csv").write_text("\n".join(lines) + "\n")
+        l_max, l1 = np.array(rows, dtype=float).reshape(-1, 2).T
+        oracle.write_csv(out / f"{base}_{name}.csv", f"l_max,{header}\n", l_max, l1, tail="\n")
     print(f"varied mode {args.vary_mode} (1-based), threshold {args.threshold:g}")
     for l, d in result.trace:
         print(f"  L_max={l:3d}  successive L1 = {d:.3e}")
@@ -299,6 +299,7 @@ def cmd_converge(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing step or L1 is refused below
 def cmd_compare(args) -> int:
     spectra = []
     for path in (args.spectrum_a, args.spectrum_b):
@@ -315,6 +316,8 @@ def cmd_compare(args) -> int:
             raise CliError(f"{path}: energies must ascend on one uniform grid")
         spectra.append(oracle.BroadenedSpectrum(grid_start=grid[0], grid_step=step, values=values))
     value = oracle.l1_distance(*spectra)
+    if not math.isfinite(value):
+        raise CliError(f"L1 = {value}: the spectra's values overflow a float sum")
     print(f"L1 = {value:.10g}")
     return 0
 

@@ -64,7 +64,6 @@ class HamiltonianBuildReport:
 
     space: ModeCutoffs
     hamiltonian: ManyBodyOperator
-    term_count: int
     hermiticity_deviation: float
 
 
@@ -255,17 +254,10 @@ def build_b_dagger(problem: VibronicProblem, space: ModeCutoffs) -> list[ManyBod
 def build_hamiltonian(
     problem: VibronicProblem, cutoffs: ModeCutoffs, route: str = "qp"
 ) -> HamiltonianBuildReport:
-    """Assemble H, anharmonic terms included, in the route's ordering.
-
-    ``term_count`` is the number of grouped second-quantized terms.
-    """
+    """Assemble H, anharmonic terms included, in the route's ordering."""
     if len(cutoffs) != problem.n_modes:
         raise ValueError(f"{len(cutoffs)} cutoffs for a {problem.n_modes}-mode problem")
-    terms = hamiltonian_terms(problem, route)
-    h = assemble_terms(terms, cutoffs)
+    h = assemble_terms(hamiltonian_terms(problem, route), cutoffs)
     return HamiltonianBuildReport(
-        space=cutoffs,
-        hamiltonian=h,
-        term_count=len(terms),
-        hermiticity_deviation=h.hermiticity_deviation(),
+        space=cutoffs, hamiltonian=h, hermiticity_deviation=h.hermiticity_deviation()
     )

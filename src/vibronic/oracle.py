@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -30,6 +30,17 @@ DEFAULT_SIGMA = 100.0
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
+#: Bytes a full eigensolve holds per entry of a real D x D H: the dense copy,
+#: LAPACK's copy, dsyevd's workspace and the eigenvectors.  Peak RSS over the
+#: interpreter's (2 vCPUs, OpenBLAS): 41 bytes per entry (D = 1,681-3,721); an
+#: H stored complex is counted twice (82 measured at D = 2,000).
+EIGH_BYTES_PER_ENTRY = 48
+
+#: Bytes a thermal stick spectrum holds per stick beside the eigenvectors: the
+#: energies and intensities, their sort order and both sorted copies.  Traced
+#: 40.0-40.2 on so2 (20,20)-(40,40) with every initial state weighted.
+THERMAL_STICK_BYTES = 40
+
 
 @dataclass
 class StickSpectrum:
@@ -37,7 +48,6 @@ class StickSpectrum:
 
     energies: np.ndarray
     intensities: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     @property
     def total_intensity(self) -> float:
@@ -60,7 +70,6 @@ class BinnedSpectrum:
     width: float
     first_bin: int
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -79,7 +88,6 @@ class BroadenedSpectrum:
     grid_start: float
     grid_step: float
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> np.ndarray:
@@ -100,8 +108,15 @@ def dense_matrix(h: ManyBodyOperator) -> np.ndarray:
     return mat
 
 
+def eigensolve_bytes(h: ManyBodyOperator) -> int:
+    """Bytes that ``eigensolve`` holds for H: EIGH_BYTES_PER_ENTRY per entry, twice if complex."""
+    d = h.space.dimension
+    return EIGH_BYTES_PER_ENTRY * (2 if np.iscomplexobj(h.matrix) else 1) * d * d
+
+
 def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Full Hermitian eigendecomposition, real-symmetric fast path."""
+    """Full Hermitian eigendecomposition, real-symmetric fast path; its bytes are checked first."""
+    check_dense_bytes(eigensolve_bytes(h), f"a {h.space.dimension}-state dense eigensolve")
     return np.linalg.eigh(dense_matrix(h))
 
 
@@ -141,7 +156,7 @@ def _vacuum_sticks(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
     return vals, z[0] ** 2
 
 
-def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickSpectrum:
+def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
     """Stick spectrum of H: eigenvalues vs |<0|psi_i>|^2.
 
     The initial state is the vacuum (flat index 0), giving the
@@ -156,9 +171,7 @@ def diagonalize_fcp(h: ManyBodyOperator, metadata: dict | None = None) -> StickS
             f"Hamiltonian is not Hermitian (deviation {h.hermiticity_deviation():.2e})"
         )
     evals, fcf = _vacuum_sticks(h)
-    meta = {"cutoffs": list(h.space.levels)}
-    meta.update(metadata or {})
-    return StickSpectrum(energies=evals, intensities=fcf, metadata=meta)
+    return StickSpectrum(energies=evals, intensities=fcf)
 
 
 def bin_offsets(
@@ -193,12 +206,7 @@ def bin_spectrum(sticks: StickSpectrum, width: float = DEFAULT_BIN_WIDTH) -> Bin
     offsets, first, n_bins = bin_offsets(sticks.energies, width)
     values = np.zeros(n_bins)
     np.add.at(values, offsets, sticks.intensities)
-    return BinnedSpectrum(
-        width=width,
-        first_bin=first,
-        values=values,
-        metadata=dict(sticks.metadata),
-    )
+    return BinnedSpectrum(width=width, first_bin=first, values=values)
 
 
 def sigma_from_convention(width: float, convention: str) -> float:
@@ -248,14 +256,7 @@ def broaden(
     for j in np.flatnonzero(binned.values):
         values[j : j + 2 * half + 1] += binned.values[j] * kernel
     start_bin = binned.first_bin - half
-    meta = dict(binned.metadata)
-    meta.update({"sigma": sigma, "sigma_convention": convention})
-    return BroadenedSpectrum(
-        grid_start=(start_bin + 0.5) * width,
-        grid_step=width,
-        values=values,
-        metadata=meta,
-    )
+    return BroadenedSpectrum(grid_start=(start_bin + 0.5) * width, grid_step=width, values=values)
 
 
 def _resample(spec: BroadenedSpectrum, grid: np.ndarray) -> np.ndarray:
@@ -267,19 +268,26 @@ def l1_distance(a: BroadenedSpectrum, b: BroadenedSpectrum) -> float:
 
     Grids of one step whose starts lie a whole number of steps apart are
     compared node for node on their union grid; otherwise both are resampled
-    onto the union grid at the finer step.
+    onto the union grid at the finer step.  The union grid's bytes are
+    checked, in float, before it is formed.
     """
     shift = (b.grid_start - a.grid_start) / a.grid_step
     if a.grid_step == b.grid_step and shift.is_integer():
         ia, ib = max(0, -int(shift)), max(0, int(shift))
-        diff = np.zeros(max(ia + len(a.values), ib + len(b.values)))
+        n = max(ia + len(a.values), ib + len(b.values))
+        # the difference and its absolute value
+        check_dense_bytes(16.0 * n, f"a {n:.4g}-point L1 union grid")
+        diff = np.zeros(n)
         diff[ia : ia + len(a.values)] = a.values
         diff[ib : ib + len(b.values)] -= b.values
         return float(np.abs(diff).sum() * a.grid_step)
     step = min(a.grid_step, b.grid_step)
     lo = min(a.grid_start, b.grid_start)
     hi = max(a.grid[-1], b.grid[-1])
-    n = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step
+    # the grid, both resampled spectra, their difference and its absolute value
+    check_dense_bytes(40 * (span + 1), f"a {span + 1:.4g}-point L1 union grid")
+    n = int(round(span)) + 1
     grid = lo + step * np.arange(n)
     return float(np.abs(_resample(a, grid) - _resample(b, grid)).sum() * step)
 
@@ -293,9 +301,7 @@ def spectrum_pipeline(
 ) -> tuple[StickSpectrum, BinnedSpectrum, BroadenedSpectrum]:
     """Build H, diagonalize, bin and broaden in one call."""
     report = build_hamiltonian(problem, cutoffs, route=route)
-    sticks = diagonalize_fcp(
-        report.hamiltonian, metadata={"problem": problem.label, "route": route}
-    )
+    sticks = diagonalize_fcp(report.hamiltonian)
     binned = bin_spectrum(sticks)
     broad = broaden(binned, sigma=sigma, convention=convention)
     return sticks, binned, broad
@@ -329,7 +335,8 @@ def converge_sweep(
     the smallest cutoff whose spectrum the next one no longer improves (so a
     single-stick identity problem converges at 1).  The trace of successive
     distances is returned along with an L1-vs-final curve for error-decay
-    plots.  A non-monotone trace is flagged, not rejected.
+    plots.  A non-monotone trace is flagged, not rejected.  Every spectrum is
+    held for that curve, so their bytes are checked before each next cutoff.
     """
     if varied_mode in fixed_cutoffs:
         raise ValueError("varied mode cannot also have a fixed cutoff")
@@ -342,6 +349,8 @@ def converge_sweep(
     trace: list[tuple[int, float]] = []
     converged = None
     for l in range(l_start, l_cap + 1):
+        held = 8 * sum(len(spec.values) for spec in spectra.values())
+        check_dense_bytes(held, f"a cutoff sweep holding {len(spectra)} broadened spectra")
         _, _, spectra[l] = spectrum_pipeline(
             problem, ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, l),
             route=route, sigma=sigma, convention=convention,
@@ -375,7 +384,6 @@ def thermal_fcp_oracle(
     e^{-b w_k n_k}, renormalized over the truncated space; each contributes
     its own transition energies relative to E_A(n).
     """
-    beta = thermal.beta
     evals, evecs = eigensolve(build_hamiltonian(problem, cutoffs).hamiltonian)
 
     occupations = cutoffs.all_multi_indices()
@@ -384,23 +392,17 @@ def thermal_fcp_oracle(
         weights = np.zeros(cutoffs.dimension)
         weights[0] = 1.0
     else:
-        log_w = -beta * (occupations @ problem.omega_A)
+        log_w = -thermal.beta * (occupations @ problem.omega_A)
         weights = np.exp(log_w - log_w.max())
         weights /= weights.sum()
 
     keep = np.nonzero(weights > 1e-16)[0]
+    check_dense_bytes(evecs.nbytes + THERMAL_STICK_BYTES * len(keep) * len(evals),
+                      f"{len(keep)} x {len(evals)} thermal sticks")
     energies = (evals[None, :] - e_a[keep, None]).ravel()
     intensities = (weights[keep, None] * np.abs(evecs[keep, :]) ** 2).ravel()
     order = np.argsort(energies)
-    return StickSpectrum(
-        energies=energies[order],
-        intensities=intensities[order],
-        metadata={
-            "problem": problem.label,
-            "cutoffs": list(cutoffs.levels),
-            "beta_invcm": beta,
-        },
-    )
+    return StickSpectrum(energies=energies[order], intensities=intensities[order])
 
 
 def cumulative_fcf_by_level(
@@ -440,8 +442,7 @@ def rebin(binned: BinnedSpectrum, new_width: float) -> BinnedSpectrum:
 
     Each old bin moves whole into the new bin holding its centre.
     """
-    centers = StickSpectrum(binned.bin_centers, binned.values, binned.metadata)
-    return bin_spectrum(centers, new_width)
+    return bin_spectrum(StickSpectrum(binned.bin_centers, binned.values), new_width)
 
 
 # -- file output -------------------------------------------------------
@@ -465,8 +466,11 @@ def write_csv(path, header: str, xs: np.ndarray, ys: np.ndarray, tail: str = "\r
 
 
 def read_spectrum_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column spectrum CSV (either sticks or broadened)."""
-    rows = list(csv.reader(io.StringIO(text)))
+    """Read a two-column spectrum CSV (either sticks or broadened) of finite numbers."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"spectrum CSV is malformed: {exc}") from exc
     if not rows or len(rows[0]) < 2:
         raise ValueError("spectrum CSV must have a two-column header")
     try:
@@ -475,6 +479,8 @@ def read_spectrum_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"spectrum CSV has a malformed data row: {exc}") from exc
     if data.size == 0:
         raise ValueError("spectrum CSV has no data rows")
+    if not np.isfinite(data).all():
+        raise ValueError("spectrum CSV has a non-finite value")
     return data[:, 0], data[:, 1]
 
 

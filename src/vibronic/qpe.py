@@ -34,7 +34,8 @@ from .mapping import (
     map_second_quantized,
     sector_states,
 )
-from .oracle import DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, dense_matrix, eigensolve
+from .oracle import (DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, dense_matrix, eigensolve,
+                     eigensolve_bytes)
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Share of the 2 pi phase window left empty above the highest eigenphase.
@@ -49,12 +50,6 @@ MAX_T = 62
 #: workspace.  Peak RSS over the interpreter's (2 vCPUs, OpenBLAS): 64 bytes per
 #: entry (S = 1,024-2,048).
 STEP_BYTES_PER_ENTRY = 72
-
-#: Bytes the exact backend's eigensolve holds per entry of a real D x D H: the
-#: dense copy, LAPACK's copy, dsyevd's workspace and the eigenvectors.  Peak RSS
-#: over the interpreter's (2 vCPUs, OpenBLAS): 41 bytes per entry (D = 1,681-3,721);
-#: an H stored complex is counted twice (82 measured at D = 2,000).
-EIGH_BYTES_PER_ENTRY = 48
 
 #: Entries of the (j, eigenphase) kernel block that the exact law forms at a time.
 KERNEL_BLOCK = 1 << 15
@@ -188,8 +183,7 @@ class SampledSpectrum:
         sums = np.full(counts.max() + 1, 1.0 / max(len(self.energies), 1))
         sums[0] = 0.0
         np.cumsum(sums, out=sums)
-        return BinnedSpectrum(width=width, first_bin=first, values=sums[counts],
-                              metadata={"shots": self.shots, **self.metadata})
+        return BinnedSpectrum(width=width, first_bin=first, values=sums[counts])
 
 
 def shot_uniforms(seed: int, shots: int) -> np.ndarray:
@@ -285,10 +279,9 @@ def _eigenphases(
     formed.
     """
     dim, e_dim = h.space.dimension, 2**phase_map.t
-    per_entry = EIGH_BYTES_PER_ENTRY * (2 if np.iscomplexobj(h.matrix) else 1)
     block = max(1, KERNEL_BLOCK // dim)
     check_dense_bytes(
-        per_entry * dim * dim + 8 * n_rows * dim + 16 * e_dim * n_rows
+        eigensolve_bytes(h) + 8 * n_rows * dim + 16 * e_dim * n_rows
         + 8 * block * (2 * dim + n_rows) + _shot_bytes(shots, n_rows),
         f"a {phase_map.t}-qubit x {n_rows}-row x {dim}-state exact QPE law"
         f" and {shots} sampled shots")
@@ -353,6 +346,17 @@ def _shot_bytes(shots: int, n_rows: int) -> int:
     # in a thermal run the row and the decoded levels with their float copy,
     # fewer than R.bit_length() words each (every mode has two levels or more)
     return 16 * shots * (1 + n_rows.bit_length())
+
+
+def _run_record(
+    encoding: Encoding, backend: EvolutionBackend, t: int, leaked: float | None, **facts
+) -> dict:
+    """The facts every sampled run records; only a Trotter run leaves the code space and leaks."""
+    record = {"encoding": encoding.variant, **backend.as_dict(), "t": t, **facts,
+              "system_qubits": QubitLayout.for_encoding(encoding).total_qubits}
+    if backend.kind == "trotter":
+        record["leaked_weight"] = leaked
+    return record
 
 
 def _sample_joint(
@@ -488,6 +492,7 @@ def run_qpe(
     else:
         vec = np.asarray(initial_state, dtype=complex)
         psi = vec / np.linalg.norm(vec)
+    leaked = None
     if backend.kind == "exact":
         phases, evecs = _eigenphases(h, phase_map, 1, shots)
         coeffs = (evecs.T @ psi.conj()).conj()  # <v_i|psi>
@@ -497,22 +502,9 @@ def run_qpe(
         u, sector = _step_unitary(phase_map, backend, pauli_hamiltonian, code)
         outcomes, _, amps, probs, leaked = _controlled_power_sweep(
             u, np.searchsorted(sector, code), psi[None, :], t, seed, shots)
-    energies = phase_map.energy(outcomes)
-    spectrum = SampledSpectrum(
-        j_outcomes=outcomes,
-        energies=energies,
-        phase_map=phase_map,
-        shots=shots,
-        seed=seed,
-        metadata={
-            "encoding": encoding.variant,
-            **backend.as_dict(),
-            "system_qubits": n_s,
-            "t": t,
-        },
-    )
-    if backend.kind == "trotter":
-        spectrum.metadata["leaked_weight"] = leaked
+    spectrum = SampledSpectrum(j_outcomes=outcomes, energies=phase_map.energy(outcomes),
+                               phase_map=phase_map, shots=shots, seed=seed,
+                               metadata=_run_record(encoding, backend, t, leaked))
     if not return_state and not return_distribution:
         return spectrum
     extras: list = [spectrum]
@@ -585,17 +577,15 @@ def run_qpe_thermal(
     is summed over.
     """
     encoding = Encoding(encoding_variant, cutoffs)
-    layout = QubitLayout.for_encoding(encoding)
-    n_s = layout.total_qubits
-
     route, h, pauli, phase_map = _problem_hamiltonian(
         problem, cutoffs, t, encoding, backend, route, phase_map
     )
-    code = codespace_indices(encoding, layout)
+    code = codespace_indices(encoding, QubitLayout.for_encoding(encoding))
     # register row r holds Fock state register[r]: increasing basis index, so
     # the (j, register) categories keep the order of the full register
     register = np.argsort(code)
     kappa = prepare_thermal(problem, cutoffs, thermal)
+    leaked = None
     if backend.kind == "exact":
         phases, evecs = _eigenphases(h, phase_map, len(code), shots)
         # row r starts in kappa_k |k>, k = register[r]: W[r, i] = kappa_k^2 |V[k, i]|^2
@@ -610,26 +600,11 @@ def run_qpe_thermal(
             u, np.searchsorted(sector, code), rows, t, seed, shots)
     levels = cutoffs.all_multi_indices()[register[row]]
     energies = phase_map.energy(j_out) - fock_state_energy(problem, levels)
-
-    spectrum = SampledSpectrum(
-        j_outcomes=j_out,
-        energies=energies,
-        phase_map=phase_map,
-        shots=shots,
-        seed=seed,
+    return SampledSpectrum(
+        j_outcomes=j_out, energies=energies, phase_map=phase_map, shots=shots, seed=seed,
         initial_levels=levels,
-        metadata={
-            "encoding": encoding_variant,
-            **backend.as_dict(),
-            "beta_invcm": thermal.beta,
-            "system_qubits": n_s,
-            "t": t,
-            "route": route,
-        },
+        metadata=_run_record(encoding, backend, t, leaked, beta_invcm=thermal.beta, route=route),
     )
-    if backend.kind == "trotter":
-        spectrum.metadata["leaked_weight"] = leaked
-    return spectrum
 
 
 def run_qpe_problem(
@@ -657,6 +632,5 @@ def run_qpe_problem(
         pauli_hamiltonian=pauli,
         phase_map=phase_map,
     )
-    spectrum.metadata["problem"] = problem.label
     spectrum.metadata["route"] = route
     return spectrum

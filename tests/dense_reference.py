@@ -189,13 +189,10 @@ def broaden_dense(
     kernel = np.exp(-(x**2) / (2.0 * sig**2)) / (sig * math.sqrt(2.0 * math.pi))
     values = np.convolve(binned.values, kernel, mode="full")
     start_bin = binned.first_bin - half
-    meta = dict(binned.metadata)
-    meta.update({"sigma": sigma, "sigma_convention": convention})
     return BroadenedSpectrum(
         grid_start=(start_bin + 0.5) * width,
         grid_step=width,
         values=values,
-        metadata=meta,
     )
 
 

@@ -64,6 +64,26 @@ def test_histogram_bytes_at_recorded_seed(op, tmp_path):
     assert hashlib.sha256(histogram).hexdigest() == PINNED_HISTOGRAMS[op.key]
 
 
+#: sha256 of the metadata JSON of an exact and a Trotter run of each sampling
+#: command at the recorded seed
+PINNED_METADATA = {
+    "qpe_binary_10": "110cecd5b148578cc7791c73c37e8af1f18ee49aaca2f5e9c0e4fb302d975ed8",
+    "qpe_unary_3_trotter": "99504ca8f4e2f9e9cdbcd96f368229e679544e77a4416f4742417865a527c39c",
+    "thermal_binary_3": "5f91d0b8097cb041c03a60f9cddd6fb940a2acb0474422b457ddc92e7b008ad5",
+    "thermal_unary_2_trotter": "9011e451983f26d67e3e82fb22ac6ec0865788b640a26b26127e92c6ec39508a",
+}
+THERMAL_TROTTER = workloads._sample("thermal_unary_2_trotter", "thermal", "2,2", "unary", 6,
+                                    "20000", "--temperature-K", "300", "--backend", "trotter:2:2")
+
+
+@pytest.mark.parametrize("op", [*workloads.TINY["qpe"], THERMAL_TROTTER], ids=lambda op: op.key)
+def test_metadata_bytes_at_recorded_seed(op, tmp_path):
+    data = PERFBENCH.parent / "src" / "vibronic" / "data"
+    assert main(op.render(str(data), str(tmp_path), workloads.RECORDED_SEED)) == 0
+    metadata = next(tmp_path.glob("*_metadata.json")).read_bytes()
+    assert hashlib.sha256(metadata).hexdigest() == PINNED_METADATA[op.key]
+
+
 @pytest.mark.parametrize("op", workloads.WORKLOADS["qpe"], ids=lambda op: op.key)
 def test_full_size_qpe_histogram_matches_benchmark_reference(op, tmp_path):
     # the benchmark's qpe ops at the recorded seed, against the sha256 its check reads

@@ -12,13 +12,14 @@ import tempfile
 import warnings
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vibronic import qpe
+from vibronic import fock, qpe
 from vibronic.cli import main
 from vibronic.problem import bundled_problem, serialize_problem
 
@@ -69,6 +70,24 @@ def test_exact_file_bytes_pinned(tmp_path):
     assert main(["exact", "--problem", str(so2), "--cutoffs", "4,4", "--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == EXACT_SO2_4_SHA256
+
+
+#: sha256 of both CSVs and the stdout of the benchmark's so2 `converge` window
+CONVERGE_SO2_SHA256 = {
+    "so2_so2_e_converge_trace.csv": "e75924662bfc476e2bb76c87c492f1176c70da44e81dcf391f06ab3ac6adc329",
+    "so2_so2_e_l1_vs_exact.csv": "f56dfee82e51f251ab4acb6db96f3d86869004b8487a2db805d73b0ba0be0a16",
+    "stdout": "8d4deea2b93ce1f6a9f954c600227dda66b295f360b848533ec5f4ac5f358ad7",
+}
+
+
+def test_converge_window_bytes_pinned(tmp_path, capsys):
+    so2 = ROOT / "src" / "vibronic" / "data" / "so2.json"
+    assert main(["converge", "--problem", str(so2), "--route", "ladder", "--vary-mode", "1",
+                 "--fixed-cutoffs", "8", "--l-start", "1", "--l-cap", "24",
+                 "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert written == CONVERGE_SO2_SHA256
 
 
 def test_exact_identity_single_stick(toy_file, tmp_path):
@@ -206,6 +225,13 @@ def test_sparse_assembly_bytes_checked_exit_2(command, toy_file, tmp_path):
                         "--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert "-term sparse H on 100000001 states" in proc.stderr and "GiB" in proc.stderr
+
+
+def test_map_product_bytes_checked_exit_2(so2_file, tmp_path):
+    # binary (511,511): 1.7e8 products, whose ids, masks and sort would take about 8 GiB
+    proc = _run_capped(["map", "--problem", so2_file, "--cutoffs", "511", "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "-product Pauli map" in proc.stderr and "GiB" in proc.stderr
 
 
 def test_tiny_histogram_width_exit_2_with_real_bin_count(so2_file, tmp_path, capsys):
@@ -503,6 +529,16 @@ def test_repro_rejects_route_exit_2():
     assert exc.value.code == 2
 
 
+def test_converge_held_spectra_bytes_checked_exit_2(so2_file, tmp_path, capsys, monkeypatch):
+    # at sigma = 1e5 each step fits a 40 MB budget (a grid's 39 MB at most),
+    # but five held 9.7 MB spectra do not
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 40_000_000)
+    code = main(["converge", "--problem", so2_file, "--vary-mode", "1", "--fixed-cutoffs", "1",
+                 "--l-cap", "8", "--sigma", "1e5", "--threshold", "1e-300", "--out", str(tmp_path)])
+    assert code == 2
+    assert "a cutoff sweep holding 5 broadened spectra" in capsys.readouterr().err
+
+
 def test_converge_bad_fixed_cutoffs_exit_2(so2_file, tmp_path, capsys):
     code = main(["converge", "--problem", so2_file, "--vary-mode", "1",
                  "--fixed-cutoffs", "x", "--out", str(tmp_path)])
@@ -531,6 +567,67 @@ def test_compare_rejects_nonuniform_grid_exit_2(rows, other, tmp_path, capsys):
     assert main(["compare", str(bad), str(tmp_path / "other.csv")]) == 2
     err = capsys.readouterr().err
     assert "bad.csv" in err and "uniform grid" in err
+
+
+@pytest.mark.parametrize("rows_a,rows_b,message", [
+    ("0,1\n1,nan\n2,1\n", "0,1\n1,1\n2,1\n", "a.csv: spectrum CSV has a non-finite value"),
+    ("0,1\n1,1\n2,1\n", "0,1\n1,inf\n2,1\n", "b.csv: spectrum CSV has a non-finite value"),
+    ("0,1e308\n1,1e308\n", "0,-1e308\n1,-1e308\n", "overflow a float sum"),
+    ("1e15,1\n1000000000000001,1\n", "0,1\n1,1\n", "1e+15-point L1 union grid"),
+    ("0,1\n1e-9,1\n", "0,1\n1e9,1\n", "1e+18-point L1 union grid"),
+    ("0,1\n" + "1" * 200_000 + ",1\n", "0,1\n1,1\n", "a.csv: spectrum CSV is malformed"),
+], ids=["nan", "inf", "overflow", "offset-1e15", "steps-1e-9-and-1e9", "field-past-csv-limit"])
+def test_compare_refuses_non_finite_input_union_grid_and_l1_exit_2(rows_a, rows_b, message,
+                                                                    tmp_path, capsys):
+    # without the checks: L1 = nan or inf at exit 0, an overflow warning,
+    # union grids of 16 PB and 40 EB asked of numpy, and the csv module's error
+    for name, rows in (("a.csv", rows_a), ("b.csv", rows_b)):
+        (tmp_path / name).write_text("energy_cm1,density\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+#: ordinary, subnormal and huge magnitudes, beside every float hypothesis draws
+_CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, 5e-324, 1e-9, 1.0, 1e9, 1e15, 1e308, -1e308, 1.7976931348623157e308]))
+
+
+@st.composite
+def _spectrum_csv(draw):
+    """A spectrum CSV of 1-4 rows, on a drawn uniform grid half the time."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        start, step = draw(_CSV_FLOATS), draw(_CSV_FLOATS)
+        energies = [start + k * step for k in range(n)]
+    else:
+        energies = draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n))
+    values = draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n))
+    return "energy_cm1,density\n" + "".join(f"{e!r},{v!r}\n" for e, v in zip(energies, values))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=_spectrum_csv(), b=_spectrum_csv())
+@example(a="energy_cm1,density\n0,1e308\n1,1e308\n2,1e308\n",
+         b="energy_cm1,density\n0.5,-1e308\n1.5,-1e308\n")
+@example(a="energy_cm1,density\n1e15,1\n", b="energy_cm1,density\n0,1\n")
+def test_compare_never_raises_warns_or_prints_non_finite(a, b):
+    # exit 0 with a finite L1, or 2 with a message; a 1 MiB budget keeps every
+    # union grid small
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.object(fock, "MAX_DENSE_BYTES", 1 << 20):
+        warnings.simplefilter("error")
+        paths = [str(Path(tmp) / name) for name in ("a.csv", "b.csv")]
+        for path, text in zip(paths, (a, b)):
+            Path(path).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["compare", *paths])
+    assert (code, err.getvalue().startswith("error: ")) in ((0, False), (2, True))
+    if code == 0:
+        assert math.isfinite(float(out.getvalue().removeprefix("L1 = ")))
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dense_reference import embed, map_second_quantized_dicts
-from vibronic import fock
+from vibronic import fock, mapping
 from vibronic.fock import DenseBudgetError
 from vibronic.hamiltonian import CREATE, DESTROY, SecondQuantizedTerm, ladder_terms
 from vibronic.mapping import (
@@ -155,6 +156,40 @@ def test_pauli_to_matrix_guard():
     ps = PauliSum(25, {"I" * 25: 1.0})
     with pytest.raises(DenseBudgetError, match=r"2\^25 x 2\^25 Pauli matrix"):
         pauli_to_matrix(ps)
+
+
+@pytest.mark.parametrize("variant,levels", [("binary", 63), ("unary", 31)])
+def test_map_peak_stays_within_its_checked_bytes(variant, levels, monkeypatch):
+    # the ids, keep masks and np.unique's arrays grow with the product count
+    # (1.2e6 and 1.2e5 here), the rendered strings with the term count
+    checked = []
+    check = mapping.check_dense_bytes
+    monkeypatch.setattr(mapping, "check_dense_bytes",
+                        lambda n_bytes, what: checked.append(n_bytes) or check(n_bytes, what))
+    terms = ladder_terms(bundled_problem("so2"))
+    enc = Encoding(variant, ModeCutoffs((levels, levels)))
+    layout = QubitLayout.for_encoding(enc)
+    tracemalloc.start()
+    try:
+        map_second_quantized(terms, enc, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(checked)
+
+
+def test_map_refuses_products_and_rendered_sum_over_the_budget(monkeypatch):
+    # unary (31,31): 124,113 products that fit exactly, and 9,849 rendered
+    # 64-qubit terms beside them that do not; then one product fewer
+    terms = ladder_terms(bundled_problem("so2"))
+    enc = Encoding("unary", ModeCutoffs((31, 31)))
+    layout = QubitLayout.for_encoding(enc)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 124_113)
+    with pytest.raises(DenseBudgetError, match="a 9849-term Pauli sum on 64 qubits"):
+        map_second_quantized(terms, enc, layout)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 124_112)
+    with pytest.raises(DenseBudgetError, match="a 124113-product Pauli map"):
+        map_second_quantized(terms, enc, layout)
 
 
 @pytest.mark.parametrize("variant", ["binary", "unary"])

@@ -684,7 +684,6 @@ def test_thermal_qpe_histogram_metadata():
     spec = run_qpe_thermal(p, ModeCutoffs((4,)), t=8, shots=500,
                            thermal=ThermalConfig(beta=0.003), seed=4)
     hist = spec.histogram(width=25.0)
-    assert hist.metadata["shots"] == 500
     assert hist.total_intensity == pytest.approx(1.0, abs=1e-12)
     assert (spec.energies < -1.0).sum() > 0  # hot bands present
 
