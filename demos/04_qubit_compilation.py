@@ -47,7 +47,7 @@ enc = Encoding("unary", ModeCutoffs((4, 4)))
 layout = QubitLayout.for_encoding(enc)
 pauli = map_second_quantized(terms, enc, layout)
 report = resource_count(pauli)
-print(f"unary, L_max=4: {report.term_count} Pauli terms on {layout.total_qubits} qubits, "
+print(f"unary, L_max=4: {len(pauli)} Pauli terms on {layout.total_qubits} qubits, "
       f"greedy depth {report.greedy_depth}")
 print(f"weight histogram: {report.weight_histogram}")
 

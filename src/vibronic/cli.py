@@ -97,6 +97,11 @@ def _sigma(text: str) -> float:
     return float(text)
 
 
+def _stdev(args) -> float:
+    """--sigma read in --sigma-convention: the standard deviation the oracle broadens with."""
+    return oracle.sigma_from_convention(args.sigma, args.sigma_convention)
+
+
 def _int_range(lo: int, hi: float):
     """argparse type: an integer in [lo, hi]."""
     def integer(text: str) -> int:
@@ -156,9 +161,8 @@ def cmd_exact(args) -> int:
     problem = _load(args.problem)
     report = validate(problem)
     cutoffs = _parse_cutoffs(args.cutoffs, problem.n_modes)
-    sticks, binned, broad = oracle.spectrum_pipeline(
-        problem, cutoffs, route=args.route, sigma=args.sigma, convention=args.sigma_convention
-    )
+    sticks, binned, broad = oracle.spectrum_pipeline(problem, cutoffs, route=args.route,
+                                                     sigma=_stdev(args))
     out = _out_dir(args)
     base = _slug(problem.label)
     header = "energy_cm1,intensity\r\n"
@@ -238,7 +242,7 @@ def cmd_map(args) -> int:
         "cutoffs": ",".join(str(l) for l in cutoffs.levels),
         "qubits": layout.total_qubits,
         "second_quantized_terms": len(terms),
-        "pauli_terms": report.term_count,
+        "pauli_terms": len(pauli),
         "greedy_depth": report.greedy_depth,
     }
     text = pauli_sum_to_text(pauli, header)
@@ -247,7 +251,7 @@ def cmd_map(args) -> int:
     path.write_text(text)
     for string, coeff in pauli.sorted_terms():
         print(f"({coeff.real:+.6g}{coeff.imag:+.6g}j)*{string}")
-    print(f"wrote {path} ({report.term_count} Pauli terms on {layout.total_qubits} qubits)")
+    print(f"wrote {path} ({len(pauli)} Pauli terms on {layout.total_qubits} qubits)")
     return 0
 
 
@@ -277,8 +281,7 @@ def cmd_converge(args) -> int:
         l_start=args.l_start,
         l_cap=args.l_cap,
         route=args.route,
-        sigma=args.sigma,
-        convention=args.sigma_convention,
+        sigma=_stdev(args),
     )
     out = _out_dir(args)
     base = _slug(problem.label)
@@ -325,6 +328,7 @@ def cmd_compare(args) -> int:
 def cmd_repro(args) -> int:
     """Reproduce the truncation-error table and the anharmonic comparison."""
     out = _out_dir(args)
+    sigma = _stdev(args)
     rows = []
     print("molecule  L1(under-truncated vs exact)  published")
     for name, recipe in REPRO_RECIPE.items():
@@ -332,8 +336,7 @@ def cmd_repro(args) -> int:
         exact, approx = (
             oracle.spectrum_pipeline(
                 problem, ModeCutoffs.one_varied(recipe["fixed"], recipe["varied"], l),
-                route=REPRO_ROUTE, sigma=args.sigma, convention=args.sigma_convention,
-            )[2]
+                route=REPRO_ROUTE, sigma=sigma)[2]
             for l in (recipe["exact"], recipe["approx"])
         )
         value = oracle.l1_distance(exact, approx)
@@ -344,8 +347,7 @@ def cmd_repro(args) -> int:
     anharm = bundled_problem("so2_anharmonic")
     cutoffs = ModeCutoffs((11, 8, 6))
     broad_anharm, broad_harm = (
-        oracle.spectrum_pipeline(p, cutoffs, route="qp", sigma=args.sigma,
-                                 convention=args.sigma_convention)[2]
+        oracle.spectrum_pipeline(p, cutoffs, route="qp", sigma=sigma)[2]
         for p in (anharm, replace(anharm, anharmonic=()))
     )
     anharm_l1 = oracle.l1_distance(broad_anharm, broad_harm)

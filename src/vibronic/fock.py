@@ -1,7 +1,7 @@
 """Truncated harmonic-oscillator ladder operators and many-body operators.
 
 Single-mode operators are plain square matrices over levels 0..L_max.  A
-many-body operator is a scipy CSR matrix over the states of a
+many-body operator is a real scipy CSR matrix over the states of a
 ``ModeCutoffs`` space, in that space's flat-index order.  The byte budget
 that every large allocation is checked against lives here too.
 """
@@ -46,15 +46,25 @@ def annihilation(l_max: int) -> np.ndarray:
 
 
 class ManyBodyOperator:
-    """Operator over a truncated Fock space; any input matrix is stored as CSR."""
+    """Operator over a truncated Fock space, stored as a float64 CSR.
+
+    Vibrational operators are real: a complex input is stored as its real part
+    when every imaginary part is below 1e-12, and refused otherwise.
+    """
 
     def __init__(self, space: ModeCutoffs, matrix):
         if matrix.shape != (space.dimension, space.dimension):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match space dimension {space.dimension}"
             )
+        csr = sp.csr_array(matrix)
+        if np.iscomplexobj(csr):
+            imag = np.abs(csr.data.imag).max(initial=0.0)
+            if not imag < 1e-12:  # NaN too
+                raise ValueError(f"operator is not real: an imaginary part is {imag:.3g}")
+            csr = csr.real
         self.space = space
-        self.matrix = sp.csr_array(matrix)
+        self.matrix = csr.astype(np.float64, copy=False)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -65,10 +75,10 @@ class ManyBodyOperator:
         return ManyBodyOperator(self.space, self.matrix @ other.matrix)
 
     def dagger(self) -> "ManyBodyOperator":
-        return ManyBodyOperator(self.space, self.matrix.conj().T)
+        return ManyBodyOperator(self.space, self.matrix.T)
 
     def hermiticity_deviation(self) -> float:
-        return _max_abs(self.matrix - self.matrix.conj().T)
+        return _max_abs(self.matrix - self.matrix.T)
 
     def verify_hermitian(self) -> bool:
         """Whether max|H - H^dag| <= HERMITICITY_RTOL * max|H|."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,9 +124,7 @@ def _grouped(terms: Terms) -> Terms:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused below
-def hamiltonian_terms(
-    problem: VibronicProblem, route: str = "qp", include_anharmonic: bool = True
-) -> Terms:
+def hamiltonian_terms(problem: VibronicProblem, route: str = "qp") -> Terms:
     """Grouped second-quantized expansion of H in the route's operator ordering.
 
     With b_k^dag = L_k + s_k (L_k linear, s_k = delta_k/sqrt(2)) the two
@@ -159,7 +157,7 @@ def hamiltonian_terms(
             constant = s * s
         terms += _scaled(_grouped(lin + lin_dag), w * s)
         terms.append(SecondQuantizedTerm((), w * constant))
-    if include_anharmonic and problem.anharmonic:
+    if problem.anharmonic:
         q_b = [_grouped(_scaled(bd + _adjoint(bd), 1.0 / math.sqrt(2))) for bd in b_dag]
         for monomial in problem.anharmonic:
             if any(i < 0 or i >= len(q_b) for i in monomial.indices):
@@ -186,7 +184,7 @@ def ladder_terms(problem: VibronicProblem) -> Terms:
     ordered monomials; the length of this list is the term-count observable
     for the quadratic scaling check, and the list is what the mapper compiles.
     """
-    return hamiltonian_terms(problem, route="ladder", include_anharmonic=False)
+    return hamiltonian_terms(replace(problem, anharmonic=()), route="ladder")
 
 
 def assemble_terms(terms: Terms, space: ModeCutoffs) -> ManyBodyOperator:

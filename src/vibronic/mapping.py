@@ -52,7 +52,7 @@ MAP_BYTES_PER_PRODUCT = 56
 
 #: Bytes each rendered term holds beyond its string's one byte per qubit: the
 #: string and its per-mode pieces, the coefficient and the dict entry.  Traced
-#: n_qubits + 135-161 bytes per term on the same maps.
+#: n_qubits + 124-161 bytes per term on the same maps, past the keys' arrays.
 MAP_BYTES_PER_TERM = 176
 
 
@@ -232,7 +232,7 @@ def map_second_quantized(
     per id by ``np.add.at`` in term order and keep the order of first
     occurrence: the keys, order and bits of adding them into a dict one by one.
     The products' bytes are checked term by term, before each term's are
-    formed, and the rendered sum's once its term count is known.
+    formed, and the rendered sum's beside the keys' arrays, the only ones left.
     """
     cutoffs = encoding.cutoffs.levels
     for l_max in cutoffs:  # each mode's ladder products are dense matrices
@@ -274,6 +274,7 @@ def map_second_quantized(
                     trailing = [1] * (len(shape) - 1 - axis)
                     ids[span] += np.broadcast_to(local.reshape(-1, *trailing), shape).ravel()
     ids[~np.concatenate([np.ones(0, dtype=bool), *keep])] = -1  # pruned: one id, dropped below
+    del keep
     unique, first, group = np.unique(ids, return_index=True, return_inverse=True)
     del ids
     sums = np.zeros(len(unique), dtype=complex)
@@ -281,10 +282,13 @@ def map_second_quantized(
         re, im = _products(coefficient, factors)
         np.add.at(sums.real, group[span], re)
         np.add.at(sums.imag, group[span], im)
+        del re, im  # no product array outlives the sums
+    del group
     order = np.argsort(first)
     order = order[(unique[order] >= 0) & (np.abs(sums[order]) > COEFF_PRUNE)]
     n_qubits = layout.total_qubits
-    check_dense_bytes(MAP_BYTES_PER_PRODUCT * size + (n_qubits + MAP_BYTES_PER_TERM) * len(order),
+    # unique, first, sums and order: at most 40 bytes a key
+    check_dense_bytes(40 * len(unique) + (n_qubits + MAP_BYTES_PER_TERM) * len(order),
                       f"a {len(order)}-term Pauli sum on {n_qubits} qubits")
 
     # Modes own contiguous qubit ranges, mode 0 leftmost: a key joins its
@@ -370,9 +374,8 @@ def sector_states(reps: np.ndarray, generators: list[int]) -> np.ndarray:
 
 @dataclass
 class ResourceReport:
-    """Size observables of a compiled Pauli sum."""
+    """Size observables of a compiled Pauli sum; its term count is ``len`` of the sum."""
 
-    term_count: int
     weight_histogram: dict[int, int]
     greedy_depth: int
 
@@ -402,11 +405,7 @@ def resource_count(ps: PauliSum) -> ResourceReport:
         else:
             layers[i] |= support
         resume[support] = i
-    return ResourceReport(
-        term_count=len(ps),
-        weight_histogram=dict(sorted(weights.items())),
-        greedy_depth=len(layers),
-    )
+    return ResourceReport(dict(sorted(weights.items())), len(layers))
 
 
 # -- text output -------------------------------------------------------

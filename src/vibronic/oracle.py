@@ -30,10 +30,9 @@ DEFAULT_SIGMA = 100.0
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-#: Bytes a full eigensolve holds per entry of a real D x D H: the dense copy,
+#: Bytes a full eigensolve holds per entry of the D x D H: the dense copy,
 #: LAPACK's copy, dsyevd's workspace and the eigenvectors.  Peak RSS over the
-#: interpreter's (2 vCPUs, OpenBLAS): 41 bytes per entry (D = 1,681-3,721); an
-#: H stored complex is counted twice (82 measured at D = 2,000).
+#: interpreter's (2 vCPUs, OpenBLAS): 41 bytes per entry (D = 1,681-3,721).
 EIGH_BYTES_PER_ENTRY = 48
 
 #: Bytes a thermal stick spectrum holds per stick beside the eigenvectors: the
@@ -95,27 +94,23 @@ class BroadenedSpectrum:
 
 
 def dense_matrix(h: ManyBodyOperator) -> np.ndarray:
-    """H as a dense array, real when it has no imaginary part above 1e-12.
+    """H as a dense float64 array.
 
-    Every dense copy of an operator is made here, behind the byte budget: a
-    complex D x D array, so up to D = 8192 states.
+    Every dense copy of an operator is made here, behind the byte budget at
+    16 bytes per entry, what the stick solve holds: up to D = 8192 states.
     """
     d = h.space.dimension
     check_dense_bytes(16 * d * d, f"a {d}-state dense eigensolve")
-    mat = h.to_dense()
-    if np.iscomplexobj(mat) and np.abs(mat.imag).max(initial=0.0) < 1e-12:
-        return mat.real
-    return mat
+    return h.to_dense()
 
 
 def eigensolve_bytes(h: ManyBodyOperator) -> int:
-    """Bytes that ``eigensolve`` holds for H: EIGH_BYTES_PER_ENTRY per entry, twice if complex."""
-    d = h.space.dimension
-    return EIGH_BYTES_PER_ENTRY * (2 if np.iscomplexobj(h.matrix) else 1) * d * d
+    """Bytes that ``eigensolve`` holds for H: EIGH_BYTES_PER_ENTRY per entry."""
+    return EIGH_BYTES_PER_ENTRY * h.space.dimension**2
 
 
 def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Full Hermitian eigendecomposition, real-symmetric fast path; its bytes are checked first."""
+    """Full symmetric eigendecomposition; its bytes are checked first."""
     check_dense_bytes(eigensolve_bytes(h), f"a {h.space.dimension}-state dense eigensolve")
     return np.linalg.eigh(dense_matrix(h))
 
@@ -126,7 +121,7 @@ def _check_info(routine: str, info: int) -> None:
 
 
 def _vacuum_sticks(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a real symmetric H and |<0|psi_i>|^2, without eigenvectors.
+    """Eigenvalues of H and |<0|psi_i>|^2, without eigenvectors.
 
     ``np.linalg.eigh`` is LAPACK dsyevd: the lower-storage tridiagonal
     reduction T = Q^T H Q (dsytrd), dstedc('I') for T = Z diag(w) Z^T, then
@@ -144,8 +139,6 @@ def _vacuum_sticks(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
     The peak is the 16 D^2 bytes that ``dense_matrix`` checks, plus O(D).
     """
     mat = dense_matrix(ManyBodyOperator(h.space, h.matrix.T)).T
-    if np.iscomplexobj(mat):
-        raise ValueError("the stick spectrum needs a real Hamiltonian; use eigensolve for complex H")
     lwork, info = lapack.dsytrd_lwork(mat.shape[0], lower=1)
     _check_info("dsytrd_lwork", info)
     reduced, d, e, _, info = lapack.dsytrd(mat, lower=1, lwork=int(lwork), overwrite_a=1)
@@ -163,8 +156,7 @@ def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
     zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
     separate sticks.  No eigenvector matrix of H is formed, and only one
     dense copy of H exists, reduced in place (``_vacuum_sticks``): 16 D^2
-    bytes in all with dstevd's Z and workspace.  H must be real: dsytrd
-    would drop an imaginary part.
+    bytes in all with dstevd's Z and workspace.
     """
     if not h.verify_hermitian():
         raise ValueError(
@@ -210,20 +202,21 @@ def bin_spectrum(sticks: StickSpectrum, width: float = DEFAULT_BIN_WIDTH) -> Bin
 
 
 def sigma_from_convention(width: float, convention: str) -> float:
-    """Gaussian standard deviation of a broadening width; its variance must be a normal float."""
+    """Gaussian standard deviation of a broadening width read as a stdev or a FWHM."""
     if convention not in ("stdev", "fwhm"):
         raise ValueError(f"unknown broadening convention {convention!r}")
-    sig = width if convention == "stdev" else width * _FWHM_TO_SIGMA
-    if not (math.isfinite(sig) and sig > 0 and sig * sig >= sys.float_info.min):
-        raise ValueError(f"sigma must be finite and positive, its variance a normal float: {width}")
-    return sig
+    return width if convention == "stdev" else width * _FWHM_TO_SIGMA
 
 
 def kernel_half_width(sig: float, width: float, n_bins: int) -> int:
     """Kernel bins ceil(6 sig / width) per side; the grid's bytes are checked in float first.
 
-    A huge sigma would overflow the cast to int, so the count is never cast before the check.
+    The standard deviation sig must be finite and positive, its variance a
+    normal float.  A huge sig would overflow the cast to int, so the count is
+    never cast before the check.
     """
+    if not (math.isfinite(sig) and sig > 0 and sig * sig >= sys.float_info.min):
+        raise ValueError(f"sigma must be finite and positive, its variance a normal float: {sig}")
     half = np.ceil(6.0 * sig / width)
     n_grid = n_bins + 2 * half
     if not math.isfinite(n_grid):
@@ -235,23 +228,18 @@ def kernel_half_width(sig: float, width: float, n_bins: int) -> int:
     return int(half)
 
 
-def broaden(
-    binned: BinnedSpectrum,
-    sigma: float = DEFAULT_SIGMA,
-    convention: str = "stdev",
-) -> BroadenedSpectrum:
-    """Convolve the histogram with a unit-area Gaussian sampled on the grid.
+def broaden(binned: BinnedSpectrum, sigma: float = DEFAULT_SIGMA) -> BroadenedSpectrum:
+    """Convolve the histogram with a unit-area Gaussian of standard deviation ``sigma``.
 
     The result is the "full" convolution of ``np.convolve``, but the kernel is
     added only at occupied bins, in ascending bin order: nnz*K work instead of
     N*K on a histogram that is mostly empty.
     """
-    sig = sigma_from_convention(sigma, convention)
     width = binned.width
-    half = kernel_half_width(sig, width, len(binned.values))
+    half = kernel_half_width(sigma, width, len(binned.values))
     n_grid = len(binned.values) + 2 * half
     x = np.arange(-half, half + 1) * width
-    kernel = np.exp(-(x**2) / (2.0 * sig**2)) / (sig * math.sqrt(2.0 * math.pi))
+    kernel = np.exp(-(x**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
     values = np.zeros(n_grid)
     for j in np.flatnonzero(binned.values):
         values[j : j + 2 * half + 1] += binned.values[j] * kernel
@@ -297,13 +285,12 @@ def spectrum_pipeline(
     cutoffs: ModeCutoffs,
     route: str = "qp",
     sigma: float = DEFAULT_SIGMA,
-    convention: str = "stdev",
 ) -> tuple[StickSpectrum, BinnedSpectrum, BroadenedSpectrum]:
-    """Build H, diagonalize, bin and broaden in one call."""
+    """Build H, diagonalize, bin and broaden (``sigma`` a standard deviation) in one call."""
     report = build_hamiltonian(problem, cutoffs, route=route)
     sticks = diagonalize_fcp(report.hamiltonian)
     binned = bin_spectrum(sticks)
-    broad = broaden(binned, sigma=sigma, convention=convention)
+    broad = broaden(binned, sigma=sigma)
     return sticks, binned, broad
 
 
@@ -326,7 +313,6 @@ def converge_sweep(
     l_cap: int = 100,
     route: str = "qp",
     sigma: float = DEFAULT_SIGMA,
-    convention: str = "stdev",
 ) -> SweepResult:
     """Increase the varied mode's L_max until successive broadened spectra agree.
 
@@ -351,10 +337,8 @@ def converge_sweep(
     for l in range(l_start, l_cap + 1):
         held = 8 * sum(len(spec.values) for spec in spectra.values())
         check_dense_bytes(held, f"a cutoff sweep holding {len(spectra)} broadened spectra")
-        _, _, spectra[l] = spectrum_pipeline(
-            problem, ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, l),
-            route=route, sigma=sigma, convention=convention,
-        )
+        cutoffs = ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, l)
+        _, _, spectra[l] = spectrum_pipeline(problem, cutoffs, route=route, sigma=sigma)
         if l - 1 in spectra:
             d = l1_distance(spectra[l], spectra[l - 1])
             trace.append((l, d))
@@ -422,7 +406,7 @@ def cumulative_fcf_by_level(
     fcf = np.abs(evecs[0, :]) ** 2
     bd = build_b_dagger(problem, cutoffs)[mode]
     nmat = dense_matrix(bd @ bd.dagger())
-    occ = np.einsum("ji,jk,ki->i", evecs.conj(), nmat, evecs).real
+    occ = np.einsum("ji,jk,ki->i", evecs, nmat, evecs)
     levels = np.rint(occ).astype(int)
     inside = (levels >= 0) & (levels <= cutoffs.levels[mode])
     return np.bincount(levels[inside], weights=fcf[inside], minlength=cutoffs.levels[mode] + 1)

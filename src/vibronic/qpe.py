@@ -100,7 +100,7 @@ def gershgorin_bounds(h: ManyBodyOperator) -> tuple[float, float]:
     tau, and with it every decoded energy, in the last bits.
     """
     mat = dense_matrix(h)
-    diag = mat.diagonal().real
+    diag = mat.diagonal()
     radii = np.abs(mat).sum(axis=1) - np.abs(diag)
     return float((diag - radii).min()), float((diag + radii).max())
 
@@ -495,7 +495,7 @@ def run_qpe(
     leaked = None
     if backend.kind == "exact":
         phases, evecs = _eigenphases(h, phase_map, 1, shots)
-        coeffs = (evecs.T @ psi.conj()).conj()  # <v_i|psi>
+        coeffs = evecs.T @ psi  # <v_i|psi>
         probs = _eigenphase_law(phases, np.abs(coeffs)[None, :] ** 2, t)
         outcomes = _sample_from_probabilities(probs, seed, shots)
     else:

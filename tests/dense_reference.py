@@ -40,7 +40,6 @@ from vibronic.oracle import (
     BinnedSpectrum,
     BroadenedSpectrum,
     eigensolve,
-    sigma_from_convention,
 )
 from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem
 from vibronic.qpe import EvolutionBackend, PhaseMap, thermal_angles
@@ -174,15 +173,10 @@ def thermofield_matrix(
     return kappa / np.linalg.norm(kappa)
 
 
-def broaden_dense(
-    binned: BinnedSpectrum,
-    sigma: float,
-    convention: str = "stdev",
-) -> BroadenedSpectrum:
-    """Convolve the histogram with a unit-area Gaussian sampled on the grid."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    sig = sigma_from_convention(sigma, convention)
+def broaden_dense(binned: BinnedSpectrum, sig: float) -> BroadenedSpectrum:
+    """Convolve the histogram with a unit-area Gaussian of standard deviation ``sig``."""
+    if sig <= 0:
+        raise ValueError(f"sigma must be positive, got {sig}")
     width = binned.width
     half = int(math.ceil(6.0 * sig / width))
     x = np.arange(-half, half + 1) * width

@@ -90,6 +90,49 @@ def test_converge_window_bytes_pinned(tmp_path, capsys):
     assert written == CONVERGE_SO2_SHA256
 
 
+#: sha256 of every `exact` file for so2_anharmonic at cutoffs (6,4,3), sigma 50 cm^-1 FWHM
+EXACT_SO2_ANHARMONIC_FWHM_SHA256 = {
+    "so2_so2_e_anharmonic_pes_sticks.csv":
+        "d7daa5621356d6bbd444348558ef9c119f0b6d35439d0a007948969c3afdd8a3",
+    "so2_so2_e_anharmonic_pes_binned.csv":
+        "f85a5cb277b43dab5bef2d6e874bc5ef98b9bcd62914caedd59c02b2f58c73e0",
+    "so2_so2_e_anharmonic_pes_broadened.csv":
+        "000a36de283831975b035f482ebe8bcdbce86147695e867ae3813cf3aceea7c5",
+    "so2_so2_e_anharmonic_pes_metadata.json":
+        "775aa8fd37dc60a255a2edf6fe8bb3d82953547552af7c6113f54f72930ff87e",
+}
+
+
+def test_exact_fwhm_file_bytes_pinned(tmp_path):
+    # --sigma is converted to a standard deviation once, in the CLI; the
+    # metadata still records the width and convention as given
+    problem = ROOT / "src" / "vibronic" / "data" / "so2_anharmonic.json"
+    assert main(["exact", "--problem", str(problem), "--cutoffs", "6,4,3", "--sigma", "50",
+                 "--sigma-convention", "fwhm", "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == EXACT_SO2_ANHARMONIC_FWHM_SHA256
+    meta = json.loads((tmp_path / "so2_so2_e_anharmonic_pes_metadata.json").read_text())
+    assert (meta["sigma"], meta["sigma_convention"]) == (50.0, "fwhm")
+
+
+#: sha256 of both CSVs and the stdout of the so2 `converge` window at sigma 80 cm^-1 FWHM
+CONVERGE_SO2_FWHM_SHA256 = {
+    "so2_so2_e_converge_trace.csv": "5df3312249f2695818452de82e9f1b500d5896b8af480310da0522422be54ba8",
+    "so2_so2_e_l1_vs_exact.csv": "8ede459940d4dd945816aa807f7757edb16b149e7048abb11d606c20243b4457",
+    "stdout": "0958837e4e4b48d92a324a5d5e334de44a8b1ec69cb65dcdc7f96b0fcdf48e8d",
+}
+
+
+def test_converge_fwhm_window_bytes_pinned(tmp_path, capsys):
+    so2 = ROOT / "src" / "vibronic" / "data" / "so2.json"
+    assert main(["converge", "--problem", str(so2), "--route", "ladder", "--vary-mode", "1",
+                 "--fixed-cutoffs", "8", "--l-start", "1", "--l-cap", "24", "--sigma", "80",
+                 "--sigma-convention", "fwhm", "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert written == CONVERGE_SO2_FWHM_SHA256
+
+
 def test_exact_identity_single_stick(toy_file, tmp_path):
     out = tmp_path / "out"
     assert main(["exact", "--problem", toy_file, "--cutoffs", "6", "--out", str(out)]) == 0

@@ -122,8 +122,7 @@ def test_multiply_associative():
     space = ModeCutoffs((1, 2, 1))
     ops = []
     for _ in range(3):
-        m = rng.normal(size=(space.dimension, space.dimension)) \
-            + 1j * rng.normal(size=(space.dimension, space.dimension))
+        m = rng.normal(size=(space.dimension, space.dimension))
         ops.append(ManyBodyOperator(space, m))
     a, b, c = ops
     left = ((a @ b) @ c).to_dense()
@@ -137,8 +136,10 @@ def test_hermiticity_flag_and_check():
     assert q.verify_hermitian()
     prod = q @ q
     assert prod.verify_hermitian()  # numerically Hermitian
-    skew = ManyBodyOperator(space, np.diag([1j, 0, 0]))
-    assert not skew.verify_hermitian()
+    with pytest.raises(ValueError, match="not real"):
+        ManyBodyOperator(space, np.diag([1j, 0, 0]))
+    upper = ManyBodyOperator(space, np.triu(np.ones((3, 3))))
+    assert not upper.verify_hermitian()
 
 
 def test_representation_independence():
@@ -152,6 +153,17 @@ def test_representation_independence():
     assert np.array_equal(q_dense.to_dense(), q)
     assert np.array_equal(q_sparse.to_dense(), q)
     assert np.abs((q_sparse @ q_dense).to_dense() - q @ q).max() < 1e-12
+
+
+def test_imaginary_part_dropped_below_1e_12_and_refused_above():
+    space = ModeCutoffs((2,))
+    real = np.diag([1.0, 2.0, 3.0])
+    kept = ManyBodyOperator(space, real + 1e-13j * np.eye(3))
+    assert kept.matrix.dtype == np.float64
+    assert np.array_equal(kept.to_dense(), real)
+    for imag in (1e-6, 1e-12, np.nan):
+        with pytest.raises(ValueError, match="not real"):
+            ManyBodyOperator(space, real + imag * 1j * np.eye(3))
 
 
 def test_space_mismatch_raises():

@@ -6,6 +6,8 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import embed, momentum, position
 from vibronic import fock
@@ -20,6 +22,7 @@ from vibronic.hamiltonian import (
     hamiltonian_terms,
     ladder_terms,
 )
+from vibronic.oracle import diagonalize_fcp
 from vibronic.problem import (
     AnharmonicTerm,
     ModeCutoffs,
@@ -197,7 +200,7 @@ def test_ladder_terms_structure(so2):
 
 def test_add_anharmonic_empty_is_identity_operation():
     p = toy_problem()
-    assert hamiltonian_terms(p) == hamiltonian_terms(p, include_anharmonic=False)
+    assert hamiltonian_terms(p) == hamiltonian_terms(replace(p, anharmonic=()))
 
 
 def test_anharmonic_quartic_perturbation():
@@ -291,3 +294,32 @@ def test_assembly_bytes_checked_before_any_state_array(monkeypatch):
     monkeypatch.setattr(np, "arange", refuse)
     with pytest.raises(DenseBudgetError, match=f"a {len(terms)}-term sparse H on 100000001 states"):
         assemble_terms(terms, ModeCutoffs((100_000_000,)))
+
+
+@st.composite
+def harmonic_cases(draw):
+    """(problem, cutoffs, route): 1-3 modes, a random orthogonal S, positive omegas, any delta."""
+    m = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    q, r = np.linalg.qr(np.reshape(draw(st.lists(entries, min_size=m * m, max_size=m * m)),
+                                   (m, m)))
+    s = q * np.where(np.diag(r) < 0, -1.0, 1.0)  # Householder q is orthogonal at any rank
+    omegas = st.lists(st.floats(50.0, 4000.0), min_size=m, max_size=m)
+    delta = draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m))
+    problem = VibronicProblem("drawn", draw(omegas), draw(omegas), s, delta)
+    cutoffs = ModeCutoffs(tuple(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))))
+    return problem, cutoffs, draw(st.sampled_from(["qp", "ladder"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=harmonic_cases())
+def test_harmonic_h_is_real_symmetric_positive_and_its_sticks_sum_to_one(case):
+    # lambda_min > 0 is what the phase map's lower bound of 0 assumes; both
+    # orderings are sums of B B^dag forms, positive semidefinite at any cutoff
+    problem, cutoffs, route = case
+    h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian
+    assert h.matrix.dtype == np.float64
+    assert h.verify_hermitian()
+    sticks = diagonalize_fcp(h)
+    assert sticks.energies.min() > 0
+    assert abs(sticks.total_intensity - 1.0) <= 1e-12

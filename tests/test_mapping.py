@@ -158,15 +158,23 @@ def test_pauli_to_matrix_guard():
         pauli_to_matrix(ps)
 
 
-@pytest.mark.parametrize("variant,levels", [("binary", 63), ("unary", 31)])
-def test_map_peak_stays_within_its_checked_bytes(variant, levels, monkeypatch):
+#: a_0^dag a_1 + a_0 a_1^dag: nearly every product is its own Pauli term, so
+#: in unary the rendered strings outweigh the products
+HOPPING = [SecondQuantizedTerm(((CREATE, 0), (DESTROY, 1)), 1.0),
+           SecondQuantizedTerm(((DESTROY, 0), (CREATE, 1)), 1.0)]
+
+
+@pytest.mark.parametrize("variant,levels,hopping", [
+    ("binary", 63, False), ("unary", 31, False), ("unary", 63, True),
+], ids=["binary-63", "unary-31", "hopping-unary-63"])
+def test_map_peak_stays_within_its_checked_bytes(variant, levels, hopping, monkeypatch):
     # the ids, keep masks and np.unique's arrays grow with the product count
-    # (1.2e6 and 1.2e5 here), the rendered strings with the term count
+    # (1.2e6, 1.2e5 and 1.3e5 here), the rendered strings with the term count
     checked = []
     check = mapping.check_dense_bytes
     monkeypatch.setattr(mapping, "check_dense_bytes",
                         lambda n_bytes, what: checked.append(n_bytes) or check(n_bytes, what))
-    terms = ladder_terms(bundled_problem("so2"))
+    terms = HOPPING if hopping else ladder_terms(bundled_problem("so2"))
     enc = Encoding(variant, ModeCutoffs((levels, levels)))
     layout = QubitLayout.for_encoding(enc)
     tracemalloc.start()
@@ -176,20 +184,22 @@ def test_map_peak_stays_within_its_checked_bytes(variant, levels, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= max(checked)
+    if hopping:  # rendering sets the peak, so the rendered sum's check must hold it
+        assert max(checked[:-1]) < peak <= checked[-1]
 
 
 def test_map_refuses_products_and_rendered_sum_over_the_budget(monkeypatch):
-    # unary (31,31): 124,113 products that fit exactly, and 9,849 rendered
-    # 64-qubit terms beside them that do not; then one product fewer
-    terms = ladder_terms(bundled_problem("so2"))
+    # hopping on unary (31,31): 30,752 products that fit exactly, and 7,688
+    # rendered 64-qubit terms beside the keys' arrays that do not; then one
+    # product fewer
     enc = Encoding("unary", ModeCutoffs((31, 31)))
     layout = QubitLayout.for_encoding(enc)
-    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 124_113)
-    with pytest.raises(DenseBudgetError, match="a 9849-term Pauli sum on 64 qubits"):
-        map_second_quantized(terms, enc, layout)
-    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 124_112)
-    with pytest.raises(DenseBudgetError, match="a 124113-product Pauli map"):
-        map_second_quantized(terms, enc, layout)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 30_752)
+    with pytest.raises(DenseBudgetError, match="a 7688-term Pauli sum on 64 qubits"):
+        map_second_quantized(HOPPING, enc, layout)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 30_751)
+    with pytest.raises(DenseBudgetError, match="a 30752-product Pauli map"):
+        map_second_quantized(HOPPING, enc, layout)
 
 
 @pytest.mark.parametrize("variant", ["binary", "unary"])
@@ -408,7 +418,7 @@ def test_greedy_depth_grows_linearly():
 def test_resource_count_single_term():
     ps = PauliSum(4, {"XIZI": 0.3})
     report = resource_count(ps)
-    assert report.term_count == 1
+    assert len(ps) == 1
     assert report.weight_histogram == {2: 1}
     assert report.greedy_depth == 1
 
@@ -425,7 +435,7 @@ def _set_first_fit_report(ps):
                 break
         else:
             layers.append(set(support))
-    return ResourceReport(len(ps), dict(sorted(weights.items())), len(layers))
+    return ResourceReport(dict(sorted(weights.items())), len(layers))
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
@@ -440,7 +450,7 @@ def test_resource_count_matches_set_first_fit(n):
         ps.add_term("".join(rng.choice(list("XYZ")) if m else "I" for m in mask), 1.0)
     report = resource_count(ps)
     assert report == _set_first_fit_report(ps)
-    assert report.term_count > 100
+    assert len(ps) > 100
 
 
 def test_apply_pauli_string_matches_matrix():
