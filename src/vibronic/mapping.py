@@ -46,14 +46,23 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 
 #: Bytes the mapper holds per product of its terms' mode entries: the ids, the
 #: keep masks, np.unique's sort and outputs, and one term's products.  Traced
-#: 52.2-53.0 bytes per product on so2 binary (31,31)-(127,127) and unary
-#: (31,31)-(95,95).
-MAP_BYTES_PER_PRODUCT = 56
+#: 51.2-52.0 bytes per product on so2 binary (63,63)-(127,127) and unary
+#: (31,31)-(95,95), and 57.7-59.3 on the hopping list a_0^dag a_1 + a_0 a_1^dag
+#: in unary (31,31)-(95,95) and binary (63,63), whose products are nearly all
+#: distinct keys.
+MAP_BYTES_PER_PRODUCT = 60
 
 #: Bytes each rendered term holds beyond its string's one byte per qubit: the
 #: string and its per-mode pieces, the coefficient and the dict entry.  Traced
 #: n_qubits + 124-161 bytes per term on the same maps, past the keys' arrays.
 MAP_BYTES_PER_TERM = 176
+
+#: Bytes the mapper holds per bounded (x, z) key of its modes beside the key's
+#: two mask integers (up to n_qubits / 3.75 bytes, counted as n_qubits // 3):
+#: the key tuple, the table entry, the id and the coefficient.  Traced at most
+#: 117 bytes past the integers per key on one-mode binary and unary
+#: (63)-(511) and so2 (1,255) maps.
+MAP_BYTES_PER_KEY = 120
 
 
 class EncodingError(ValueError):
@@ -183,18 +192,30 @@ def _mode_terms(
     words = [_level_word(l, mode, encoding, layout) for l in range(d)]
     mode_qubits = tuple(1 << q for q in layout.mode_range(mode))
     out: dict[tuple[int, int], complex] = {}
-    for l in range(d):
-        for lp in range(d):
-            coeff = complex(matrix[l, lp])
-            if abs(coeff) <= COEFF_PRUNE:
-                continue
-            if encoding.variant == "binary":
-                qubits = mode_qubits
-            else:  # the codewords' set qubits, bra first
-                qubits = (words[l],) if l == lp else (words[l], words[lp])
-            for key, c in _transition(words[l], words[lp], qubits).items():
-                out[key] = out.get(key, 0.0) + coeff * c
+    rows, cols = np.nonzero(np.abs(matrix) > COEFF_PRUNE)
+    for l, lp in zip(rows.tolist(), cols.tolist()):
+        coeff = complex(matrix[l, lp])
+        if encoding.variant == "binary":
+            qubits = mode_qubits
+        else:  # the codewords' set qubits, bra first
+            qubits = (words[l],) if l == lp else (words[l], words[lp])
+        for key, c in _transition(words[l], words[lp], qubits).items():
+            out[key] = out.get(key, 0.0) + coeff * c
     return {key: c for key, c in out.items() if abs(c) > COEFF_PRUNE}
+
+
+def _key_bound(kinds: tuple[str, ...], d: int, encoding: Encoding, width: int) -> int:
+    """Most (x, z) keys ``_mode_terms`` can give a product of d-level ladder ``kinds``.
+
+    Its entries lie at (l, l - s), s the creations less the annihilations.  In
+    binary each x = l ^ (l - s) takes all 2^width z; in unary an entry gives at
+    most four keys.
+    """
+    s = sum(1 if kind == CREATE else -1 for kind in kinds)
+    rows = range(max(s, 0), d + min(s, 0))
+    if encoding.variant == "binary":
+        return len({l ^ (l - s) for l in rows}) << width
+    return 4 * len(rows)
 
 
 def map_single_mode(
@@ -231,14 +252,15 @@ def map_second_quantized(
     by a mixed-radix id over all modes.  Products above COEFF_PRUNE are summed
     per id by ``np.add.at`` in term order and keep the order of first
     occurrence: the keys, order and bits of adding them into a dict one by one.
-    The products' bytes are checked term by term, before each term's are
-    formed, and the rendered sum's beside the keys' arrays, the only ones left.
+    Bytes are checked before each stage: the single-mode matrices with their
+    keys, term by term before each term's products are formed, and the rendered
+    sum beside the keys' arrays.  The modes' key tables are held throughout.
     """
     cutoffs = encoding.cutoffs.levels
-    for l_max in cutoffs:  # each mode's ladder products are dense matrices
-        check_dense_bytes(16 * (l_max + 1) ** 2, f"a {l_max + 1}-level single-mode matrix")
+    n_qubits = layout.total_qubits
     tables: list[dict[tuple[int, int], int]] = [{(0, 0): 0} for _ in cutoffs]
     mapped: dict[tuple[int, tuple[str, ...]], tuple] = {}
+    key_bytes = 0  # the keys' tables, ids and coefficients, bounded
     plan, keep, size = [], [], 0  # plan: (coefficient, factors, span, shape) per term
     for term in terms:
         by_mode: dict[int, tuple[str, ...]] = {}
@@ -248,17 +270,25 @@ def map_second_quantized(
         for mode_kinds in sorted(by_mode.items()):
             if mode_kinds not in mapped:
                 mode, kinds = mode_kinds
-                ladder = [fock.creation(cutoffs[mode]) if kind == CREATE
-                          else fock.annihilation(cutoffs[mode]) for kind in kinds]
-                single = _mode_terms(reduce(np.matmul, ladder), mode, encoding, layout)
+                d = cutoffs[mode] + 1
+                n_keys = _key_bound(kinds, d, encoding, layout.mode_widths[mode])
+                key_bytes += (MAP_BYTES_PER_KEY + n_qubits // 3) * n_keys
+                # the ladder product holds three dense matrices at a time
+                check_dense_bytes(48 * d * d + key_bytes + MAP_BYTES_PER_PRODUCT * size,
+                                  f"a {d}-level single-mode matrix product and {n_keys} keys")
+                ladder = (fock.creation(cutoffs[mode]) if kind == CREATE
+                          else fock.annihilation(cutoffs[mode]) for kind in kinds)
+                matrix = reduce(np.matmul, ladder)
+                single = _mode_terms(matrix, mode, encoding, layout)
                 ids = [tables[mode].setdefault(key, len(tables[mode])) for key in single]
                 mapped[mode_kinds] = (mode, np.array(ids, dtype=np.int64),
                                       np.array(list(single.values()), dtype=complex))
+                del matrix, single, ids
             factors.append(mapped[mode_kinds])
         factors = factors or [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))]
         shape = tuple(len(ids) for _, ids, _ in factors)
         count = size + math.prod(shape)
-        check_dense_bytes(MAP_BYTES_PER_PRODUCT * count, f"a {count}-product Pauli map")
+        check_dense_bytes(key_bytes + MAP_BYTES_PER_PRODUCT * count, f"a {count}-product Pauli map")
         plan.append((term.coefficient, factors, slice(size, count), shape))
         keep.append(np.hypot(*_products(term.coefficient, factors)) > COEFF_PRUNE)
         size = count
@@ -286,9 +316,8 @@ def map_second_quantized(
     del group
     order = np.argsort(first)
     order = order[(unique[order] >= 0) & (np.abs(sums[order]) > COEFF_PRUNE)]
-    n_qubits = layout.total_qubits
     # unique, first, sums and order: at most 40 bytes a key
-    check_dense_bytes(40 * len(unique) + (n_qubits + MAP_BYTES_PER_TERM) * len(order),
+    check_dense_bytes(key_bytes + 40 * len(unique) + (n_qubits + MAP_BYTES_PER_TERM) * len(order),
                       f"a {len(order)}-term Pauli sum on {n_qubits} qubits")
 
     # Modes own contiguous qubit ranges, mode 0 leftmost: a key joins its
@@ -383,29 +412,35 @@ class ResourceReport:
 def resource_count(ps: PauliSum) -> ResourceReport:
     """Exact term/weight counts plus a greedy disjoint-support depth estimate.
 
-    The depth is one concrete schedule (first-fit layering of terms whose
-    qubit supports do not overlap), an upper-bound realization rather than
-    an optimized circuit schedule.  Supports and layers are qubit bitmasks;
-    a support resumes its scan at the layer its last copy joined, which is
-    exact because layers only gain qubits.
+    The depth is one concrete schedule (first-fit layering, in sorted string
+    order, of terms whose qubit supports do not overlap), an upper-bound
+    realization rather than an optimized circuit schedule.  Each qubit keeps
+    a bitmask of the layers holding it: a term joins the lowest layer clear
+    in the OR of its qubits' masks, at O(weight x depth / 64) word operations.
+    Supports are read off the strings in blocks of 4,096.
     """
-    weights: dict[int, int] = {}
-    layers: list[int] = []
-    resume: dict[int, int] = {}
-    for string, _ in ps.sorted_terms():
-        x, z = pauli_masks(string)
-        support = x | z
-        weight = support.bit_count()
-        weights[weight] = weights.get(weight, 0) + 1
-        i = resume.get(support, 0)
-        while i < len(layers) and layers[i] & support:
-            i += 1
-        if i == len(layers):
-            layers.append(support)
-        else:
-            layers[i] |= support
-        resume[support] = i
-    return ResourceReport(dict(sorted(weights.items())), len(layers))
+    n = ps.n_qubits
+    strings = sorted(ps.terms)
+    check_dense_bytes(n * len(strings) // 8, f"first-fit layer masks of {len(strings)} terms")
+    weights = np.zeros(n + 1, dtype=np.int64)
+    masks = [0] * n
+    used = 0
+    for lo in range(0, len(strings), 4096):
+        text = "".join(strings[lo : lo + 4096]).encode("ascii")
+        support = np.frombuffer(text, dtype=np.uint8).reshape(-1, n) != ord("I")
+        sizes = support.sum(axis=1)
+        weights += np.bincount(sizes, minlength=n + 1)
+        qubits = np.nonzero(support)[1].tolist()
+        ends = np.cumsum(sizes).tolist()
+        for start, end in zip([0, *ends], ends):
+            blocked = 0
+            for q in qubits[start:end]:
+                blocked |= masks[q]
+            layer = ~blocked & (blocked + 1)
+            for q in qubits[start:end]:
+                masks[q] |= layer
+            used |= layer
+    return ResourceReport({w: c for w, c in enumerate(weights.tolist()) if c}, used.bit_length())
 
 
 # -- text output -------------------------------------------------------

@@ -189,17 +189,42 @@ def test_map_peak_stays_within_its_checked_bytes(variant, levels, hopping, monke
 
 
 def test_map_refuses_products_and_rendered_sum_over_the_budget(monkeypatch):
-    # hopping on unary (31,31): 30,752 products that fit exactly, and 7,688
-    # rendered 64-qubit terms beside the keys' arrays that do not; then one
-    # product fewer
+    # hopping on unary (31,31): four one-ladder (mode, kinds) of 31 entries and
+    # at most four keys each, held beside 30,752 products that fit exactly, and
+    # 7,688 rendered 64-qubit terms beside the keys' arrays that do not; then
+    # one product fewer
     enc = Encoding("unary", ModeCutoffs((31, 31)))
     layout = QubitLayout.for_encoding(enc)
-    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 30_752)
+    keys = (mapping.MAP_BYTES_PER_KEY + 64 // 3) * 4 * 4 * 31
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", keys + mapping.MAP_BYTES_PER_PRODUCT * 30_752)
     with pytest.raises(DenseBudgetError, match="a 7688-term Pauli sum on 64 qubits"):
         map_second_quantized(HOPPING, enc, layout)
-    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", mapping.MAP_BYTES_PER_PRODUCT * 30_751)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", keys + mapping.MAP_BYTES_PER_PRODUCT * 30_751)
     with pytest.raises(DenseBudgetError, match="a 30752-product Pauli map"):
         map_second_quantized(HOPPING, enc, layout)
+
+
+@pytest.mark.parametrize("variant,levels", [
+    ("binary", (63,)), ("unary", (63,)), ("unary", (1, 127)), ("binary", (1, 127)),
+], ids=["binary-63", "unary-63", "unary-1,127", "binary-1,127"])
+def test_single_mode_stage_stays_within_its_checked_bytes(variant, levels, monkeypatch):
+    # with one wide mode the dense ladder products (three at a time) and the
+    # per-mode key tables, not the products, set the peak: traced 1.6-3.5
+    # times the largest check while only 16 (L+1)^2 bytes a mode were checked
+    checked = []
+    check = mapping.check_dense_bytes
+    monkeypatch.setattr(mapping, "check_dense_bytes",
+                        lambda n_bytes, what: checked.append(n_bytes) or check(n_bytes, what))
+    problem = (bundled_problem("so2") if len(levels) == 2 else
+               VibronicProblem("toy", [1000.0], [1200.0], [[1.0]], [0.7]))
+    enc = Encoding(variant, ModeCutoffs(levels))
+    tracemalloc.start()
+    try:
+        map_second_quantized(ladder_terms(problem), enc, QubitLayout.for_encoding(enc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(checked)
 
 
 @pytest.mark.parametrize("variant", ["binary", "unary"])
@@ -436,6 +461,50 @@ def _set_first_fit_report(ps):
         else:
             layers.append(set(support))
     return ResourceReport(dict(sorted(weights.items())), len(layers))
+
+
+@pytest.mark.parametrize("problem,variant,levels", [
+    ("h2o", "binary", (7, 7)), ("so2", "unary", (5, 5)), ("rand3", "unary", (2, 2, 2)),
+])
+def test_resource_count_matches_set_first_fit_on_maps(problem, variant, levels):
+    problem = _random_problem(3, 2024) if problem == "rand3" else bundled_problem(problem)
+    enc = Encoding(variant, ModeCutoffs(levels))
+    ps = map_second_quantized(ladder_terms(problem), enc, QubitLayout.for_encoding(enc))
+    report = resource_count(ps)
+    assert report == _set_first_fit_report(ps)
+    assert all(type(k) is int and type(v) is int for k, v in report.weight_histogram.items())
+    assert type(report.greedy_depth) is int and report.greedy_depth > 1
+
+
+def _depth_81_sum():
+    """The 81 strings over {X, Y, Z} on qubits 1-4 of 6, plus one on qubits 0 and 5."""
+    ps = PauliSum(6, {f"I{''.join(p)}I": 1.0 for p in itertools.product("XYZ", repeat=4)})
+    ps.add_term("ZIIIIX", 0.5)
+    return ps
+
+
+def test_resource_count_depth_past_one_machine_word():
+    # the 81 strings pairwise overlap, so each takes its own layer and the
+    # layer masks span two 64-bit words; the string on qubits 0 and 5 sorts
+    # last and joins the first layer
+    ps = _depth_81_sum()
+    report = resource_count(ps)
+    assert report == ResourceReport({2: 1, 4: 81}, 81)
+    assert report == _set_first_fit_report(ps)
+
+
+def test_resource_count_of_an_empty_sum():
+    assert resource_count(PauliSum(5)) == ResourceReport({}, 0)
+
+
+def test_resource_count_checks_its_layer_masks(monkeypatch):
+    # 82 terms on 6 qubits: masks of at most 6 x 82 bits, 61 bytes
+    ps = _depth_81_sum()
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 61)
+    assert resource_count(ps).greedy_depth == 81
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 60)
+    with pytest.raises(DenseBudgetError, match="first-fit layer masks of 82 terms"):
+        resource_count(ps)
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])

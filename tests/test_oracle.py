@@ -26,7 +26,13 @@ from vibronic.oracle import (
     thermal_fcp_oracle,
     tv_distance,
 )
-from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem, bundled_problem
+from vibronic.problem import (
+    ModeCutoffs,
+    ThermalConfig,
+    VibronicProblem,
+    bundled_problem,
+    fock_state_energy,
+)
 from vibronic.qpe import PhaseMap, SampledSpectrum
 
 
@@ -236,6 +242,54 @@ def test_thermal_oracle_peak_stays_within_its_checked_bytes(monkeypatch):
         tracemalloc.stop()
     assert len(sticks.energies) == cutoffs.dimension**2
     assert peak <= checked["961 x 961 thermal sticks"] + 128 * cutoffs.dimension
+
+
+def test_thermal_sticks_hold_33_bytes_each_beside_the_eigenvectors(monkeypatch):
+    # so2 (20,20) at 3000 K: 441 x 441 sticks.  Sorted through one order array
+    # they traced 32.3 bytes each past the 8 D^2 of eigenvectors; keeping the
+    # unsorted energies and intensities beside their sorted copies traced 40.3
+    solve = oracle.eigensolve
+
+    def solve_then_reset_peak(h):
+        pair = solve(h)
+        tracemalloc.reset_peak()
+        return pair
+
+    monkeypatch.setattr(oracle, "eigensolve", solve_then_reset_peak)
+    cutoffs = ModeCutoffs((20, 20))
+    d = cutoffs.dimension
+    tracemalloc.start()
+    try:
+        thermal = ThermalConfig.from_temperature_kelvin(3000.0)
+        thermal_fcp_oracle(bundled_problem("so2"), cutoffs, thermal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (8 + 33) * d * d
+
+
+@pytest.mark.parametrize("kelvin", [0.0, 300.0, 3000.0])
+def test_thermal_sticks_equal_the_sorted_outer_products(kelvin):
+    # the sticks are the products weights[n] |<n|psi_j>|^2 at eps_j - E_A(n),
+    # formed whole and then sorted, bit for bit
+    problem, cutoffs = bundled_problem("so2"), ModeCutoffs((8, 6))
+    thermal = ThermalConfig.from_temperature_kelvin(kelvin)
+    sticks = thermal_fcp_oracle(problem, cutoffs, thermal)
+    evals, evecs = oracle.eigensolve(build_hamiltonian(problem, cutoffs).hamiltonian)
+    occupations = cutoffs.all_multi_indices()
+    if thermal.is_zero_temperature:
+        weights = np.eye(1, cutoffs.dimension)[0]
+    else:
+        log_w = -thermal.beta * (occupations @ problem.omega_A)
+        weights = np.exp(log_w - log_w.max())
+        weights /= weights.sum()
+    keep = np.nonzero(weights > 1e-16)[0]
+    energies = (evals[None, :] - fock_state_energy(problem, occupations)[keep, None]).ravel()
+    intensities = (weights[keep, None] * np.abs(evecs[keep, :]) ** 2).ravel()
+    order = np.argsort(energies)
+    assert (len(keep) > 1) == (kelvin > 0)
+    assert sticks.energies.tobytes() == energies[order].tobytes()
+    assert sticks.intensities.tobytes() == intensities[order].tobytes()
 
 
 def test_bin_single_stick():
