@@ -41,6 +41,7 @@ PAULI_MATRICES = {
 
 # i^k for k = 0..3
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 
@@ -52,10 +53,11 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 #: distinct keys.
 MAP_BYTES_PER_PRODUCT = 60
 
-#: Bytes each rendered term holds beyond its string's one byte per qubit: the
-#: string and its per-mode pieces, the coefficient and the dict entry.  Traced
-#: n_qubits + 124-161 bytes per term on the same maps, past the keys' arrays.
-MAP_BYTES_PER_TERM = 176
+#: Bytes each rendered term holds beyond two bytes per qubit (its letters in
+#: the decoded text and in its string): the string's header and list slot, the
+#: coefficient and the dict entry.  Traced at most 2 n_qubits + 124 bytes per
+#: term past the keys' arrays on the same maps and so2 unary (1,511)-(1,1023).
+MAP_BYTES_PER_TERM = 136
 
 #: Bytes the mapper holds per bounded (x, z) key of its modes beside the key's
 #: two mask integers (up to n_qubits / 3.75 bytes, counted as n_qubits // 3):
@@ -156,9 +158,37 @@ def pauli_masks(string: str) -> tuple[int, int]:
     return int(reverse.translate(_X_BITS), 2), int(reverse.translate(_Z_BITS), 2)
 
 
-def _render(x: int, z: int, n: int) -> str:
-    """Pauli string of masks (x, z) on n qubits, qubit 0 leftmost."""
-    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
+def _letters(keys, start: int, width: int) -> np.ndarray:
+    """Pauli letters "IXZY"[x | z << 1] of (x, z) masks on qubits start .. start + width - 1.
+
+    One row per key, qubit ``start`` first: each shifted mask's little-endian
+    bytes unpack to one bit per qubit, so masks of any width take one numpy pass.
+    """
+    n_bytes = (width + 7) // 8
+
+    def bits(masks) -> np.ndarray:
+        raw = b"".join((m >> start).to_bytes(n_bytes, "little") for m in masks)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)
+        return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+    letters = bits(z for _, z in keys) << 1
+    letters |= bits(x for x, _ in keys)
+    return _LETTERS[letters]
+
+
+def _pauli_strings(n_terms: int, n_qubits: int, modes) -> list[str]:
+    """Strings of n_terms terms, qubit 0 leftmost, from each mode's letter rows.
+
+    ``modes`` gives each mode's (keys, first qubit, width, key row of each
+    term).  The rows fill one n_terms x n_qubits letter matrix, which is
+    decoded as one text and freed before the strings are sliced out of it.
+    """
+    text = np.empty((n_terms, n_qubits), dtype=np.uint8)
+    for keys, start, width, column in modes:
+        text[:, start : start + width] = _letters(keys, start, width)[column]
+    blob = str(text, "ascii")
+    del text
+    return [blob[i : i + n_qubits] for i in range(0, len(blob), n_qubits)]
 
 
 def _transition(bra: int, ket: int, qubits: tuple[int, ...]) -> dict[tuple[int, int], complex]:
@@ -224,7 +254,8 @@ def map_single_mode(
     """Pauli sum of a single-mode matrix, identity on the other modes."""
     out = PauliSum(layout.total_qubits)
     terms = _mode_terms(matrix, mode, encoding, layout)
-    out.terms = {_render(x, z, out.n_qubits): c for (x, z), c in terms.items()}
+    strings = _pauli_strings(len(terms), out.n_qubits, [(terms, 0, out.n_qubits, slice(None))])
+    out.terms = dict(zip(strings, terms.values()))
     return out
 
 
@@ -317,11 +348,12 @@ def map_second_quantized(
     order = np.argsort(first)
     order = order[(unique[order] >= 0) & (np.abs(sums[order]) > COEFF_PRUNE)]
     # unique, first, sums and order: at most 40 bytes a key
-    check_dense_bytes(key_bytes + 40 * len(unique) + (n_qubits + MAP_BYTES_PER_TERM) * len(order),
+    rendered = (2 * n_qubits + MAP_BYTES_PER_TERM) * len(order)
+    check_dense_bytes(key_bytes + 40 * len(unique) + rendered,
                       f"a {len(order)}-term Pauli sum on {n_qubits} qubits")
 
-    # Modes own contiguous qubit ranges, mode 0 leftmost: a key joins its
-    # modes' substrings, read off the first product with its id.
+    # Modes own contiguous qubit ranges, mode 0 leftmost: a key's letters are
+    # its modes' letter rows, read off the first product with its id.
     first = first[order]
     local = np.zeros((len(cutoffs), len(order)), dtype=np.int64)
     for _, factors, span, shape in plan:
@@ -329,10 +361,9 @@ def map_second_quantized(
         digits = np.unravel_index(first[lo:hi] - span.start, shape)
         for (mode, ids, _), digit in zip(factors, digits):
             local[mode, lo:hi] = ids[digit]
-    words = [np.array([_render(x >> s, z >> s, w) for x, z in table], dtype=object)[column]
-             for table, s, w, column in zip(tables, layout.mode_starts, layout.mode_widths, local)]
+    modes = zip(tables, layout.mode_starts, layout.mode_widths, local)
     out = PauliSum(n_qubits)
-    out.terms = dict(zip(map("".join, zip(*words)), sums[order].tolist()))
+    out.terms = dict(zip(_pauli_strings(len(order), n_qubits, modes), sums[order].tolist()))
     return out
 
 

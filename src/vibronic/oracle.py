@@ -235,15 +235,30 @@ def broaden(binned: BinnedSpectrum, sigma: float = DEFAULT_SIGMA) -> BroadenedSp
     added only at occupied bins, in ascending bin order: nnz*K work instead of
     N*K on a histogram that is mostly empty.
     """
-    width = binned.width
-    half = kernel_half_width(sigma, width, len(binned.values))
-    n_grid = len(binned.values) + 2 * half
+    occupied = np.flatnonzero(binned.values)
+    return _broaden_occupied(binned.width, binned.first_bin, len(binned.values),
+                             occupied, binned.values[occupied], sigma)
+
+
+def _broaden_occupied(width: float, first_bin: int, n_bins: int, offsets: np.ndarray,
+                      weights: np.ndarray, sigma: float) -> BroadenedSpectrum:
+    """``broaden`` of the n_bins-bin histogram whose only nonzero bins are ``offsets``.
+
+    Each bin's kernel is scaled into one kernel-length scratch array and added
+    into its window in place: the same IEEE operations as adding a scaled
+    copy, with no temporary per bin.
+    """
+    half = kernel_half_width(sigma, width, n_bins)
     x = np.arange(-half, half + 1) * width
     kernel = np.exp(-(x**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
-    values = np.zeros(n_grid)
-    for j in np.flatnonzero(binned.values):
-        values[j : j + 2 * half + 1] += binned.values[j] * kernel
-    start_bin = binned.first_bin - half
+    del x  # before the grid and the scratch exist: the peak holds three such arrays, not four
+    values = np.zeros(n_bins + 2 * half)
+    scaled = np.empty_like(kernel)
+    for j, w in zip(offsets, weights):
+        np.multiply(w, kernel, out=scaled)
+        window = values[j : j + len(kernel)]
+        np.add(window, scaled, out=window)
+    start_bin = first_bin - half
     return BroadenedSpectrum(grid_start=(start_bin + 0.5) * width, grid_step=width, values=values)
 
 
@@ -321,8 +336,13 @@ def converge_sweep(
     the smallest cutoff whose spectrum the next one no longer improves (so a
     single-stick identity problem converges at 1).  The trace of successive
     distances is returned along with an L1-vs-final curve for error-decay
-    plots.  A non-monotone trace is flagged, not rejected.  Every spectrum is
-    held for that curve, so their bytes are checked before each next cutoff.
+    plots.  A non-monotone trace is flagged, not rejected.
+
+    Only the last broadened grid is held through the loop, for the next
+    successive L1.  Each cutoff keeps its histogram's occupied bins, 16 bytes
+    a bin, and the curve re-broadens them one cutoff at a time; ``broaden``
+    is deterministic, so every distance is the one the held grids would give.
+    The held bytes are checked before each cutoff and before the curve.
     """
     if varied_mode in fixed_cutoffs:
         raise ValueError("varied mode cannot also have a fixed cutoff")
@@ -331,25 +351,35 @@ def converge_sweep(
     if l_cap < l_start:
         raise ValueError(f"l_cap {l_cap} is below l_start {l_start}; no cutoff would run")
 
-    spectra: dict[int, BroadenedSpectrum] = {}
+    bins: dict[int, tuple] = {}  # cutoff: (width, first bin, bin count, occupied offsets, weights)
+
+    def check_held(grid: BroadenedSpectrum | None) -> None:
+        held = 16 * sum(len(offsets) for _, _, _, offsets, _ in bins.values())
+        held += 0 if grid is None else grid.values.nbytes
+        check_dense_bytes(held, f"a cutoff sweep holding {len(bins)} binned spectra and a grid")
+
     trace: list[tuple[int, float]] = []
-    converged = None
-    for l in range(l_start, l_cap + 1):
-        held = 8 * sum(len(spec.values) for spec in spectra.values())
-        check_dense_bytes(held, f"a cutoff sweep holding {len(spectra)} broadened spectra")
-        cutoffs = ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, l)
-        _, _, spectra[l] = spectrum_pipeline(problem, cutoffs, route=route, sigma=sigma)
-        if l - 1 in spectra:
-            d = l1_distance(spectra[l], spectra[l - 1])
-            trace.append((l, d))
+    converged = prev = broad = None
+    for top in range(l_start, l_cap + 1):
+        check_held(broad)
+        prev = broad  # the only grid held while the next cutoff is solved
+        cutoffs = ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, top)
+        _, binned, broad = spectrum_pipeline(problem, cutoffs, route=route, sigma=sigma)
+        occupied = np.flatnonzero(binned.values)
+        bins[top] = (binned.width, binned.first_bin, len(binned.values), occupied,
+                     binned.values[occupied])
+        del binned, occupied
+        if prev is not None:
+            d = l1_distance(broad, prev)
+            trace.append((top, d))
             if d < threshold:
-                converged = l - 1
+                converged = top - 1
                 break
 
-    top = max(spectra)
-    vs_exact = [
-        (l, l1_distance(spectra[l], spectra[top])) for l in sorted(spectra) if l < top
-    ]
+    del prev
+    check_held(broad)
+    vs_exact = [(l, l1_distance(_broaden_occupied(*held, sigma), broad))
+                for l, held in bins.items() if l < top]
     dists = [d for _, d in trace]
     monotone = all(b <= a * 1.5 for a, b in zip(dists, dists[1:]))
     return SweepResult(

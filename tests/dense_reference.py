@@ -9,8 +9,11 @@ the initial states' invariant sector only.
 It also keeps the dense spectrum post-processing that ``oracle`` replaced:
 Gaussian broadening by ``np.convolve`` over every bin, and the L1 distance
 that resamples both spectra onto their union grid with ``np.interp``; and
-the term mapper that adds every Pauli product into a dict one at a time,
-which ``mapping.map_second_quantized`` must reproduce bit for bit; and the
+the term mapper that adds every Pauli product into a dict one at a time and
+renders each key one qubit at a time, which ``mapping.map_second_quantized``
+must reproduce bit for bit; the cutoff sweep that holds every cutoff's
+broadened grid until its L1-vs-largest curve, which ``oracle.converge_sweep``
+must reproduce exactly from each cutoff's occupied bins; and the
 thermofield double built as a D x D (initial, system) matrix from each mode's
 d^2 x d^2 two-mode generator, which ``qpe.prepare_thermal`` reduces to its
 diagonal.
@@ -33,13 +36,15 @@ from vibronic.mapping import (
     PauliSum,
     QubitLayout,
     _mode_terms,
-    _render,
     pauli_masks,
 )
 from vibronic.oracle import (
     BinnedSpectrum,
     BroadenedSpectrum,
+    SweepResult,
     eigensolve,
+    l1_distance,
+    spectrum_pipeline,
 )
 from vibronic.problem import ModeCutoffs, ThermalConfig, VibronicProblem
 from vibronic.qpe import EvolutionBackend, PhaseMap, thermal_angles
@@ -204,6 +209,11 @@ def l1_distance_interp(a: BroadenedSpectrum, b: BroadenedSpectrum) -> float:
     return float(np.abs(_resample(a, grid) - _resample(b, grid)).sum() * step)
 
 
+def render(x: int, z: int, n: int) -> str:
+    """Pauli string of masks (x, z) on n qubits, qubit 0 leftmost, one qubit at a time."""
+    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
+
+
 def map_second_quantized_dicts(terms, encoding: Encoding, layout: QubitLayout) -> PauliSum:
     """Map a list of SecondQuantizedTerm to one deduplicated Pauli sum.
 
@@ -237,5 +247,35 @@ def map_second_quantized_dicts(terms, encoding: Encoding, layout: QubitLayout) -
             if abs(c) > COEFF_PRUNE:
                 total[key] = total.get(key, 0.0) + c
     out = PauliSum(layout.total_qubits)
-    out.terms = {_render(x, z, out.n_qubits): c for (x, z), c in total.items() if abs(c) > COEFF_PRUNE}
+    out.terms = {render(x, z, out.n_qubits): c for (x, z), c in total.items() if abs(c) > COEFF_PRUNE}
     return out
+
+
+def converge_sweep_held(
+    problem: VibronicProblem,
+    varied_mode: int,
+    fixed_cutoffs: dict[int, int],
+    threshold: float,
+    l_start: int,
+    l_cap: int,
+    route: str,
+    sigma: float,
+) -> SweepResult:
+    """The cutoff sweep with every cutoff's broadened spectrum held to the end."""
+    spectra: dict[int, BroadenedSpectrum] = {}
+    trace: list[tuple[int, float]] = []
+    converged = None
+    for l in range(l_start, l_cap + 1):
+        cutoffs = ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, l)
+        _, _, spectra[l] = spectrum_pipeline(problem, cutoffs, route=route, sigma=sigma)
+        if l - 1 in spectra:
+            d = l1_distance(spectra[l], spectra[l - 1])
+            trace.append((l, d))
+            if d < threshold:
+                converged = l - 1
+                break
+    top = max(spectra)
+    vs_exact = [(l, l1_distance(spectra[l], spectra[top])) for l in sorted(spectra) if l < top]
+    dists = [d for _, d in trace]
+    monotone = all(b <= a * 1.5 for a, b in zip(dists, dists[1:]))
+    return SweepResult(converged_l_max=converged, trace=trace, vs_exact=vs_exact, monotone=monotone)

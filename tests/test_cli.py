@@ -16,6 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from dense_reference import converge_sweep_held
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,24 @@ def test_converge_window_bytes_pinned(tmp_path, capsys):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert written == CONVERGE_SO2_SHA256
+
+
+#: sha256 of both CSVs and the stdout of the benchmark's h2o `converge` window
+CONVERGE_H2O_SHA256 = {
+    "h2o_h2o_e_converge_trace.csv": "60ac298adec91934d8c18152a86e2337e151f1f576993e5b254e928a57c38c0d",
+    "h2o_h2o_e_l1_vs_exact.csv": "75c27b8437cae1aea6223c57644a379e8a21a4668708ad93e80cc60b2426b32f",
+    "stdout": "ced5213d2c08c1eb16bf38d9a53ea85416eba36bef0fd80988c5b70434f3b7d4",
+}
+
+
+def test_converge_h2o_window_bytes_pinned(tmp_path, capsys):
+    h2o = ROOT / "src" / "vibronic" / "data" / "h2o.json"
+    assert main(["converge", "--problem", str(h2o), "--route", "ladder", "--vary-mode", "2",
+                 "--fixed-cutoffs", "10", "--l-start", "48", "--l-cap", "68",
+                 "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert written == CONVERGE_H2O_SHA256
 
 
 #: sha256 of every `exact` file for so2_anharmonic at cutoffs (6,4,3), sigma 50 cm^-1 FWHM
@@ -573,13 +592,22 @@ def test_repro_rejects_route_exit_2():
 
 
 def test_converge_held_spectra_bytes_checked_exit_2(so2_file, tmp_path, capsys, monkeypatch):
-    # at sigma = 1e5 each step fits a 40 MB budget (a grid's 39 MB at most),
-    # but five held 9.7 MB spectra do not
+    # at sigma = 1e5 each cutoff's grid is 9.7 MB and broadening it is checked
+    # at 39 MB.  The sweep holds one grid and each cutoff's occupied bins, so
+    # all eight cutoffs fit a 40 MB budget; under 38 MB the first grid does not
+    argv = ["converge", "--problem", so2_file, "--vary-mode", "1", "--fixed-cutoffs", "1",
+            "--l-cap", "8", "--sigma", "1e5", "--threshold", "1e-300", "--out", str(tmp_path)]
+    ref = converge_sweep_held(bundled_problem("so2"), 0, {1: 1}, 1e-300, 1, 8, "qp", 1e5)
     monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 40_000_000)
-    code = main(["converge", "--problem", so2_file, "--vary-mode", "1", "--fixed-cutoffs", "1",
-                 "--l-cap", "8", "--sigma", "1e5", "--threshold", "1e-300", "--out", str(tmp_path)])
-    assert code == 2
-    assert "a cutoff sweep holding 5 broadened spectra" in capsys.readouterr().err
+    assert main(argv) == 1  # every cutoff ran; none converged at this threshold
+    out, err = capsys.readouterr()
+    assert "NOT converged within L_max cap 8" in out and err == ""
+    for name, rows in (("converge_trace", ref.trace), ("l1_vs_exact", ref.vs_exact)):
+        text = (tmp_path / f"so2_so2_e_{name}.csv").read_text().splitlines()[1:]
+        assert text == [f"{l},{d:.10g}" for l, d in rows]
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 38_000_000)
+    assert main(argv) == 2
+    assert "a 1.204e+06-point broadened grid" in capsys.readouterr().err
 
 
 def test_converge_bad_fixed_cutoffs_exit_2(so2_file, tmp_path, capsys):

@@ -344,6 +344,7 @@ def _random_problem(m, seed):
     ("no2", "unary", (10, 12)),
     ("d2o", "binary", (100, 3)),
     ("so2", "unary", (2, 2)),
+    ("so2", "unary", (1, 95)),  # a 96-qubit mode: masks past 64 bits, rendered from qubit 2
     ("rand16", "binary", (3,) * 16),
 ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_map_second_quantized_matches_dict_reference(name, variant, levels, monkeypatch):

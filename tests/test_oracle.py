@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from dense_reference import broaden_dense, l1_distance_interp
+from dense_reference import broaden_dense, converge_sweep_held, l1_distance_interp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -495,22 +495,43 @@ def test_converge_sweep_not_converged_within_cap():
     assert result.converged_l_max is None
 
 
+@pytest.mark.parametrize("l_start,l_cap,sigma", [
+    (1, 24, oracle.DEFAULT_SIGMA),
+    (1, 6, oracle.DEFAULT_SIGMA),
+    (5, 5, oracle.DEFAULT_SIGMA),
+    (1, 24, oracle.sigma_from_convention(80.0, "fwhm")),
+], ids=["converged", "stops-at-cap", "single-cutoff", "fwhm"])
+def test_converge_sweep_matches_the_sweep_that_holds_every_grid(l_start, l_cap, sigma):
+    # so2, mode 1 varied, mode 2 fixed at 8: the window converges at 19, so a
+    # cap of 6 stops it before it converges
+    args = (bundled_problem("so2"), 0, {1: 8}, 1e-4, l_start, l_cap, "ladder", sigma)
+    assert converge_sweep(*args) == converge_sweep_held(*args)
+
+
 def test_converge_sweep_peak_stays_within_its_checked_bytes(monkeypatch):
-    # sigma = 1e5: each broadened grid holds 1.2e6 points, and the sweep keeps
-    # all eight for the L1-vs-largest curve; the newest is broadened beside them
-    checked = []
+    # sigma = 1e5: each broadened grid holds 1.2e6 points.  The sweep holds the
+    # last grid and each cutoff's occupied bins, and re-broadens the bins for
+    # the L1-vs-largest curve, so its peak does not grow with the cap
+    peaks = []
     check = oracle.check_dense_bytes
-    monkeypatch.setattr(oracle, "check_dense_bytes",
-                        lambda n_bytes, what: checked.append((n_bytes, what)) or check(n_bytes, what))
-    tracemalloc.start()
-    try:
-        converge_sweep(bundled_problem("so2"), 0, {1: 1}, threshold=1e-300, l_cap=8, sigma=1e5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = max(n for n, what in checked if "cutoff sweep" in what)
-    step = max(n for n, what in checked if "cutoff sweep" not in what)
-    assert held > 7 * 8 * 1.2e6 and peak <= held + step
+    for l_cap in (8, 16):
+        checked = []
+        monkeypatch.setattr(oracle, "check_dense_bytes", lambda n_bytes, what:
+                            checked.append((n_bytes, what)) or check(n_bytes, what))
+        tracemalloc.start()
+        try:
+            converge_sweep(bundled_problem("so2"), 0, {1: 1}, threshold=1e-300, l_cap=l_cap,
+                           sigma=1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [(n, what) for n, what in checked if "cutoff sweep" in what]
+        step = max(n for n, what in checked if "cutoff sweep" not in what)
+        assert held[-1][1] == f"a cutoff sweep holding {l_cap} binned spectra and a grid"
+        assert max(n for n, _ in held) < 8 * 1.3e6  # one grid and the bins
+        assert peak <= max(n for n, _ in held) + step + 4096
+        peaks.append(peak)
+    assert peaks[1] < 1.05 * peaks[0]
 
 
 def test_thermal_oracle_zero_temperature_matches_shifted():

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from dense_reference import (controlled_power_state, outcome_distribution, qpe_kernel_sq,
-                             thermofield_matrix, trotter_register_step,
+                             render, thermofield_matrix, trotter_register_step,
                              trotter_register_unitary)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +23,6 @@ from vibronic.mapping import (
     Encoding,
     PauliSum,
     QubitLayout,
-    _render,
     codespace_indices,
     invariant_sector,
     map_second_quantized,
@@ -423,7 +422,7 @@ def _masked_sums(draw):
     terms = draw(st.lists(st.tuples(masks, masks), max_size=6))
     coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(terms), max_size=len(terms)))
     starts = draw(st.lists(masks, min_size=1, max_size=4))
-    return PauliSum(n, {_render(x, z, n): c for (x, z), c in zip(terms, coeffs)}), starts
+    return PauliSum(n, {render(x, z, n): c for (x, z), c in zip(terms, coeffs)}), starts
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
