@@ -127,13 +127,19 @@ def _parse_backend(text: str) -> EvolutionBackend:
 def _load(path: str) -> VibronicProblem:
     if not os.path.exists(path):
         raise CliError(f"problem file not found: {path}")
-    return load_problem(path)
+    try:
+        return load_problem(path)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
+        raise CliError(f"cannot read problem file {path}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        raise CliError(f"cannot use output directory {out}: {exc}") from exc
     return path
 
 
@@ -309,8 +315,8 @@ def cmd_compare(args) -> int:
         if not os.path.exists(path):
             raise CliError(f"spectrum file not found: {path}")
         try:
-            grid, values = oracle.read_spectrum_csv(Path(path).read_text())
-        except ValueError as exc:
+            grid, values = oracle.read_spectrum_csv(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
             raise CliError(f"{path}: {exc}") from exc
         step = grid[1] - grid[0] if len(grid) > 1 else 1.0
         # .10g printing moves each energy by at most 5e-11 of max|E|

@@ -297,14 +297,24 @@ def parse_problem(text: str) -> VibronicProblem:
     s_matrix = numeric("S")
     delta = numeric("delta")
 
+    entries = raw.get("anharmonic", [])
+    if not isinstance(entries, list):
+        raise ProblemFormatError(f"{label}: 'anharmonic' must be a list of terms")
     terms = []
-    for i, entry in enumerate(raw.get("anharmonic", [])):
+    for i, entry in enumerate(entries):
         context = f"{label}: anharmonic[{i}]"
+        if not isinstance(entry, dict):
+            raise ProblemFormatError(f"{context}: a term must be an object with indices and coeff")
         indices = _require(entry, "indices", context)
         coeff = _require(entry, "coeff", context)
-        if not all(isinstance(j, int) and j >= 1 for j in indices):
-            raise ProblemFormatError(f"{context}: indices must be 1-based positive integers")
-        terms.append(AnharmonicTerm(tuple(j - 1 for j in indices), float(coeff)))
+        # bool is an int subclass: JSON true must not read as index 1
+        if not isinstance(indices, list) or not all(type(j) is int and j >= 1 for j in indices):
+            raise ProblemFormatError(f"{context}: indices must be a list of 1-based integers")
+        try:
+            coefficient = float(coeff)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFormatError(f"{context}: coeff is not a number: {exc}") from exc
+        terms.append(AnharmonicTerm(tuple(j - 1 for j in indices), coefficient))
 
     problem = VibronicProblem(
         label=label,

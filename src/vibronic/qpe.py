@@ -34,8 +34,8 @@ from .mapping import (
     map_second_quantized,
     sector_states,
 )
-from .oracle import (DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, dense_matrix, eigensolve,
-                     eigensolve_bytes)
+from .oracle import (DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, dense_matrix,
+                     diagonalize_fcp, eigensolve, eigensolve_bytes)
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Share of the 2 pi phase window left empty above the highest eigenphase.
@@ -196,12 +196,6 @@ def shot_uniforms(seed: int, shots: int) -> np.ndarray:
     return gen.random(shots)
 
 
-def _sample_from_probabilities(probs: np.ndarray, seed: int, shots: int) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return np.searchsorted(cdf, shot_uniforms(seed, shots), side="right")
-
-
 # -- Trotterized propagation ------------------------------------------
 
 
@@ -268,25 +262,22 @@ def _step_unitary(
     return u, sector
 
 
-def _eigenphases(
-    h: ManyBodyOperator, phase_map: PhaseMap, n_rows: int, shots: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases phi_i = tau (lambda_i + shift) / 2 pi of H, and its eigenvectors.
+def _check_law(
+    h: ManyBodyOperator, phase_map: PhaseMap, n_rows: int, shots: int, solve_bytes: int
+) -> None:
+    """Check an exact run's bytes in one sum before its solve, which holds ``solve_bytes``.
 
-    The exact run's bytes are checked first, in one sum: the eigensolve, the
-    R x D weights, the (2^t, R) law with its cdf, one kernel block and the
-    shots, which are sampled while the law is alive.  U itself is never
-    formed.
+    The sum adds the R x D weights, the (2^t, R) law with its cdf, one kernel
+    block and the shots, which are sampled while the law is alive.  U itself
+    is never formed.
     """
     dim, e_dim = h.space.dimension, 2**phase_map.t
     block = max(1, KERNEL_BLOCK // dim)
     check_dense_bytes(
-        eigensolve_bytes(h) + 8 * n_rows * dim + 16 * e_dim * n_rows
+        solve_bytes + 8 * n_rows * dim + 16 * e_dim * n_rows
         + 8 * block * (2 * dim + n_rows) + _shot_bytes(shots, n_rows),
         f"a {phase_map.t}-qubit x {n_rows}-row x {dim}-state exact QPE law"
         f" and {shots} sampled shots")
-    evals, evecs = eigensolve(h)
-    return phase_map.phase(evals), evecs
 
 
 def _fejer(phases: np.ndarray, j, e_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,7 +354,9 @@ def _sample_joint(
     joint: np.ndarray, n_rows: int, seed: int, shots: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(j, row) of each shot, sampled from the j-major (j, row) law."""
-    outcomes = _sample_from_probabilities(joint, seed, shots)
+    cdf = np.cumsum(joint)
+    cdf /= cdf[-1]
+    outcomes = np.searchsorted(cdf, shot_uniforms(seed, shots), side="right")
     return outcomes // n_rows, outcomes % n_rows
 
 
@@ -483,21 +476,34 @@ def run_qpe(
     n_s = layout.total_qubits
     if return_state:
         check_dense_bytes(16 << n_s, f"a {n_s}-qubit post-measurement state")
+    dim = h.space.dimension
+    if initial_state is None:
+        psi = np.eye(1, dim)[0]
+    else:
+        psi = np.asarray(initial_state, dtype=complex)
+        norm = np.linalg.norm(psi) if psi.shape == (dim,) else math.nan
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"initial_state must be {dim} finite amplitudes of nonzero norm, "
+                             f"got shape {psi.shape} and norm {norm}")
+        psi = psi / norm
     if phase_map is None:
         phase_map = choose_phase_map(h, t)
     _check_register(phase_map, t)
     code = codespace_indices(encoding, layout)
-    if initial_state is None:
-        psi = np.eye(1, len(code))[0]
-    else:
-        vec = np.asarray(initial_state, dtype=complex)
-        psi = vec / np.linalg.norm(vec)
     leaked = None
     if backend.kind == "exact":
-        phases, evecs = _eigenphases(h, phase_map, 1, shots)
-        coeffs = evecs.T @ psi  # <v_i|psi>
-        probs = _eigenphase_law(phases, np.abs(coeffs)[None, :] ** 2, t)
-        outcomes = _sample_from_probabilities(probs, seed, shots)
+        if initial_state is None and not return_state:  # W[0, i] = |<v_i|0>|^2: the sticks
+            _check_law(h, phase_map, 1, shots, 16 * dim * dim)  # what dense_matrix checks
+            sticks = diagonalize_fcp(h)
+            evals, weights = sticks.energies, sticks.intensities
+        else:
+            _check_law(h, phase_map, 1, shots, eigensolve_bytes(h))
+            evals, evecs = eigensolve(h)
+            coeffs = evecs.T @ psi  # <v_i|psi>
+            weights = np.abs(coeffs) ** 2
+        phases = phase_map.phase(evals)
+        probs = _eigenphase_law(phases, weights[None, :], t)
+        outcomes = _sample_joint(probs, 1, seed, shots)[0]
     else:
         u, sector = _step_unitary(phase_map, backend, pauli_hamiltonian, code)
         outcomes, _, amps, probs, leaked = _controlled_power_sweep(
@@ -505,8 +511,6 @@ def run_qpe(
     spectrum = SampledSpectrum(j_outcomes=outcomes, energies=phase_map.energy(outcomes),
                                phase_map=phase_map, shots=shots, seed=seed,
                                metadata=_run_record(encoding, backend, t, leaked))
-    if not return_state and not return_distribution:
-        return spectrum
     extras: list = [spectrum]
     if return_state:
         j = int(outcomes[-1])
@@ -521,7 +525,7 @@ def run_qpe(
         extras.append(state)
     if return_distribution:
         extras.append(probs)
-    return tuple(extras)
+    return tuple(extras) if len(extras) > 1 else spectrum
 
 
 # -- finite temperature -------------------------------------------------
@@ -587,11 +591,12 @@ def run_qpe_thermal(
     kappa = prepare_thermal(problem, cutoffs, thermal)
     leaked = None
     if backend.kind == "exact":
-        phases, evecs = _eigenphases(h, phase_map, len(code), shots)
+        _check_law(h, phase_map, len(code), shots, eigensolve_bytes(h))
+        evals, evecs = eigensolve(h)
         # row r starts in kappa_k |k>, k = register[r]: W[r, i] = kappa_k^2 |V[k, i]|^2
         weights = np.abs(evecs[register]) ** 2 * kappa[register, None] ** 2
         del evecs
-        law = _eigenphase_law(phases, weights, t)
+        law = _eigenphase_law(phase_map.phase(evals), weights, t)
         j_out, row = _sample_joint(law, len(code), seed, shots)
     else:
         u, sector = _step_unitary(phase_map, backend, pauli, code)

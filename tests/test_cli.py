@@ -415,6 +415,61 @@ def test_compare_missing_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def _refused(argv, capsys, *named) -> None:
+    """``main`` exits 2 with one ``error:`` line naming each of ``named``, and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert all(name in err for name in named)
+
+
+@pytest.mark.parametrize("anharmonic, named", [
+    pytest.param(7, "'anharmonic'", id="not-a-list"),
+    pytest.param([5], "anharmonic[0]", id="entry-not-an-object"),
+    pytest.param([{"indices": 5, "coeff": 1.0}], "anharmonic[0]", id="indices-not-a-list"),
+    pytest.param([{"indices": [1, 1, 2], "coeff": "x"}], "anharmonic[0]", id="coeff-text"),
+    pytest.param([{"indices": [1, 1, 2], "coeff": [1]}], "anharmonic[0]", id="coeff-list"),
+    pytest.param([{"indices": [1, 1, 2], "coeff": 1.0}, {"indices": [1, True, 2], "coeff": 1.0}],
+                 "anharmonic[1]", id="index-true"),
+])
+def test_malformed_anharmonic_terms_exit_2(anharmonic, named, tmp_path, capsys):
+    # JSON true is a bool, which Python counts as the integer 1: not an index
+    doc = json.loads(serialize_problem(bundled_problem("so2")))
+    path = tmp_path / "anharmonic.json"
+    path.write_text(json.dumps({**doc, "anharmonic": anharmonic}))
+    _refused(["exact", "--problem", str(path), "--cutoffs", "2", "--out", str(tmp_path / "out")],
+             capsys, named)
+    assert not (tmp_path / "out").exists()
+
+
+def test_problem_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"label": "SO₂ é"}'.encode("latin-1", errors="replace"))
+    _refused(["exact", "--problem", str(path), "--cutoffs", "2", "--out", str(tmp_path)],
+             capsys, str(path), "utf-8")
+
+
+def test_problem_path_is_a_directory_exit_2(tmp_path, capsys):
+    _refused(["qpe", "--problem", str(tmp_path), "--cutoffs", "2", "--out", str(tmp_path)],
+             capsys, str(tmp_path), "directory")
+
+
+def test_compare_path_is_a_directory_exit_2(toy_file, tmp_path, capsys):
+    main(["exact", "--problem", toy_file, "--cutoffs", "2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    _refused(["compare", str(tmp_path / "toy_broadened.csv"), str(tmp_path)], capsys,
+             str(tmp_path), "directory")
+
+
+@pytest.mark.parametrize("command", ["exact", "repro"])
+def test_out_names_an_existing_file_exit_2(command, toy_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    extra = ["--problem", toy_file, "--cutoffs", "2"] if command == "exact" else []
+    _refused([command, *extra, "--out", str(out)], capsys, str(out), "exists")
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["map", "--cutoffs", "2", "--route", "qp"],
     ["map", "--cutoffs", "2", "--sigma", "5"],

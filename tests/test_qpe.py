@@ -323,44 +323,116 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
         run_qpe(h, Encoding("binary", cuts), t=6, shots=1, phase_map=pmap)
 
 
-@pytest.mark.parametrize("variant, cuts, backend, refusal", [
-    pytest.param("binary", (63, 63), EvolutionBackend.exact(), None,
+@pytest.mark.parametrize("variant, cuts, backend, from_state, outcome", [
+    pytest.param("binary", (63, 63), EvolutionBackend.exact(), True, "eigensolve",
                  id="binary-cuts0-backend0-4096"),
-    pytest.param("unary", (6, 6), EvolutionBackend.trotter(1, 1), "a 4096-state trotter QPE step",
-                 id="unary-cuts1-backend1-4096"),
-    pytest.param("binary", (67, 69), EvolutionBackend.exact(),
-                 "a 4-qubit x 1-row x 4760-state exact QPE law", id="binary-67-69-exact-4760"),
+    pytest.param("unary", (6, 6), EvolutionBackend.trotter(1, 1), False,
+                 "a 4096-state trotter QPE step", id="unary-cuts1-backend1-4096"),
+    pytest.param("binary", (67, 69), EvolutionBackend.exact(), False, "diagonalize_fcp",
+                 id="binary-67-69-exact-4760"),
+    pytest.param("binary", (67, 69), EvolutionBackend.exact(), True,
+                 "a 4-qubit x 1-row x 4760-state exact QPE law",
+                 id="binary-67-69-exact-initial-state-4760"),
+    pytest.param("binary", (90, 90), EvolutionBackend.exact(), False,
+                 "a 4-qubit x 1-row x 8281-state exact QPE law", id="binary-90-90-exact-8281"),
 ])
-def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend, refusal,
-                                                         monkeypatch):
+def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend, from_state,
+                                                         outcome, monkeypatch):
     # a 4096 x 4096 Trotter U alone is 0.25 GiB, but the step holds four such
     # arrays (the rotation copies, or the squaring ladder's); so2's mapped
     # ladder sum reaches 2^6 x 2^6 states of unary (6,6)'s 2^14 register.
-    # The exact backend never forms U: its eigensolve holds 48 bytes per entry
-    # of H, so D = 4096 now reaches the eigensolve and D = 4760 is refused.
-    class Admitted(Exception):
+    # The exact backend never forms U.  From the vacuum it solves for the
+    # sticks in 16 bytes per entry of H, so D = 4760 reaches diagonalize_fcp
+    # and D = 8281 is refused; from an explicit initial state its eigensolve
+    # holds 48, so D = 4096 reaches the eigensolve and D = 4760 is refused.
+    class Reached(Exception):
         pass
 
-    def admit(*args, **kwargs):
-        raise Admitted
+    def reach(name):
+        def stub(*args, **kwargs):
+            raise Reached(name)
+        return stub
 
     def refuse(*args, **kwargs):
         pytest.fail("a D x D array was built despite the step's byte estimate")
 
-    for module, name in ((qpe, "eigensolve"), (oracle, "eigensolve"),
+    for module, name in ((qpe, "eigensolve"), (oracle, "eigensolve"), (qpe, "diagonalize_fcp"),
                          (qpe, "trotter_step_unitary")):
-        monkeypatch.setattr(module, name, admit)
+        monkeypatch.setattr(module, name, reach(name))
     monkeypatch.setattr(ManyBodyOperator, "to_dense", refuse)
     cutoffs = ModeCutoffs(cuts)
     enc = Encoding(variant, cutoffs)
-    assert 16 * cutoffs.dimension**2 <= MAX_DENSE_BYTES
+    # only (90,90)'s dense copy would not fit the budget alone
+    assert (16 * cutoffs.dimension**2 <= MAX_DENSE_BYTES) == (cuts != (90, 90))
     h = ManyBodyOperator(cutoffs, sp.identity(cutoffs.dimension, format="csr"))
     pmap = PhaseMap(tau=1.0, energy_shift=0.0, t=4)
-    expected = (pytest.raises(Admitted) if refusal is None
-                else pytest.raises(DenseBudgetError, match=refusal))
+    expected = (pytest.raises(Reached, match=f"^{outcome}$") if " " not in outcome
+                else pytest.raises(DenseBudgetError, match=outcome))
     pauli = _so2_ladder_sum(enc) if backend.kind == "trotter" else None
+    initial = np.eye(1, cutoffs.dimension)[0] if from_state else None
     with expected:
-        run_qpe(h, enc, t=4, shots=1, backend=backend, phase_map=pmap, pauli_hamiltonian=pauli)
+        run_qpe(h, enc, t=4, shots=1, backend=backend, phase_map=pmap, pauli_hamiltonian=pauli,
+                initial_state=initial)
+
+
+def test_vacuum_run_forms_no_eigenvectors(monkeypatch):
+    # from the vacuum the law's weights are the Franck-Condon sticks: the same
+    # law as the eigensolve route from the explicit vacuum, with no eigh at all
+    problem, cutoffs = bundled_problem("so2"), ModeCutoffs((6, 5))
+    h = build_hamiltonian(problem, cutoffs).hamiltonian
+    enc = Encoding("binary", cutoffs)
+    pmap = choose_phase_map(h, 8, lower_bound=0.0)
+    _, expected = run_qpe(h, enc, t=8, shots=1, phase_map=pmap, return_distribution=True,
+                          initial_state=np.eye(1, cutoffs.dimension)[0])
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a vacuum run formed H's eigenvectors")
+
+    for module, name in ((qpe, "eigensolve"), (oracle, "eigensolve"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, refuse)
+    spectrum, law = run_qpe(h, enc, t=8, shots=500, seed=3, phase_map=pmap,
+                            return_distribution=True)
+    assert np.abs(law - expected).max() < 1e-12
+    assert len(spectrum.j_outcomes) == 500
+    assert run_qpe_problem(problem, cutoffs, t=8, shots=10).metadata["backend"] == "exact"
+
+
+def test_vacuum_run_peak_stays_within_its_checked_bytes(monkeypatch):
+    # at so2 (19,19), D = 400, the stick solve's 16 D^2 bytes outweigh the
+    # law, the kernel block and the shots; the run's one check counts them all
+    cutoffs = ModeCutoffs((19, 19))
+    h = build_hamiltonian(bundled_problem("so2"), cutoffs).hamiltonian
+    pmap = choose_phase_map(h, 8, lower_bound=0.0)
+    checked = []
+    monkeypatch.setattr(qpe, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
+    tracemalloc.start()
+    try:
+        run_qpe(h, Encoding("binary", cutoffs), t=8, shots=1000, phase_map=pmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    solve = 16 * cutoffs.dimension**2
+    assert len(checked) == 1 and solve > 0.75 * checked[0]
+    assert 0.9 * solve < peak <= checked[0] + 4096
+
+
+@pytest.mark.parametrize("initial, named", [
+    pytest.param(np.zeros(9), "norm 0.0", id="zero"),
+    pytest.param(np.full(9, np.nan), "norm nan", id="nan"),
+    pytest.param(np.ones(8), "shape (8,)", id="wrong-length"),
+])
+def test_bad_initial_state_refused_before_any_solve(initial, named, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the run went on with an initial state it cannot normalize")
+
+    for module, name in ((qpe, "eigensolve"), (qpe, "diagonalize_fcp"),
+                         (qpe, "choose_phase_map"), (qpe, "shot_uniforms")):
+        monkeypatch.setattr(module, name, refuse)
+    cutoffs = ModeCutoffs((2, 2))
+    h = build_hamiltonian(bundled_problem("so2"), cutoffs).hamiltonian
+    with pytest.raises(ValueError, match=r"initial_state must be 9 finite amplitudes") as exc:
+        run_qpe(h, Encoding("binary", cutoffs), t=6, shots=10, initial_state=initial)
+    assert named in str(exc.value)
 
 
 def test_unary_encoding_agrees_with_binary():
@@ -649,14 +721,14 @@ def test_thermal_decode_matches_per_shot_lookup(monkeypatch):
     layout = QubitLayout.for_encoding(enc)
     code = codespace_indices(enc, layout)
     sampled = []
-    real_sample = qpe._sample_from_probabilities
+    real_sample = qpe._sample_joint
 
-    def sample(probs, seed, shots):
-        outcomes = real_sample(probs, seed, shots)
-        sampled.append(outcomes)
-        return outcomes
+    def sample(joint, n_rows, seed, shots):
+        j, row = real_sample(joint, n_rows, seed, shots)
+        sampled.append(j * n_rows + row)  # the joint category, j-major
+        return j, row
 
-    monkeypatch.setattr(qpe, "_sample_from_probabilities", sample)
+    monkeypatch.setattr(qpe, "_sample_joint", sample)
     spec = run_qpe_thermal(p, cuts, t=6, shots=3000, thermal=ThermalConfig(beta=0.002),
                            encoding_variant="unary", seed=5,
                            backend=EvolutionBackend.trotter(1, 1))
@@ -717,8 +789,8 @@ def _sweep_inputs(cuts, variant, backend, t):
     _, h, pauli, pmap = qpe._problem_hamiltonian(problem, cutoffs, t, enc, backend, "qp")
     code = codespace_indices(enc, layout)
     if backend.kind == "exact":
-        phases, evecs = qpe._eigenphases(h, pmap, 1, 1)
-        u = (evecs * np.exp(-2j * np.pi * phases)) @ evecs.conj().T
+        evals, evecs = oracle.eigensolve(h)
+        u = (evecs * np.exp(-2j * np.pi * pmap.phase(evals))) @ evecs.conj().T
         return problem, cutoffs, enc, h, pmap, code, u, code, np.arange(len(code))
     u = trotter_register_unitary(pauli, pmap, backend)
     return problem, cutoffs, enc, pauli, pmap, code, u, np.arange(len(u)), code
@@ -920,9 +992,10 @@ def test_law_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkeypa
     monkeypatch.setattr(qpe, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
     tracemalloc.start()
     try:
-        phases, evecs = qpe._eigenphases(h, pmap, n_rows, shots)
+        qpe._check_law(h, pmap, n_rows, shots, oracle.eigensolve_bytes(h))
+        evals, evecs = oracle.eigensolve(h)
         weights = np.abs(evecs[:n_rows]) ** 2
-        law = qpe._eigenphase_law(phases, weights, t)
+        law = qpe._eigenphase_law(pmap.phase(evals), weights, t)
         qpe._sample_joint(law, n_rows, 0, shots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
