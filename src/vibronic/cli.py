@@ -167,9 +167,9 @@ def cmd_exact(args) -> int:
     problem = _load(args.problem)
     report = validate(problem)
     cutoffs = _parse_cutoffs(args.cutoffs, problem.n_modes)
+    out = _out_dir(args)
     sticks, binned, broad = oracle.spectrum_pipeline(problem, cutoffs, route=args.route,
                                                      sigma=_stdev(args))
-    out = _out_dir(args)
     base = _slug(problem.label)
     header = "energy_cm1,intensity\r\n"
     oracle.write_csv(out / f"{base}_sticks.csv", header, sticks.energies, sticks.intensities)
@@ -204,17 +204,19 @@ def _sampling_inputs(args) -> tuple[VibronicProblem, ModeCutoffs, dict]:
 
 def cmd_qpe(args) -> int:
     problem, cutoffs, options = _sampling_inputs(args)
-    return _write_sampled(args, problem, run_qpe_problem(problem, cutoffs, **options))
+    out = _out_dir(args)
+    return _write_sampled(out, args, problem, run_qpe_problem(problem, cutoffs, **options))
 
 
 def cmd_thermal(args) -> int:
     problem, cutoffs, options = _sampling_inputs(args)
-    spectrum = run_qpe_thermal(problem, cutoffs, thermal=_thermal_config(args, problem), **options)
-    return _write_sampled(args, problem, spectrum)
-
-
-def _write_sampled(args, problem: VibronicProblem, spectrum) -> int:
+    thermal = _thermal_config(args, problem)
     out = _out_dir(args)
+    return _write_sampled(out, args, problem,
+                          run_qpe_thermal(problem, cutoffs, thermal=thermal, **options))
+
+
+def _write_sampled(out: Path, args, problem: VibronicProblem, spectrum) -> int:
     base = f"{_slug(problem.label)}_{args.command}"
     hist = spectrum.histogram(width=args.hist_width)
     oracle.write_csv(out / f"{base}_histogram.csv", "energy_cm1,intensity,shots\n",
@@ -240,6 +242,7 @@ def cmd_map(args) -> int:
     encoding = Encoding(args.encoding, cutoffs)
     layout = QubitLayout.for_encoding(encoding)
     terms = ladder_terms(problem)
+    out = _out_dir(args)
     pauli = map_second_quantized(terms, encoding, layout)
     report = resource_count(pauli)
     header = {
@@ -252,7 +255,6 @@ def cmd_map(args) -> int:
         "greedy_depth": report.greedy_depth,
     }
     text = pauli_sum_to_text(pauli, header)
-    out = _out_dir(args)
     path = out / f"{_slug(problem.label)}_{args.encoding}_pauli.txt"
     path.write_text(text)
     for string, coeff in pauli.sorted_terms():
@@ -279,6 +281,7 @@ def cmd_converge(args) -> int:
         fixed = dict(zip(others, fixed_list))
     else:
         fixed = {m: args.default_fixed for m in range(problem.n_modes) if m != varied}
+    out = _out_dir(args)
     result = oracle.converge_sweep(
         problem,
         varied,
@@ -289,7 +292,6 @@ def cmd_converge(args) -> int:
         route=args.route,
         sigma=_stdev(args),
     )
-    out = _out_dir(args)
     base = _slug(problem.label)
     for name, header, rows in (("converge_trace", "successive_l1", result.trace),
                                ("l1_vs_exact", "l1_vs_largest", result.vs_exact)):

@@ -67,7 +67,7 @@ class ManyBodyOperator:
         self.matrix = csr.astype(np.float64, copy=False)
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        return self.matrix.toarray(order="F")  # LAPACK's layout: dsytrd reduces it in place
 
     def __matmul__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
         if self.space != other.space:

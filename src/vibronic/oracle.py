@@ -60,24 +60,33 @@ class StickSpectrum:
 
 @dataclass
 class BinnedSpectrum:
-    """Histogram of stick intensity on a uniform grid of bins.
+    """Histogram of stick intensity on n_bins uniform bins, held as its occupied bins.
 
     Bin i spans [i, i + 1) * width; ``first_bin`` is the index of the lowest
-    stored bin (negative-energy sticks from hot bands land in negative bins).
+    bin (negative-energy sticks from hot bands land in negative bins).  Bin
+    first_bin + offsets[k] holds weights[k] > 0, the offsets ascending.
     """
 
     width: float
     first_bin: int
-    values: np.ndarray
+    n_bins: int
+    offsets: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:  # every bin, for the callers that read them all
+        values = np.zeros(self.n_bins)
+        values[self.offsets] = self.weights
+        return values
 
     @property
     def bin_centers(self) -> np.ndarray:
         # in float: energies past 2^63 widths have bin indices that int64 cannot hold
-        return (np.arange(len(self.values)) + (self.first_bin + 0.5)) * self.width
+        return (np.arange(self.n_bins) + (self.first_bin + 0.5)) * self.width
 
     @property
     def total_intensity(self) -> float:
-        return float(self.values.sum())
+        return float(self.weights.sum())
 
 
 @dataclass
@@ -94,14 +103,17 @@ class BroadenedSpectrum:
 
 
 def dense_matrix(h: ManyBodyOperator) -> np.ndarray:
-    """H as a dense float64 array.
+    """H as a dense float64 array in Fortran order, which LAPACK reduces in place.
 
-    Every dense copy of an operator is made here, behind the byte budget at
-    16 bytes per entry, what the stick solve holds: up to D = 8192 states.
+    Only the two solves call it; the copy is checked at ``stick_solve_bytes``.
     """
-    d = h.space.dimension
-    check_dense_bytes(16 * d * d, f"a {d}-state dense eigensolve")
+    check_dense_bytes(stick_solve_bytes(h), f"a {h.space.dimension}-state dense eigensolve")
     return h.to_dense()
+
+
+def stick_solve_bytes(h: ManyBodyOperator) -> int:
+    """Bytes that ``diagonalize_fcp`` holds for H: 16 per entry, dstevd's Z and workspace."""
+    return 16 * h.space.dimension**2
 
 
 def eigensolve_bytes(h: ManyBodyOperator) -> int:
@@ -132,13 +144,12 @@ def _vacuum_sticks(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
     dsyevd's bit for bit when both come from the same LAPACK, as with
     ``scipy.linalg.eigh(driver="evd")``.
 
-    One D x D array of H is held at a time.  The dense copy of H^T in C
-    order, transposed, holds H's own elements in Fortran order, so dsytrd
-    reduces it in place; only T's diagonal and off-diagonal are kept, and
-    the copy is released before dstevd allocates Z and its D^2 workspace.
-    The peak is the 16 D^2 bytes that ``dense_matrix`` checks, plus O(D).
+    One D x D array of H is held at a time: dsytrd reduces the Fortran-order
+    copy in place, only T's diagonal and off-diagonal are kept, and the copy
+    is released before dstevd allocates Z and its D^2 workspace.  The peak is
+    ``stick_solve_bytes``, plus O(D).
     """
-    mat = dense_matrix(ManyBodyOperator(h.space, h.matrix.T)).T
+    mat = dense_matrix(h)
     lwork, info = lapack.dsytrd_lwork(mat.shape[0], lower=1)
     _check_info("dsytrd_lwork", info)
     reduced, d, e, _, info = lapack.dsytrd(mat, lower=1, lwork=int(lwork), overwrite_a=1)
@@ -154,9 +165,7 @@ def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
 
     The initial state is the vacuum (flat index 0), giving the
     zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
-    separate sticks.  No eigenvector matrix of H is formed, and only one
-    dense copy of H exists, reduced in place (``_vacuum_sticks``): 16 D^2
-    bytes in all with dstevd's Z and workspace.
+    separate sticks.  No eigenvector matrix of H is formed (``_vacuum_sticks``).
     """
     if not h.verify_hermitian():
         raise ValueError(
@@ -194,11 +203,16 @@ def bin_offsets(
 
 
 def bin_spectrum(sticks: StickSpectrum, width: float = DEFAULT_BIN_WIDTH) -> BinnedSpectrum:
-    """Histogram stick intensity into bins of the given width: E goes to floor(E / width)."""
+    """Histogram stick intensity into bins of the given width: E goes to floor(E / width).
+
+    Each occupied bin sums its sticks in stick order, as a dense row would.
+    """
     offsets, first, n_bins = bin_offsets(sticks.energies, width)
-    values = np.zeros(n_bins)
-    np.add.at(values, offsets, sticks.intensities)
-    return BinnedSpectrum(width=width, first_bin=first, values=values)
+    occupied, slot = np.unique(offsets, return_inverse=True)
+    weights = np.zeros(len(occupied))
+    np.add.at(weights, slot, sticks.intensities)
+    kept = weights != 0.0
+    return BinnedSpectrum(width, first, n_bins, occupied[kept], weights[kept])
 
 
 def sigma_from_convention(width: float, convention: str) -> float:
@@ -233,32 +247,21 @@ def broaden(binned: BinnedSpectrum, sigma: float = DEFAULT_SIGMA) -> BroadenedSp
 
     The result is the "full" convolution of ``np.convolve``, but the kernel is
     added only at occupied bins, in ascending bin order: nnz*K work instead of
-    N*K on a histogram that is mostly empty.
+    N*K on a histogram that is mostly empty.  Each kernel is scaled into one
+    scratch array and added into its window in place, with no temporary per bin.
     """
-    occupied = np.flatnonzero(binned.values)
-    return _broaden_occupied(binned.width, binned.first_bin, len(binned.values),
-                             occupied, binned.values[occupied], sigma)
-
-
-def _broaden_occupied(width: float, first_bin: int, n_bins: int, offsets: np.ndarray,
-                      weights: np.ndarray, sigma: float) -> BroadenedSpectrum:
-    """``broaden`` of the n_bins-bin histogram whose only nonzero bins are ``offsets``.
-
-    Each bin's kernel is scaled into one kernel-length scratch array and added
-    into its window in place: the same IEEE operations as adding a scaled
-    copy, with no temporary per bin.
-    """
-    half = kernel_half_width(sigma, width, n_bins)
+    width = binned.width
+    half = kernel_half_width(sigma, width, binned.n_bins)
     x = np.arange(-half, half + 1) * width
     kernel = np.exp(-(x**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
     del x  # before the grid and the scratch exist: the peak holds three such arrays, not four
-    values = np.zeros(n_bins + 2 * half)
+    values = np.zeros(binned.n_bins + 2 * half)
     scaled = np.empty_like(kernel)
-    for j, w in zip(offsets, weights):
+    for j, w in zip(binned.offsets, binned.weights):
         np.multiply(w, kernel, out=scaled)
         window = values[j : j + len(kernel)]
         np.add(window, scaled, out=window)
-    start_bin = first_bin - half
+    start_bin = binned.first_bin - half
     return BroadenedSpectrum(grid_start=(start_bin + 0.5) * width, grid_step=width, values=values)
 
 
@@ -339,9 +342,9 @@ def converge_sweep(
     plots.  A non-monotone trace is flagged, not rejected.
 
     Only the last broadened grid is held through the loop, for the next
-    successive L1.  Each cutoff keeps its histogram's occupied bins, 16 bytes
-    a bin, and the curve re-broadens them one cutoff at a time; ``broaden``
-    is deterministic, so every distance is the one the held grids would give.
+    successive L1.  Each cutoff keeps its histogram, 16 bytes an occupied
+    bin, and the curve re-broadens them one cutoff at a time; ``broaden`` is
+    deterministic, so every distance is the one the held grids would give.
     The held bytes are checked before each cutoff and before the curve.
     """
     if varied_mode in fixed_cutoffs:
@@ -351,10 +354,10 @@ def converge_sweep(
     if l_cap < l_start:
         raise ValueError(f"l_cap {l_cap} is below l_start {l_start}; no cutoff would run")
 
-    bins: dict[int, tuple] = {}  # cutoff: (width, first bin, bin count, occupied offsets, weights)
+    bins: dict[int, BinnedSpectrum] = {}
 
     def check_held(grid: BroadenedSpectrum | None) -> None:
-        held = 16 * sum(len(offsets) for _, _, _, offsets, _ in bins.values())
+        held = 16 * sum(len(binned.offsets) for binned in bins.values())
         held += 0 if grid is None else grid.values.nbytes
         check_dense_bytes(held, f"a cutoff sweep holding {len(bins)} binned spectra and a grid")
 
@@ -364,11 +367,7 @@ def converge_sweep(
         check_held(broad)
         prev = broad  # the only grid held while the next cutoff is solved
         cutoffs = ModeCutoffs.one_varied(fixed_cutoffs, varied_mode, top)
-        _, binned, broad = spectrum_pipeline(problem, cutoffs, route=route, sigma=sigma)
-        occupied = np.flatnonzero(binned.values)
-        bins[top] = (binned.width, binned.first_bin, len(binned.values), occupied,
-                     binned.values[occupied])
-        del binned, occupied
+        _, bins[top], broad = spectrum_pipeline(problem, cutoffs, route=route, sigma=sigma)
         if prev is not None:
             d = l1_distance(broad, prev)
             trace.append((top, d))
@@ -378,8 +377,8 @@ def converge_sweep(
 
     del prev
     check_held(broad)
-    vs_exact = [(l, l1_distance(_broaden_occupied(*held, sigma), broad))
-                for l, held in bins.items() if l < top]
+    vs_exact = [(l, l1_distance(broaden(binned, sigma), broad))
+                for l, binned in bins.items() if l < top]
     dists = [d for _, d in trace]
     monotone = all(b <= a * 1.5 for a, b in zip(dists, dists[1:]))
     return SweepResult(
@@ -438,14 +437,13 @@ def cumulative_fcf_by_level(
     Entry l is sum over all other modes' quantum numbers of |<0|n'>|^2 with
     n'_mode = l, the quantity that controls how far the mode's progression
     reaches.  Each eigenstate gets the level nearest its expectation of the
-    transformed number operator b_k^dag b_k.
+    transformed number operator b_k^dag b_k, applied as its CSR.
     """
     report = build_hamiltonian(problem, cutoffs)
     _, evecs = eigensolve(report.hamiltonian)
     fcf = np.abs(evecs[0, :]) ** 2
     bd = build_b_dagger(problem, cutoffs)[mode]
-    nmat = dense_matrix(bd @ bd.dagger())
-    occ = np.einsum("ji,jk,ki->i", evecs, nmat, evecs)
+    occ = np.einsum("ji,ji->i", evecs, (bd @ bd.dagger()).matrix @ evecs)
     levels = np.rint(occ).astype(int)
     inside = (levels >= 0) & (levels <= cutoffs.levels[mode])
     return np.bincount(levels[inside], weights=fcf[inside], minlength=cutoffs.levels[mode] + 1)
@@ -463,9 +461,10 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 def rebin(binned: BinnedSpectrum, new_width: float) -> BinnedSpectrum:
     """Aggregate a histogram into coarser bins (new width need not divide evenly).
 
-    Each old bin moves whole into the new bin holding its centre.
+    Each occupied bin moves whole into the new bin holding its centre.
     """
-    return bin_spectrum(StickSpectrum(binned.bin_centers, binned.values), new_width)
+    centers = (binned.offsets + (binned.first_bin + 0.5)) * binned.width
+    return bin_spectrum(StickSpectrum(centers, binned.weights), new_width)
 
 
 # -- file output -------------------------------------------------------

@@ -34,8 +34,8 @@ from .mapping import (
     map_second_quantized,
     sector_states,
 )
-from .oracle import (DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, dense_matrix,
-                     diagonalize_fcp, eigensolve, eigensolve_bytes)
+from .oracle import (DEFAULT_BIN_WIDTH, BinnedSpectrum, bin_offsets, diagonalize_fcp,
+                     eigensolve, eigensolve_bytes, stick_solve_bytes)
 from .problem import ModeCutoffs, ThermalConfig, VibronicProblem, fock_state_energy
 
 #: Share of the 2 pi phase window left empty above the highest eigenphase.
@@ -96,12 +96,18 @@ class PhaseMap:
 def gershgorin_bounds(h: ManyBodyOperator) -> tuple[float, float]:
     """Cheap spectral interval from Gershgorin row sums.
 
-    The rows are summed dense: CSR row sums add in another order, which moves
+    The rows of |H| are summed dense, KERNEL_BLOCK // D (at most D) at a time,
+    each as in a full copy: CSR row sums add in another order, which moves
     tau, and with it every decoded energy, in the last bits.
     """
-    mat = dense_matrix(h)
-    diag = mat.diagonal()
-    radii = np.abs(mat).sum(axis=1) - np.abs(diag)
+    dim = h.space.dimension
+    block = min(dim, max(1, KERNEL_BLOCK // dim))
+    check_dense_bytes(8 * block * dim, f"a {block}-row block of Gershgorin sums")
+    diag = h.matrix.diagonal()
+    radii = -np.abs(diag)
+    for lo in range(0, dim, block):
+        rows = h.matrix[lo : lo + block].toarray()
+        radii[lo : lo + block] += np.abs(rows, out=rows).sum(axis=1)
     return float((diag - radii).min()), float((diag + radii).max())
 
 
@@ -178,12 +184,12 @@ class SampledSpectrum:
         adding each shot's weight into its bin gives; count/shots is not.
         """
         offsets, first, n_bins = bin_offsets(self.energies, width, with_zero=True)
-        counts = np.bincount(offsets, minlength=n_bins)
-        del offsets
-        sums = np.full(counts.max() + 1, 1.0 / max(len(self.energies), 1))
+        counts = np.bincount(offsets)
+        occupied = np.flatnonzero(counts)
+        sums = np.full(counts.max(initial=0) + 1, 1.0 / max(len(self.energies), 1))
         sums[0] = 0.0
         np.cumsum(sums, out=sums)
-        return BinnedSpectrum(width=width, first_bin=first, values=sums[counts])
+        return BinnedSpectrum(width, first, n_bins, occupied, sums[counts[occupied]])
 
 
 def shot_uniforms(seed: int, shots: int) -> np.ndarray:
@@ -493,7 +499,7 @@ def run_qpe(
     leaked = None
     if backend.kind == "exact":
         if initial_state is None and not return_state:  # W[0, i] = |<v_i|0>|^2: the sticks
-            _check_law(h, phase_map, 1, shots, 16 * dim * dim)  # what dense_matrix checks
+            _check_law(h, phase_map, 1, shots, stick_solve_bytes(h))
             sticks = diagonalize_fcp(h)
             evals, weights = sticks.energies, sticks.intensities
         else:

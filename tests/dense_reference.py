@@ -7,7 +7,10 @@ the QPE state with every controlled power U^x taken by ``matrix_power``,
 and the Trotter step on the whole 2^n register, where ``qpe`` builds it on
 the initial states' invariant sector only.
 It also keeps the dense spectrum post-processing that ``oracle`` replaced:
-Gaussian broadening by ``np.convolve`` over every bin, and the L1 distance
+the histogram as a row of every bin, filled by ``np.add.at`` one stick at a
+time; Gaussian broadening by ``np.convolve`` over every bin; the cumulative
+FCF by level with b^dag b densified and contracted by ``np.einsum``; and the
+L1 distance
 that resamples both spectra onto their union grid with ``np.interp``; and
 the term mapper that adds every Pauli product into a dict one at a time and
 renders each key one qubit at a time, which ``mapping.map_second_quantized``
@@ -29,7 +32,7 @@ import scipy.linalg
 
 from vibronic import fock
 from vibronic.fock import ManyBodyOperator
-from vibronic.hamiltonian import CREATE
+from vibronic.hamiltonian import CREATE, build_b_dagger, build_hamiltonian
 from vibronic.mapping import (
     COEFF_PRUNE,
     Encoding,
@@ -41,7 +44,9 @@ from vibronic.mapping import (
 from vibronic.oracle import (
     BinnedSpectrum,
     BroadenedSpectrum,
+    StickSpectrum,
     SweepResult,
+    bin_offsets,
     eigensolve,
     l1_distance,
     spectrum_pipeline,
@@ -176,6 +181,34 @@ def thermofield_matrix(
             kappa.shape[0] * d, kappa.shape[1] * d
         )
     return kappa / np.linalg.norm(kappa)
+
+
+def bin_spectrum_dense(sticks: StickSpectrum, width: float) -> tuple[int, np.ndarray]:
+    """(first bin, every bin's value): each stick added into a dense row, in stick order."""
+    offsets, first, n_bins = bin_offsets(sticks.energies, width)
+    values = np.zeros(n_bins)
+    np.add.at(values, offsets, sticks.intensities)
+    return first, values
+
+
+def binned_from_dense(width: float, first_bin: int, values) -> BinnedSpectrum:
+    """The histogram whose bins, from ``first_bin`` on, hold ``values``."""
+    values = np.asarray(values, dtype=float)
+    occupied = np.flatnonzero(values)
+    return BinnedSpectrum(width, first_bin, len(values), occupied, values[occupied])
+
+
+def cumulative_fcf_by_level_dense(
+    problem: VibronicProblem, cutoffs: ModeCutoffs, mode: int
+) -> np.ndarray:
+    """Cumulative FCF by level from the dense b^dag b, contracted with the eigenvectors."""
+    _, evecs = eigensolve(build_hamiltonian(problem, cutoffs).hamiltonian)
+    fcf = np.abs(evecs[0, :]) ** 2
+    bd = build_b_dagger(problem, cutoffs)[mode]
+    occ = np.einsum("ji,jk,ki->i", evecs, (bd @ bd.dagger()).matrix.toarray(), evecs)
+    levels = np.rint(occ).astype(int)
+    inside = (levels >= 0) & (levels <= cutoffs.levels[mode])
+    return np.bincount(levels[inside], weights=fcf[inside], minlength=cutoffs.levels[mode] + 1)
 
 
 def broaden_dense(binned: BinnedSpectrum, sig: float) -> BroadenedSpectrum:

@@ -20,7 +20,7 @@ from dense_reference import converge_sweep_held
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vibronic import fock, qpe
+from vibronic import cli, fock, qpe
 from vibronic.cli import main
 from vibronic.problem import bundled_problem, serialize_problem
 
@@ -461,12 +461,34 @@ def test_compare_path_is_a_directory_exit_2(toy_file, tmp_path, capsys):
              str(tmp_path), "directory")
 
 
-@pytest.mark.parametrize("command", ["exact", "repro"])
-def test_out_names_an_existing_file_exit_2(command, toy_file, tmp_path, capsys):
+def test_qpe_past_the_stick_solve_budget_names_the_law(so2_file, tmp_path, capsys):
+    # D = 8,281: the phase map holds no dense copy of H, so the run's own
+    # check refuses it, counting the stick solve's 16 D^2 bytes
+    _refused(["qpe", "--problem", so2_file, "--cutoffs", "90,90", "--out", str(tmp_path)],
+             capsys, "8281-state exact QPE law")
+
+
+#: each command's arguments besides --problem and --out
+_COMPUTING = {"exact": ["--cutoffs", "2"], "qpe": ["--cutoffs", "2"],
+              "thermal": ["--cutoffs", "2", "--beta-invcm", "1e-3"], "map": ["--cutoffs", "2"],
+              "converge": ["--vary-mode", "1"], "repro": []}
+
+
+@pytest.mark.parametrize("command", _COMPUTING)
+def test_out_names_an_existing_file_exit_2(command, toy_file, tmp_path, capsys, monkeypatch):
+    # the output directory is refused before any computation starts
+    def refuse(*args, **kwargs):
+        pytest.fail(f"{command} computed before it checked --out")
+
+    for module, name in ((cli.oracle, "spectrum_pipeline"), (cli.oracle, "converge_sweep"),
+                         (cli, "run_qpe_problem"), (cli, "run_qpe_thermal"),
+                         (cli, "map_second_quantized")):
+        monkeypatch.setattr(module, name, refuse)
     out = tmp_path / "taken"
     out.write_text("kept\n")
-    extra = ["--problem", toy_file, "--cutoffs", "2"] if command == "exact" else []
-    _refused([command, *extra, "--out", str(out)], capsys, str(out), "exists")
+    problem = ["--problem", toy_file] if command != "repro" else []
+    _refused([command, *problem, *_COMPUTING[command], "--out", str(out)], capsys, str(out),
+             "exists")
     assert out.read_text() == "kept\n"
 
 

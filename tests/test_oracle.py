@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from dense_reference import broaden_dense, converge_sweep_held, l1_distance_interp
+from dense_reference import (bin_spectrum_dense, binned_from_dense, broaden_dense,
+                             converge_sweep_held, cumulative_fcf_by_level_dense,
+                             l1_distance_interp)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,6 @@ from vibronic import oracle
 from vibronic.fock import HERMITICITY_RTOL, MAX_DENSE_BYTES, DenseBudgetError, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian
 from vibronic.oracle import (
-    BinnedSpectrum,
     BroadenedSpectrum,
     bin_spectrum,
     broaden,
@@ -318,6 +319,36 @@ def test_bin_negative_energies():
     assert binned.total_intensity == pytest.approx(1.0)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), energies=st.lists(st.floats(-5e3, 5e3), min_size=1, max_size=60),
+       width=st.floats(0.1, 50.0))
+def test_bin_spectrum_occupied_bins_equal_the_dense_row(data, energies, width):
+    # repeated energies share a bin in stick order; zero intensities leave it empty
+    energies = energies + data.draw(st.lists(st.sampled_from(energies), max_size=20))
+    intensities = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+                                     min_size=len(energies), max_size=len(energies)))
+    sticks = oracle.StickSpectrum(np.array(energies), np.array(intensities))
+    binned = bin_spectrum(sticks, width)
+    first, values = bin_spectrum_dense(sticks, width)
+    assert (binned.first_bin, binned.n_bins) == (first, len(values))
+    assert binned.offsets.tolist() == np.flatnonzero(values).tolist()
+    assert binned.weights.tobytes() == values[values != 0.0].tobytes()
+    assert binned.values.tobytes() == values.tobytes()
+
+
+def test_bin_spectrum_forms_no_dense_row():
+    # two sticks 1e6 bins apart: a dense row of their bins would hold 8 MB
+    sticks = oracle.StickSpectrum(np.array([0.5, 1e6 + 0.5]), np.array([0.25, 0.75]))
+    tracemalloc.start()
+    try:
+        binned = bin_spectrum(sticks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert binned.n_bins == 1_000_001 and binned.offsets.tolist() == [0, 1_000_000]
+
+
 def test_broaden_single_stick_gaussian():
     sticks = oracle.StickSpectrum(np.array([1000.0]), np.array([1.0]))
     broad = broaden(bin_spectrum(sticks), sigma=100.0)
@@ -365,7 +396,7 @@ def test_broaden_peak_stays_within_its_checked_bytes(sigma, values, monkeypatch)
     # the kernel is built and added and while the writers form the grid
     checked = []
     monkeypatch.setattr(oracle, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
-    binned = BinnedSpectrum(width=1.0, first_bin=500, values=np.array(values))
+    binned = binned_from_dense(1.0, 500, values)
     tracemalloc.start()
     try:
         broad = broaden(binned, sigma=sigma)
@@ -408,8 +439,7 @@ def sparse_histograms(draw, width):
     values = np.zeros(n)
     values[occupied] = draw(st.lists(st.floats(1e-12, 1.0), min_size=len(occupied),
                                      max_size=len(occupied)))
-    return BinnedSpectrum(width=width, first_bin=draw(st.integers(-3000, 3000)),
-                          values=values)
+    return binned_from_dense(width, draw(st.integers(-3000, 3000)), values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -570,6 +600,20 @@ def test_cumulative_fcf_so2_level8():
     cum = cumulative_fcf_by_level(bundled_problem("so2"), ModeCutoffs((22, 12)), mode=0)
     assert cum[8] == pytest.approx(1.74e-3, rel=0.05)
     assert cum[2] > cum[8] > cum[12]
+
+
+@pytest.mark.parametrize("name, cuts, mode", [
+    ("so2", (22, 12), 0), ("so2_anharmonic", (4, 3, 3), 1),
+], ids=["so2-22-12", "so2_anharmonic-4-3-3"])
+def test_cumulative_fcf_equals_the_dense_contraction_bit_for_bit(name, cuts, mode, monkeypatch):
+    # b^dag b is applied as its CSR: the eigensolve's H is the one dense copy
+    problem, cutoffs = bundled_problem(name), ModeCutoffs(cuts)
+    expected = cumulative_fcf_by_level_dense(problem, cutoffs, mode)
+    copies, to_dense = [], ManyBodyOperator.to_dense
+    monkeypatch.setattr(ManyBodyOperator, "to_dense",
+                        lambda self: copies.append(self) or to_dense(self))
+    assert cumulative_fcf_by_level(problem, cutoffs, mode).tobytes() == expected.tobytes()
+    assert len(copies) == 1
 
 
 def test_tv_distance():

@@ -141,6 +141,19 @@ def test_phase_map_bits_pinned():
     assert digest == "6abda42bda0b5115a0fa0466bd5e175f845bce64b3a981a35538aae367e02543"
 
 
+def test_phase_map_holds_no_dense_copy_of_h():
+    # so2 (40,40), D = 1,681: a dense H and its |H| would hold 43 MiB; the
+    # Gershgorin sums read 19 rows at a time
+    h = build_hamiltonian(bundled_problem("so2"), ModeCutoffs((40, 40))).hamiltonian
+    tracemalloc.start()
+    try:
+        choose_phase_map(h, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_phase_map_register_width_checked():
     for t in (0, 63, 10**12):
         with pytest.raises(ValueError, match="energy-register bits"):
