@@ -64,7 +64,10 @@ class HamiltonianBuildReport:
 
     space: ModeCutoffs
     hamiltonian: ManyBodyOperator
-    hermiticity_deviation: float
+
+    @property
+    def hermiticity_deviation(self) -> float:
+        return self.hamiltonian.hermiticity_deviation()
 
 
 Terms = list[SecondQuantizedTerm]
@@ -256,6 +259,4 @@ def build_hamiltonian(
     if len(cutoffs) != problem.n_modes:
         raise ValueError(f"{len(cutoffs)} cutoffs for a {problem.n_modes}-mode problem")
     h = assemble_terms(hamiltonian_terms(problem, route), cutoffs)
-    return HamiltonianBuildReport(
-        space=cutoffs, hamiltonian=h, hermiticity_deviation=h.hermiticity_deviation()
-    )
+    return HamiltonianBuildReport(space=cutoffs, hamiltonian=h)

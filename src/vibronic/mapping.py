@@ -137,6 +137,11 @@ class PauliSum:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)
 
 
+def _check_layout(encoding: Encoding, layout: QubitLayout) -> None:
+    if layout != (own := QubitLayout.for_encoding(encoding)):
+        raise EncodingError(f"layout {layout} is not the {encoding.variant} encoding's {own}")
+
+
 def _level_word(l: int, mode: int, encoding: Encoding, layout: QubitLayout) -> int:
     """Basis-index bits of level l on its mode's qubits."""
     start = layout.mode_starts[mode]
@@ -145,6 +150,7 @@ def _level_word(l: int, mode: int, encoding: Encoding, layout: QubitLayout) -> i
 
 def codespace_indices(encoding: Encoding, layout: QubitLayout) -> np.ndarray:
     """Basis indices of all encoded Fock states, in flat Fock-index order."""
+    _check_layout(encoding, layout)
     index = np.zeros(1, dtype=np.int64)
     for mode, d in enumerate(encoding.cutoffs.local_dims):
         words = np.array([_level_word(l, mode, encoding, layout) for l in range(d)], dtype=np.int64)
@@ -252,6 +258,7 @@ def map_single_mode(
     matrix: np.ndarray, mode: int, encoding: Encoding, layout: QubitLayout
 ) -> PauliSum:
     """Pauli sum of a single-mode matrix, identity on the other modes."""
+    _check_layout(encoding, layout)
     out = PauliSum(layout.total_qubits)
     terms = _mode_terms(matrix, mode, encoding, layout)
     strings = _pauli_strings(len(terms), out.n_qubits, [(terms, 0, out.n_qubits, slice(None))])
@@ -287,6 +294,7 @@ def map_second_quantized(
     keys, term by term before each term's products are formed, and the rendered
     sum beside the keys' arrays.  The modes' key tables are held throughout.
     """
+    _check_layout(encoding, layout)
     cutoffs = encoding.cutoffs.levels
     n_qubits = layout.total_qubits
     tables: list[dict[tuple[int, int], int]] = [{(0, 0): 0} for _ in cutoffs]

@@ -105,9 +105,12 @@ class BroadenedSpectrum:
 def dense_matrix(h: ManyBodyOperator) -> np.ndarray:
     """H as a dense float64 array in Fortran order, which LAPACK reduces in place.
 
-    Only the two solves call it; the copy is checked at ``stick_solve_bytes``.
+    Only the two solves call it, and both read H's lower triangle alone: the
+    copy is checked at ``stick_solve_bytes``, then H must be Hermitian.
     """
     check_dense_bytes(stick_solve_bytes(h), f"a {h.space.dimension}-state dense eigensolve")
+    if not h.verify_hermitian():
+        raise ValueError(f"Hamiltonian is not Hermitian (deviation {h.hermiticity_deviation():.2e})")
     return h.to_dense()
 
 
@@ -132,8 +135,12 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
 
 
-def _vacuum_sticks(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of H and |<0|psi_i>|^2, without eigenvectors.
+def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
+    """Stick spectrum of H: eigenvalues vs |<0|psi_i>|^2, without eigenvectors.
+
+    The initial state is the vacuum (flat index 0), giving the
+    zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
+    separate sticks.
 
     ``np.linalg.eigh`` is LAPACK dsyevd: the lower-storage tridiagonal
     reduction T = Q^T H Q (dsytrd), dstedc('I') for T = Z diag(w) Z^T, then
@@ -157,22 +164,7 @@ def _vacuum_sticks(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
     _check_info("dsytrd", info)
     vals, z, info = lapack.dstevd(d, e)
     _check_info("dstevd", info)
-    return vals, z[0] ** 2
-
-
-def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
-    """Stick spectrum of H: eigenvalues vs |<0|psi_i>|^2.
-
-    The initial state is the vacuum (flat index 0), giving the
-    zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
-    separate sticks.  No eigenvector matrix of H is formed (``_vacuum_sticks``).
-    """
-    if not h.verify_hermitian():
-        raise ValueError(
-            f"Hamiltonian is not Hermitian (deviation {h.hermiticity_deviation():.2e})"
-        )
-    evals, fcf = _vacuum_sticks(h)
-    return StickSpectrum(energies=evals, intensities=fcf)
+    return StickSpectrum(energies=vals, intensities=z[0] ** 2)
 
 
 def bin_offsets(

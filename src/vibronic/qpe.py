@@ -17,6 +17,7 @@ j near 2^t * tau * (E + shift) / 2 pi.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,6 +374,7 @@ def _problem_hamiltonian(
     encoding: Encoding,
     backend: EvolutionBackend,
     route: str,
+    solve_bytes: Callable[[ManyBodyOperator], int],
     phase_map: PhaseMap | None = None,
 ) -> tuple[str, ManyBodyOperator, PauliSum | None, PhaseMap]:
     """(route, H, mapped Pauli sum or None, phase map) for a problem-level run.
@@ -393,6 +395,8 @@ def _problem_hamiltonian(
             ladder_terms(problem), encoding, QubitLayout.for_encoding(encoding)
         )
     h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian
+    if backend.kind == "exact":  # the solve's bytes, before the phase map's O(D^2) pass
+        check_dense_bytes(solve_bytes(h), f"the solve of a {h.space.dimension}-state exact QPE law")
     if phase_map is None:
         # harmonic H is a sum of squares, so 0 is a tight lower bound
         lower = 0.0 if not problem.anharmonic else None
@@ -588,7 +592,7 @@ def run_qpe_thermal(
     """
     encoding = Encoding(encoding_variant, cutoffs)
     route, h, pauli, phase_map = _problem_hamiltonian(
-        problem, cutoffs, t, encoding, backend, route, phase_map
+        problem, cutoffs, t, encoding, backend, route, eigensolve_bytes, phase_map
     )
     code = codespace_indices(encoding, QubitLayout.for_encoding(encoding))
     # register row r holds Fock state register[r]: increasing basis index, so
@@ -631,17 +635,9 @@ def run_qpe_problem(
     """Problem-level convenience wrapper: build H, map if needed, run QPE."""
     encoding = Encoding(encoding_variant, cutoffs)
     route, h, pauli, phase_map = _problem_hamiltonian(
-        problem, cutoffs, t, encoding, backend, route
+        problem, cutoffs, t, encoding, backend, route, stick_solve_bytes
     )
-    spectrum = run_qpe(
-        h,
-        encoding,
-        t,
-        shots,
-        backend=backend,
-        seed=seed,
-        pauli_hamiltonian=pauli,
-        phase_map=phase_map,
-    )
+    spectrum = run_qpe(h, encoding, t, shots, backend=backend, seed=seed,
+                       pauli_hamiltonian=pauli, phase_map=phase_map)
     spectrum.metadata["route"] = route
     return spectrum

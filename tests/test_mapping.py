@@ -1,4 +1,5 @@
 import itertools
+import re
 import struct
 import tracemalloc
 
@@ -12,6 +13,7 @@ from vibronic.hamiltonian import CREATE, DESTROY, SecondQuantizedTerm, ladder_te
 from vibronic.mapping import (
     COEFF_PRUNE,
     Encoding,
+    EncodingError,
     PauliSum,
     QubitLayout,
     ResourceReport,
@@ -72,6 +74,23 @@ def test_layout_ranges_disjoint_and_covering():
     for mode in range(3):
         seen.extend(layout.mode_range(mode))
     assert sorted(seen) == list(range(layout.total_qubits))
+
+
+@pytest.mark.parametrize("layout", [
+    pytest.param(QubitLayout.for_encoding(Encoding("unary", ModeCutoffs((3, 3)))), id="unary"),
+    pytest.param(QubitLayout((0,), (2,)), id="one-mode"),
+])
+def test_mapper_refuses_a_layout_not_its_encodings(layout):
+    # every word and mask assumes the encoding's own layout: another one
+    # would map to a sum on the wrong qubits, or fail with an IndexError
+    enc = Encoding("binary", ModeCutoffs((3, 3)))
+    named = re.escape(f"{layout} is not the binary encoding's {QubitLayout.for_encoding(enc)}")
+    number = np.diag(np.arange(4.0)).astype(complex)
+    for call in (lambda: map_second_quantized(ladder_terms(bundled_problem("so2")), enc, layout),
+                 lambda: map_single_mode(number, 0, enc, layout),
+                 lambda: codespace_indices(enc, layout)):
+        with pytest.raises(EncodingError, match=named):
+            call()
 
 
 def test_levelpair_binary_single_qubit():

@@ -80,6 +80,22 @@ def test_non_hermitian_rejected():
         diagonalize_fcp(op)
 
 
+def test_hermiticity_read_once_per_solve(monkeypatch):
+    # dense_matrix is the one gate: H - H^T is formed once per spectrum_pipeline
+    # (not again by the build) and once per eigensolve
+    calls = []
+    real = ManyBodyOperator.hermiticity_deviation
+    monkeypatch.setattr(ManyBodyOperator, "hermiticity_deviation",
+                        lambda self: calls.append(1) or real(self))
+    problem, cutoffs = bundled_problem("so2"), ModeCutoffs((4, 3))
+    spectrum_pipeline(problem, cutoffs)
+    assert len(calls) == 1
+    h = build_hamiltonian(problem, cutoffs).hamiltonian
+    assert len(calls) == 1
+    oracle.eigensolve(h)
+    assert len(calls) == 2
+
+
 STICK_CASES = [
     pytest.param("so2", (8, 8), "qp", id="so2-8,8-qp"),
     pytest.param("so2", (8, 8), "ladder", id="so2-8,8-ladder"),

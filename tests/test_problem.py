@@ -1,10 +1,14 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vibronic.problem import (
+    BUNDLED_PROBLEMS,
     AnharmonicTerm,
     ModeCutoffs,
     ProblemFormatError,
@@ -132,16 +136,51 @@ def test_j_inverse_identity(name):
     assert np.abs(np.linalg.inv(j).T - j_inv_t).max() < 1e-12
 
 
-@pytest.mark.parametrize("name", ["so2", "h2o", "d2o", "no2", "so2_anharmonic"])
-def test_parse_serialize_roundtrip(name):
-    p = bundled_problem(name)
+def _assert_round_trips(p):
+    """parse_problem(serialize_problem(p)) equals p field by field, bit for bit."""
     q = parse_problem(serialize_problem(p))
     assert q.label == p.label
-    assert np.array_equal(q.omega_A, p.omega_A)
-    assert np.array_equal(q.omega_B, p.omega_B)
-    assert np.array_equal(q.duschinsky_S, p.duschinsky_S)
-    assert np.array_equal(q.delta, p.delta)
-    assert q.anharmonic == p.anharmonic
+    for name in ("omega_A", "omega_B", "duschinsky_S", "delta"):
+        a, b = getattr(q, name), getattr(p, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert [t.indices for t in q.anharmonic] == [t.indices for t in p.anharmonic]
+    assert [struct.pack("<d", t.coefficient) for t in q.anharmonic] == [
+        struct.pack("<d", t.coefficient) for t in p.anharmonic]
+
+
+@pytest.mark.parametrize("name", BUNDLED_PROBLEMS)
+def test_parse_serialize_roundtrip(name):
+    _assert_round_trips(bundled_problem(name))
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+
+
+@st.composite
+def _valid_problems(draw):
+    m = draw(st.integers(1, 4))
+    positive = st.floats(1e-3, 1e5, allow_nan=False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(m, m)))  # orthogonal to round-off
+    terms = draw(st.lists(st.builds(
+        AnharmonicTerm,
+        st.lists(st.integers(0, m - 1), min_size=3, max_size=4).map(tuple), _FINITE),
+        max_size=3))
+    return VibronicProblem(
+        draw(st.text(st.characters(codec="utf-8"), max_size=12)),
+        draw(st.lists(positive, min_size=m, max_size=m)),
+        draw(st.lists(positive, min_size=m, max_size=m)),
+        q * np.sign(np.diag(r)),
+        draw(st.lists(_FINITE, min_size=m, max_size=m)),
+        tuple(terms),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=_valid_problems())
+def test_random_problems_round_trip_bit_for_bit(problem):
+    assert validate(problem).passed
+    _assert_round_trips(problem)
 
 
 def test_thermal_keys_in_problem_file_are_ignored():

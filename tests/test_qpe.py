@@ -429,6 +429,50 @@ def test_vacuum_run_peak_stays_within_its_checked_bytes(monkeypatch):
     assert 0.9 * solve < peak <= checked[0] + 4096
 
 
+#: 50 above the diagonal and 0 below: a solve that read one triangle alone
+#: would see [1000, 2000, 3000] and sample a spectrum H does not have
+NON_SYMMETRIC = np.diag([1000.0, 2000.0, 3000.0]) + np.diag([50.0, 50.0], 1)
+
+
+@pytest.mark.parametrize("options", [
+    pytest.param({}, id="vacuum"),
+    pytest.param({"initial_state": [1.0, 0.0, 0.0]}, id="initial-state"),
+    pytest.param({"return_state": True}, id="return-state"),
+])
+def test_every_exact_run_refuses_a_non_hermitian_h(options, monkeypatch):
+    # one gate in oracle.dense_matrix, which both dense solves call
+    monkeypatch.setattr(qpe, "shot_uniforms", lambda *args: pytest.fail("shots were drawn"))
+    cutoffs = ModeCutoffs((2,))
+    h = ManyBodyOperator(cutoffs, NON_SYMMETRIC)
+    with pytest.raises(ValueError, match=r"Hamiltonian is not Hermitian \(deviation 5.00e\+01\)"):
+        run_qpe(h, Encoding("binary", cutoffs), t=6, shots=10, **options)
+
+
+def test_eigensolve_refuses_a_non_hermitian_h():
+    with pytest.raises(ValueError, match=r"Hamiltonian is not Hermitian \(deviation 5.00e\+01\)"):
+        oracle.eigensolve(ManyBodyOperator(ModeCutoffs((2,)), NON_SYMMETRIC))
+
+
+@pytest.mark.parametrize("thermal, cutoffs", [(False, (90, 90)), (True, (68, 68))],
+                         ids=["vacuum-90,90", "thermal-68,68"])
+def test_exact_run_past_its_solve_budget_refused_before_the_phase_map(thermal, cutoffs,
+                                                                      monkeypatch):
+    # the phase map's Gershgorin pass densifies all D rows (about 30 s at so2
+    # (400,400)), but the solve's 16 D^2 bytes (vacuum, D = 8,281) or 48 D^2
+    # (thermal rows, D = 4,761) already exceed the budget
+    def refuse(*args, **kwargs):
+        pytest.fail("the phase map ran although the run's solve exceeds the byte budget")
+
+    monkeypatch.setattr(qpe, "gershgorin_bounds", refuse)
+    problem, space = bundled_problem("so2"), ModeCutoffs(cutoffs)
+    with pytest.raises(DenseBudgetError, match=f"{space.dimension}-state exact QPE law"):
+        if thermal:
+            run_qpe_thermal(problem, space, t=12, shots=10,
+                            thermal=ThermalConfig.from_temperature_kelvin(300.0))
+        else:
+            run_qpe_problem(problem, space, t=12, shots=10)
+
+
 @pytest.mark.parametrize("initial, named", [
     pytest.param(np.zeros(9), "norm 0.0", id="zero"),
     pytest.param(np.full(9, np.nan), "norm nan", id="nan"),
@@ -799,7 +843,8 @@ def _sweep_inputs(cuts, variant, backend, t):
     cutoffs = ModeCutoffs(cuts)
     enc = Encoding(variant, cutoffs)
     layout = QubitLayout.for_encoding(enc)
-    _, h, pauli, pmap = qpe._problem_hamiltonian(problem, cutoffs, t, enc, backend, "qp")
+    _, h, pauli, pmap = qpe._problem_hamiltonian(problem, cutoffs, t, enc, backend, "qp",
+                                                 oracle.eigensolve_bytes)
     code = codespace_indices(enc, layout)
     if backend.kind == "exact":
         evals, evecs = oracle.eigensolve(h)
