@@ -3,12 +3,15 @@
 The anharmonic surface couples the third mode (decoupled by symmetry in the
 harmonic picture), so this is a three-mode calculation.  The anharmonic and
 harmonic profiles differ visibly after broadening, which is the regime the
-sampling algorithm targets.
+sampling algorithm targets.  A short Trotter QPE run on the same anharmonic
+Hamiltonian closes the demo.
 """
 
 import numpy as np
 
-from vibronic import ModeCutoffs, VibronicProblem, bundled_problem, l1_distance, spectrum_pipeline
+from vibronic import (Encoding, EvolutionBackend, ModeCutoffs, VibronicProblem, build_hamiltonian,
+                      bundled_problem, l1_distance, run_qpe, run_qpe_problem, spectrum_pipeline,
+                      tv_distance)
 
 anharmonic = bundled_problem("so2_anharmonic")
 print(f"{anharmonic.label}: {anharmonic.n_modes} modes, "
@@ -37,3 +40,19 @@ print(f"harmonic reference: lowest eigenvalue {h_sticks.energies[0]:.1f} cm^-1 "
 print(f"\nbroadened L1 distance, anharmonic vs harmonic: "
       f"{l1_distance(broad_anharm, broad_harm):.3f}")
 print("(unit-norm spectra: 2 would be zero overlap)")
+
+# The Trotter backend compiles the same ladder-route terms, cubic and quartic
+# included, so the quantum algorithm runs the anharmonic case too.
+small = ModeCutoffs((3, 3, 3))
+trotter = run_qpe_problem(anharmonic, small, t=10, shots=20_000, seed=7,
+                          backend=EvolutionBackend.trotter(2, 32))
+h = build_hamiltonian(anharmonic, small, route="ladder").hamiltonian
+exact, exact_law = run_qpe(h, Encoding("binary", small), t=10, shots=20_000, seed=7,
+                           phase_map=trotter.phase_map, return_distribution=True)
+print(f"\nTrotter QPE, binary (3,3,3), t=10, trotter:2:32, {trotter.shots} shots on "
+      f"{trotter.metadata['system_qubits']} qubits "
+      f"(leaked weight {trotter.metadata['leaked_weight']:.1e})")
+tv = [tv_distance(np.bincount(s.j_outcomes, minlength=len(exact_law)), exact_law)
+      for s in (trotter, exact)]
+print(f"TV to the exact law: {tv[0]:.3f} sampled on the Trotter backend, "
+      f"{tv[1]:.3f} on the exact one (shot noise)")

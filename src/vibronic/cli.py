@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .hamiltonian import ladder_terms
+from .hamiltonian import hamiltonian_terms
 from .fock import DenseBudgetError
 from .mapping import (Encoding, QubitLayout, map_second_quantized, pauli_sum_to_text,
                       resource_count)
@@ -34,7 +34,6 @@ from .problem import (
 from .qpe import (
     MAX_T,
     EvolutionBackend,
-    UnsupportedBackendError,
     run_qpe_problem,
     run_qpe_thermal,
     thermal_angles,
@@ -237,11 +236,9 @@ def _write_sampled(out: Path, args, problem: VibronicProblem, spectrum) -> int:
 def cmd_map(args) -> int:
     problem = _load(args.problem)
     cutoffs = _parse_cutoffs(args.cutoffs, problem.n_modes)
-    if problem.anharmonic:
-        raise CliError("map compiles the harmonic ladder Hamiltonian; drop anharmonic terms")
     encoding = Encoding(args.encoding, cutoffs)
     layout = QubitLayout.for_encoding(encoding)
-    terms = ladder_terms(problem)
+    terms = hamiltonian_terms(problem, route="ladder")
     out = _out_dir(args)
     pauli = map_second_quantized(terms, encoding, layout)
     report = resource_count(pauli)
@@ -417,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature-K", dest="temperature_k", type=float, default=None)
     p.set_defaults(func=cmd_thermal)
 
-    p = sub.add_parser("map", help="compile the harmonic ladder Hamiltonian to a Pauli-sum file")
+    p = sub.add_parser("map", help="compile the ladder-route Hamiltonian to a Pauli-sum file")
     common(p, route=False, sigma=False)
     p.add_argument("--encoding", choices=("binary", "unary"), default="binary")
     p.set_defaults(func=cmd_map)
@@ -451,8 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ProblemFormatError, ProblemValidationError, DenseBudgetError,
-            UnsupportedBackendError) as exc:
+    except (CliError, ProblemFormatError, ProblemValidationError, DenseBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,8 @@ They differ by sum_k w_Bk ([b_k, b_k^dag] - 1) / 2, which vanishes in the
 untruncated algebra; truncation makes it nonzero near the cutoff boundary,
 which is precisely the error this package studies.  Anharmonic monomials
 take q_B from the same expansion.  The qp route is the default downstream;
-the harmonic ladder term list is also what the qubit mapper compiles.
+the ladder route's full term list is what the qubit mapper, and so the
+Trotter backend, compiles.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ def ladder_terms(problem: VibronicProblem) -> Terms:
 
     For a dense J this is 4 M^2 quadratic, 2 M linear and 1 constant
     ordered monomials; the length of this list is the term-count observable
-    for the quadratic scaling check, and the list is what the mapper compiles.
+    for the quadratic scaling check.  For a harmonic problem it equals
+    ``hamiltonian_terms(problem, route="ladder")``.
     """
     return hamiltonian_terms(replace(problem, anharmonic=()), route="ladder")
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .fock import ManyBodyOperator, check_dense_bytes
-from .hamiltonian import build_hamiltonian, ladder_terms
+from .hamiltonian import build_hamiltonian, hamiltonian_terms
 from .mapping import (
     Encoding,
     PauliSum,
@@ -56,8 +56,10 @@ STEP_BYTES_PER_ENTRY = 72
 KERNEL_BLOCK = 1 << 15
 
 
-class UnsupportedBackendError(ValueError):
-    """Raised when the evolution backend cannot represent the problem's Hamiltonian."""
+def _check_bits(t: int) -> None:
+    # checked before anything forms 2^t, which for a huge t never finishes
+    if not 1 <= t <= MAX_T:
+        raise ValueError(f"energy-register bits t must be in [1, {MAX_T}], got {t}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,7 @@ class PhaseMap:
     t: int
 
     def __post_init__(self) -> None:
-        # checked before anything forms 2^t, which for a huge t never finishes
-        if not 1 <= self.t <= MAX_T:
-            raise ValueError(f"energy-register bits t must be in [1, {MAX_T}], got {self.t}")
+        _check_bits(self.t)
 
     @property
     def resolution(self) -> float:
@@ -269,21 +269,20 @@ def _step_unitary(
     return u, sector
 
 
-def _check_law(
-    h: ManyBodyOperator, phase_map: PhaseMap, n_rows: int, shots: int, solve_bytes: int
-) -> None:
+def _check_law(h: ManyBodyOperator, t: int, n_rows: int, shots: int, solve_bytes: int) -> None:
     """Check an exact run's bytes in one sum before its solve, which holds ``solve_bytes``.
 
     The sum adds the R x D weights, the (2^t, R) law with its cdf, one kernel
     block and the shots, which are sampled while the law is alive.  U itself
     is never formed.
     """
-    dim, e_dim = h.space.dimension, 2**phase_map.t
+    _check_bits(t)
+    dim, e_dim = h.space.dimension, 2**t
     block = max(1, KERNEL_BLOCK // dim)
     check_dense_bytes(
         solve_bytes + 8 * n_rows * dim + 16 * e_dim * n_rows
         + 8 * block * (2 * dim + n_rows) + _shot_bytes(shots, n_rows),
-        f"a {phase_map.t}-qubit x {n_rows}-row x {dim}-state exact QPE law"
+        f"a {t}-qubit x {n_rows}-row x {dim}-state exact QPE law"
         f" and {shots} sampled shots")
 
 
@@ -379,20 +378,16 @@ def _problem_hamiltonian(
 ) -> tuple[str, ManyBodyOperator, PauliSum | None, PhaseMap]:
     """(route, H, mapped Pauli sum or None, phase map) for a problem-level run.
 
-    The Trotter backend evolves under the mapped harmonic ladder expansion,
-    so anharmonic problems are rejected and the reference H (hence the phase
-    map) is the ladder route too: the routes differ near the cutoff.
+    The Trotter backend evolves under the mapped ladder-route expansion, the
+    term list the exact solve assembles, anharmonic terms included; the
+    reference H (hence the phase map) is the ladder route too, since the
+    routes differ near the cutoff.
     """
     pauli = None
     if backend.kind == "trotter":
-        if problem.anharmonic:
-            raise UnsupportedBackendError(
-                "the Trotter backend compiles the harmonic ladder Hamiltonian only; "
-                "use the exact backend for anharmonic problems"
-            )
         route = "ladder"
         pauli = map_second_quantized(
-            ladder_terms(problem), encoding, QubitLayout.for_encoding(encoding)
+            hamiltonian_terms(problem, route), encoding, QubitLayout.for_encoding(encoding)
         )
     h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian
     if backend.kind == "exact":  # the solve's bytes, before the phase map's O(D^2) pass
@@ -496,18 +491,20 @@ def run_qpe(
             raise ValueError(f"initial_state must be {dim} finite amplitudes of nonzero norm, "
                              f"got shape {psi.shape} and norm {norm}")
         psi = psi / norm
+    if phase_map is not None:
+        _check_register(phase_map, t)
+    vacuum = initial_state is None and not return_state  # W[0, i] = |<v_i|0>|^2: the sticks
+    if backend.kind == "exact":  # the law's bytes, before the phase map's O(D^2) pass
+        _check_law(h, t, 1, shots, stick_solve_bytes(h) if vacuum else eigensolve_bytes(h))
     if phase_map is None:
         phase_map = choose_phase_map(h, t)
-    _check_register(phase_map, t)
     code = codespace_indices(encoding, layout)
     leaked = None
     if backend.kind == "exact":
-        if initial_state is None and not return_state:  # W[0, i] = |<v_i|0>|^2: the sticks
-            _check_law(h, phase_map, 1, shots, stick_solve_bytes(h))
+        if vacuum:
             sticks = diagonalize_fcp(h)
             evals, weights = sticks.energies, sticks.intensities
         else:
-            _check_law(h, phase_map, 1, shots, eigensolve_bytes(h))
             evals, evecs = eigensolve(h)
             coeffs = evecs.T @ psi  # <v_i|psi>
             weights = np.abs(coeffs) ** 2
@@ -601,7 +598,7 @@ def run_qpe_thermal(
     kappa = prepare_thermal(problem, cutoffs, thermal)
     leaked = None
     if backend.kind == "exact":
-        _check_law(h, phase_map, len(code), shots, eigensolve_bytes(h))
+        _check_law(h, t, len(code), shots, eigensolve_bytes(h))
         evals, evecs = eigensolve(h)
         # row r starts in kappa_k |k>, k = register[r]: W[r, i] = kappa_k^2 |V[k, i]|^2
         weights = np.abs(evecs[register]) ** 2 * kappa[register, None] ** 2

@@ -810,13 +810,23 @@ def test_compare_accepts_broadened_and_histograms(so2_csv, capsys):
     ("qpe", []),
     ("thermal", ["--temperature-K", "300"]),
 ])
-def test_trotter_rejects_anharmonic_exit_2(command, extra, tmp_path, capsys):
+def test_trotter_runs_anharmonic(command, extra, tmp_path):
+    # the Trotter backend compiles the ladder-route terms the exact solve assembles
     path = tmp_path / "anharmonic.json"
     path.write_text(serialize_problem(bundled_problem("so2_anharmonic")))
     code = main([command, "--problem", str(path), "--cutoffs", "1,1,1", "--t", "6",
                  "--shots", "10", "--backend", "trotter:1:2", "--out", str(tmp_path), *extra])
-    assert code == 2
-    assert "anharmonic" in capsys.readouterr().err
+    assert code == 0
+    meta = json.loads((tmp_path / f"so2_so2_e_anharmonic_pes_{command}_metadata.json").read_text())
+    assert meta["backend"] == "trotter" and meta["route"] == "ladder"
+
+
+def test_map_compiles_anharmonic_terms(tmp_path):
+    path = ROOT / "src" / "vibronic" / "data" / "so2_anharmonic.json"
+    assert main(["map", "--problem", str(path), "--cutoffs", "3,3,3", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "so2_so2_e_anharmonic_pes_binary_pauli.txt").read_text()
+    # 521 ladder-route products, where the harmonic part alone has 25
+    assert "# second_quantized_terms=521" in text.splitlines()
 
 
 def test_output_dir_env_var(toy_file, tmp_path, monkeypatch):

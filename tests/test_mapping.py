@@ -9,7 +9,8 @@ import pytest
 from dense_reference import embed, map_second_quantized_dicts
 from vibronic import fock, mapping
 from vibronic.fock import DenseBudgetError
-from vibronic.hamiltonian import CREATE, DESTROY, SecondQuantizedTerm, ladder_terms
+from vibronic.hamiltonian import (CREATE, DESTROY, SecondQuantizedTerm, assemble_terms,
+                                  hamiltonian_terms, ladder_terms)
 from vibronic.mapping import (
     COEFF_PRUNE,
     Encoding,
@@ -320,13 +321,19 @@ def test_map_second_quantized_matches_fock_assembly():
         "twomode", [900.0, 500.0], [1100.0, 520.0],
         [[0.9962, 0.0872], [-0.0872, 0.9962]], [-1.2, 0.4],
     )
-    # three modes compose each product term over three disjoint supports
+    # three modes compose each product term over three disjoint supports; the
+    # anharmonic ladder route adds products of up to four factors
     three_mode = bundled_problem("so2_anharmonic")  # ladder_terms: harmonic part
-    from vibronic.hamiltonian import assemble_terms
-    for problem, cuts in ((two_mode, ModeCutoffs((3, 3))), (three_mode, ModeCutoffs((2, 2, 1)))):
-        terms = ladder_terms(problem)
+    full = hamiltonian_terms(three_mode, route="ladder")
+    both = ("binary", "unary")
+    for terms, cuts, variants in (
+        (ladder_terms(two_mode), ModeCutoffs((3, 3)), both),
+        (ladder_terms(three_mode), ModeCutoffs((2, 2, 1)), both),
+        (full, ModeCutoffs((3, 3, 3)), ("binary",)),
+        (full, ModeCutoffs((2, 2, 2)), ("unary",)),
+    ):
         h_ref = assemble_terms(terms, cuts).to_dense()
-        for variant in ("binary", "unary"):
+        for variant in variants:
             enc = Encoding(variant, cuts)
             layout = QubitLayout.for_encoding(enc)
             ps = map_second_quantized(terms, enc, layout)

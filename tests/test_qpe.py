@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from vibronic import fock, oracle, qpe
 from vibronic.fock import MAX_DENSE_BYTES, DenseBudgetError, ManyBodyOperator
-from vibronic.hamiltonian import build_hamiltonian, ladder_terms
+from vibronic.hamiltonian import build_hamiltonian, hamiltonian_terms, ladder_terms
 from vibronic.mapping import (
     Encoding,
     PauliSum,
@@ -453,24 +454,29 @@ def test_eigensolve_refuses_a_non_hermitian_h():
         oracle.eigensolve(ManyBodyOperator(ModeCutoffs((2,)), NON_SYMMETRIC))
 
 
-@pytest.mark.parametrize("thermal, cutoffs", [(False, (90, 90)), (True, (68, 68))],
-                         ids=["vacuum-90,90", "thermal-68,68"])
-def test_exact_run_past_its_solve_budget_refused_before_the_phase_map(thermal, cutoffs,
-                                                                      monkeypatch):
+def _direct_run(problem, space, **options):
+    return run_qpe(build_hamiltonian(problem, space).hamiltonian, Encoding("binary", space),
+                   **options)
+
+
+@pytest.mark.parametrize("run, cutoffs", [
+    (run_qpe_problem, (90, 90)),
+    (functools.partial(run_qpe_thermal, thermal=ThermalConfig.from_temperature_kelvin(300.0)),
+     (68, 68)),
+    (_direct_run, (150, 150)),
+], ids=["vacuum-90,90", "thermal-68,68", "direct-150,150"])
+def test_exact_run_past_its_solve_budget_refused_before_the_phase_map(run, cutoffs, monkeypatch):
     # the phase map's Gershgorin pass densifies all D rows (about 30 s at so2
     # (400,400)), but the solve's 16 D^2 bytes (vacuum, D = 8,281) or 48 D^2
-    # (thermal rows, D = 4,761) already exceed the budget
+    # (thermal rows, D = 4,761) already exceed the budget; a direct run_qpe
+    # chooses its own map, after its law check (D = 22,801: 7.7 GiB)
     def refuse(*args, **kwargs):
         pytest.fail("the phase map ran although the run's solve exceeds the byte budget")
 
     monkeypatch.setattr(qpe, "gershgorin_bounds", refuse)
     problem, space = bundled_problem("so2"), ModeCutoffs(cutoffs)
     with pytest.raises(DenseBudgetError, match=f"{space.dimension}-state exact QPE law"):
-        if thermal:
-            run_qpe_thermal(problem, space, t=12, shots=10,
-                            thermal=ThermalConfig.from_temperature_kelvin(300.0))
-        else:
-            run_qpe_problem(problem, space, t=12, shots=10)
+        run(problem, space, t=12, shots=10)
 
 
 @pytest.mark.parametrize("initial, named", [
@@ -627,6 +633,23 @@ def test_trotter_eigenphase_error_slope(order, expected_slope):
     errs = np.array([_eigenphase_error(ps, tau, order, s) for s in steps])
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert slope == pytest.approx(expected_slope, abs=0.3)
+
+
+def test_anharmonic_trotter_law_converges_to_the_exact_law():
+    # the Trotter backend compiles the ladder-route terms that the exact solve
+    # assembles, cubic and quartic included; measured TV 0.076, 5.4e-3, 3.4e-4
+    problem, cuts = bundled_problem("so2_anharmonic"), ModeCutoffs((3, 3, 3))
+    enc = Encoding("binary", cuts)
+    h = build_hamiltonian(problem, cuts, route="ladder").hamiltonian
+    pauli = map_second_quantized(hamiltonian_terms(problem, route="ladder"), enc,
+                                 QubitLayout.for_encoding(enc))
+    pmap = choose_phase_map(h, 10)
+    exact = run_qpe(h, enc, t=10, shots=1, phase_map=pmap, return_distribution=True)[1]
+    tv = [0.5 * np.abs(run_qpe(h, enc, t=10, shots=1, phase_map=pmap, pauli_hamiltonian=pauli,
+                               backend=EvolutionBackend.trotter(2, steps),
+                               return_distribution=True)[1] - exact).sum()
+          for steps in (8, 32, 128)]
+    assert tv[0] > tv[1] > tv[2] and tv[2] < 1e-3
 
 
 def test_qpe_trotter_backend_matches_exact_ladder():
@@ -1050,7 +1073,7 @@ def test_law_peak_stays_within_its_checked_bytes(dim, n_rows, t, shots, monkeypa
     monkeypatch.setattr(qpe, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
     tracemalloc.start()
     try:
-        qpe._check_law(h, pmap, n_rows, shots, oracle.eigensolve_bytes(h))
+        qpe._check_law(h, t, n_rows, shots, oracle.eigensolve_bytes(h))
         evals, evecs = oracle.eigensolve(h)
         weights = np.abs(evecs[:n_rows]) ** 2
         law = qpe._eigenphase_law(pmap.phase(evals), weights, t)

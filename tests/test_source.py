@@ -54,3 +54,61 @@ class Thing:
         return self._method()
 '''
     assert _uncalled_private_functions({"m.py": source}) == ["m.py: _left (line 6)"]
+
+
+def _named(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _unraised_exception_classes(sources: dict[str, str]) -> list[str]:
+    """Exception classes that no ``raise`` in the sources names.
+
+    A class is an exception class when one of its bases is: a name ending in
+    ``Error`` or ``Exception``, or another such class defined here.  Naming a
+    class in an ``except`` clause or returning it does not raise it.
+    """
+    classes, raised = {}, set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (name, node.lineno, [_named(b) for b in node.bases])
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_named(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+
+    def is_exception(bases) -> bool:
+        return any(re.search(r"(Error|Exception)$", base or "")
+                   or (base in classes and is_exception(classes[base][2])) for base in bases)
+
+    return [f"{module}: {cls} (line {line})" for cls, (module, line, bases) in classes.items()
+            if is_exception(bases) and cls not in raised]
+
+
+def test_every_exception_class_is_raised_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unraised_exception_classes(sources) == []
+
+
+def test_an_exception_class_left_behind_by_a_removal_is_found():
+    # still caught and still subclassed, but no raise names it any more
+    source = '''
+class KeptError(ValueError):
+    pass
+
+
+class LeftError(KeptError):
+    """Raised when ``LeftError`` was still a refusal."""
+
+
+class Record:
+    pass
+
+
+def run(x):
+    try:
+        if x:
+            raise KeptError("x")
+        raise errors.OtherError
+    except (KeptError, LeftError):
+        return LeftError
+'''
+    assert _unraised_exception_classes({"m.py": source}) == ["m.py: LeftError (line 6)"]
