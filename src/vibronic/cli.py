@@ -60,20 +60,22 @@ class CliError(Exception):
     """Usage/validation failure carrying the message for stderr."""
 
 
-def _parse_cutoffs(text: str, n_modes: int) -> ModeCutoffs:
-    parts = [p for p in text.split(",") if p]
+def _levels(text: str, n_modes: int, flag: str) -> list[int]:
+    """``flag``'s L_max per mode: a comma list of ``n_modes`` values, or one for every mode."""
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in text.split(",") if p]
     except ValueError as exc:
-        raise CliError(f"invalid --cutoffs {text!r}: {exc}") from exc
+        raise CliError(f"invalid {flag} {text!r}: {exc}") from exc
     if len(values) == 1:
         values = values * n_modes
     if len(values) != n_modes:
-        raise CliError(
-            f"--cutoffs has {len(values)} entries but the problem has {n_modes} modes"
-        )
+        raise CliError(f"{flag} has {len(values)} entries for {n_modes} modes: give 1 or {n_modes}")
+    return values
+
+
+def _parse_cutoffs(text: str, n_modes: int) -> ModeCutoffs:
     try:
-        return ModeCutoffs(tuple(values))
+        return ModeCutoffs(tuple(_levels(text, n_modes, "--cutoffs")))
     except ProblemValidationError as exc:
         raise CliError(str(exc)) from exc
 
@@ -267,17 +269,8 @@ def cmd_converge(args) -> int:
     varied = args.vary_mode - 1
     if not 0 <= varied < problem.n_modes:
         raise CliError(f"--vary-mode {args.vary_mode} out of range 1..{problem.n_modes}")
-    if args.fixed_cutoffs:
-        try:
-            fixed_list = [int(x) for x in args.fixed_cutoffs.split(",")]
-        except ValueError as exc:
-            raise CliError(f"invalid --fixed-cutoffs {args.fixed_cutoffs!r}: {exc}") from exc
-        others = [m for m in range(problem.n_modes) if m != varied]
-        if len(fixed_list) != len(others):
-            raise CliError("--fixed-cutoffs must list one value per non-varied mode")
-        fixed = dict(zip(others, fixed_list))
-    else:
-        fixed = {m: args.default_fixed for m in range(problem.n_modes) if m != varied}
+    others = [m for m in range(problem.n_modes) if m != varied]
+    fixed = dict(zip(others, _levels(args.fixed_cutoffs, len(others), "--fixed-cutoffs")))
     out = _out_dir(args)
     result = oracle.converge_sweep(
         problem,
@@ -426,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_positive_float, default=1e-4)
     p.add_argument("--l-start", type=int, default=1)
     p.add_argument("--l-cap", type=int, default=100)
-    p.add_argument("--fixed-cutoffs", default=None,
-                   help="comma list for the non-varied modes")
-    p.add_argument("--default-fixed", type=int, default=10)
+    p.add_argument("--fixed-cutoffs", default="10",
+                   help="non-varied modes' L_max list '8,12' or uniform '10'")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("compare", help="L1 distance between two spectrum CSV files")

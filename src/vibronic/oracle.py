@@ -30,10 +30,10 @@ DEFAULT_SIGMA = 100.0
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-#: Bytes a full eigensolve holds per entry of the D x D H: the dense copy,
-#: LAPACK's copy, dsyevd's workspace and the eigenvectors.  Peak RSS over the
-#: interpreter's (2 vCPUs, OpenBLAS): 41 bytes per entry (D = 1,681-3,721).
-EIGH_BYTES_PER_ENTRY = 48
+#: Bytes a full eigensolve holds per entry of the D x D H: the dense copy that
+#: dsyevd overwrites and its 1 + 6D + 2D^2-double workspace, 24 in all.  Peak RSS
+#: grew 25.1 per entry at D = 2,601 and 24.7 at D = 3,721 (2 vCPUs, OpenBLAS).
+EIGH_BYTES_PER_ENTRY = 28
 
 #: Bytes a thermal stick spectrum holds per stick beside the eigenvectors: the
 #: sorted energies and intensities and each stick's two indices.  Traced
@@ -125,14 +125,19 @@ def eigensolve_bytes(h: ManyBodyOperator) -> int:
 
 
 def eigensolve(h: ManyBodyOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition; its bytes are checked first."""
+    """Ascending eigenvalues and eigenvector columns of H: dsyevd overwrites the checked copy."""
     check_dense_bytes(eigensolve_bytes(h), f"a {h.space.dimension}-state dense eigensolve")
-    return np.linalg.eigh(dense_matrix(h))
+    mat = dense_matrix(h)
+    lwork, liwork = _lapack("dsyevd_lwork", mat.shape[0], lower=1)
+    return _lapack("dsyevd", mat, lower=1, lwork=int(lwork), liwork=liwork, overwrite_a=1)
 
 
-def _check_info(routine: str, info: int) -> None:
+def _lapack(routine: str, *args, **kwargs) -> tuple:
+    """scipy's LAPACK ``routine``: its outputs but the last, ``info``, which must be 0."""
+    *out, info = getattr(lapack, routine)(*args, **kwargs)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
+    return tuple(out)
 
 
 def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
@@ -142,14 +147,13 @@ def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
     zero-temperature Franck-Condon profile.  Degenerate eigenvalues stay as
     separate sticks.
 
-    ``np.linalg.eigh`` is LAPACK dsyevd: the lower-storage tridiagonal
-    reduction T = Q^T H Q (dsytrd), dstedc('I') for T = Z diag(w) Z^T, then
-    the back-transform Q Z (dormtr).  None of the lower reduction's
-    Householder reflectors touches row 0, so row 0 of Q Z is row 0 of Z bit
-    for bit.  This runs the first two steps (dstevd calls the same
-    dstedc('I') on T) and skips the back-transform, so the sticks equal
-    dsyevd's bit for bit when both come from the same LAPACK, as with
-    ``scipy.linalg.eigh(driver="evd")``.
+    ``eigensolve`` is LAPACK dsyevd: the lower-storage tridiagonal reduction
+    T = Q^T H Q (dsytrd), dstedc('I') for T = Z diag(w) Z^T, then the
+    back-transform Q Z (dormtr).  None of the lower reduction's Householder
+    reflectors touches row 0, so row 0 of Q Z is row 0 of Z bit for bit.
+    This runs the first two steps (dstevd calls the same dstedc('I') on T)
+    from the same LAPACK and skips the back-transform, so the sticks are
+    ``eigensolve``'s eigenvalues and squared row 0 bit for bit.
 
     One D x D array of H is held at a time: dsytrd reduces the Fortran-order
     copy in place, only T's diagonal and off-diagonal are kept, and the copy
@@ -157,13 +161,10 @@ def diagonalize_fcp(h: ManyBodyOperator) -> StickSpectrum:
     ``stick_solve_bytes``, plus O(D).
     """
     mat = dense_matrix(h)
-    lwork, info = lapack.dsytrd_lwork(mat.shape[0], lower=1)
-    _check_info("dsytrd_lwork", info)
-    reduced, d, e, _, info = lapack.dsytrd(mat, lower=1, lwork=int(lwork), overwrite_a=1)
+    (lwork,) = _lapack("dsytrd_lwork", mat.shape[0], lower=1)
+    reduced, d, e, _ = _lapack("dsytrd", mat, lower=1, lwork=int(lwork), overwrite_a=1)
     del mat, reduced
-    _check_info("dsytrd", info)
-    vals, z, info = lapack.dstevd(d, e)
-    _check_info("dstevd", info)
+    vals, z = _lapack("dstevd", d, e)
     return StickSpectrum(energies=vals, intensities=z[0] ** 2)
 
 
@@ -214,7 +215,7 @@ def sigma_from_convention(width: float, convention: str) -> float:
     return width if convention == "stdev" else width * _FWHM_TO_SIGMA
 
 
-def kernel_half_width(sig: float, width: float, n_bins: int) -> int:
+def kernel_half_width(sig: float, width: float, n_bins: int, n_occupied: int = 0) -> int:
     """Kernel bins ceil(6 sig / width) per side; the grid's bytes are checked in float first.
 
     The standard deviation sig must be finite and positive, its variance a
@@ -229,8 +230,8 @@ def kernel_half_width(sig: float, width: float, n_bins: int) -> int:
         n_grid = 12 * Decimal(sig) / Decimal(width) + n_bins
     # 32 bytes a point: at most four float arrays no longer than the grid live
     # at once, while the kernel is built and added and while the writers form
-    # the grid beside the values
-    check_dense_bytes(32 * n_grid, f"a {n_grid:.4g}-point broadened grid")
+    # the grid beside the values; 72 an occupied bin for broaden's two lists
+    check_dense_bytes(32 * n_grid + 72 * n_occupied, f"a {n_grid:.4g}-point broadened grid")
     return int(half)
 
 
@@ -243,13 +244,13 @@ def broaden(binned: BinnedSpectrum, sigma: float = DEFAULT_SIGMA) -> BroadenedSp
     scratch array and added into its window in place, with no temporary per bin.
     """
     width = binned.width
-    half = kernel_half_width(sigma, width, binned.n_bins)
+    half = kernel_half_width(sigma, width, binned.n_bins, len(binned.offsets))
     x = np.arange(-half, half + 1) * width
     kernel = np.exp(-(x**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
     del x  # before the grid and the scratch exist: the peak holds three such arrays, not four
     values = np.zeros(binned.n_bins + 2 * half)
     scaled = np.empty_like(kernel)
-    for j, w in zip(binned.offsets, binned.weights):
+    for j, w in zip(binned.offsets.tolist(), binned.weights.tolist()):  # not numpy scalars
         np.multiply(w, kernel, out=scaled)
         window = values[j : j + len(kernel)]
         np.add(window, scaled, out=window)

@@ -373,7 +373,7 @@ def _problem_hamiltonian(
     encoding: Encoding,
     backend: EvolutionBackend,
     route: str,
-    solve_bytes: Callable[[ManyBodyOperator], int],
+    check_solve: Callable[[ManyBodyOperator], None],
     phase_map: PhaseMap | None = None,
 ) -> tuple[str, ManyBodyOperator, PauliSum | None, PhaseMap]:
     """(route, H, mapped Pauli sum or None, phase map) for a problem-level run.
@@ -390,8 +390,8 @@ def _problem_hamiltonian(
             hamiltonian_terms(problem, route), encoding, QubitLayout.for_encoding(encoding)
         )
     h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian
-    if backend.kind == "exact":  # the solve's bytes, before the phase map's O(D^2) pass
-        check_dense_bytes(solve_bytes(h), f"the solve of a {h.space.dimension}-state exact QPE law")
+    if backend.kind == "exact":  # the run's bytes, before the phase map's O(D^2) pass
+        check_solve(h)
     if phase_map is None:
         # harmonic H is a sum of squares, so 0 is a tight lower bound
         lower = 0.0 if not problem.anharmonic else None
@@ -588,8 +588,9 @@ def run_qpe_thermal(
     is summed over.
     """
     encoding = Encoding(encoding_variant, cutoffs)
-    route, h, pauli, phase_map = _problem_hamiltonian(
-        problem, cutoffs, t, encoding, backend, route, eigensolve_bytes, phase_map
+    route, h, pauli, phase_map = _problem_hamiltonian(  # the R = D rows' law, checked whole
+        problem, cutoffs, t, encoding, backend, route,
+        lambda h: _check_law(h, t, h.space.dimension, shots, eigensolve_bytes(h)), phase_map
     )
     code = codespace_indices(encoding, QubitLayout.for_encoding(encoding))
     # register row r holds Fock state register[r]: increasing basis index, so
@@ -598,7 +599,6 @@ def run_qpe_thermal(
     kappa = prepare_thermal(problem, cutoffs, thermal)
     leaked = None
     if backend.kind == "exact":
-        _check_law(h, t, len(code), shots, eigensolve_bytes(h))
         evals, evecs = eigensolve(h)
         # row r starts in kappa_k |k>, k = register[r]: W[r, i] = kappa_k^2 |V[k, i]|^2
         weights = np.abs(evecs[register]) ** 2 * kappa[register, None] ** 2
@@ -631,9 +631,9 @@ def run_qpe_problem(
 ) -> SampledSpectrum:
     """Problem-level convenience wrapper: build H, map if needed, run QPE."""
     encoding = Encoding(encoding_variant, cutoffs)
-    route, h, pauli, phase_map = _problem_hamiltonian(
-        problem, cutoffs, t, encoding, backend, route, stick_solve_bytes
-    )
+    route, h, pauli, phase_map = _problem_hamiltonian(  # run_qpe checks the whole law
+        problem, cutoffs, t, encoding, backend, route, lambda h: check_dense_bytes(
+            stick_solve_bytes(h), f"the solve of a {h.space.dimension}-state exact QPE law"))
     spectrum = run_qpe(h, encoding, t, shots, backend=backend, seed=seed,
                        pauli_hamiltonian=pauli, phase_map=phase_map)
     spectrum.metadata["route"] = route

@@ -687,6 +687,25 @@ def test_converge_held_spectra_bytes_checked_exit_2(so2_file, tmp_path, capsys, 
     assert "a 1.204e+06-point broadened grid" in capsys.readouterr().err
 
 
+def test_one_fixed_cutoff_is_every_non_varied_modes(tmp_path, capsys):
+    # --fixed-cutoffs takes one value for every non-varied mode, like
+    # --cutoffs, and defaults to 10 for each
+    problem = str(ROOT / "src" / "vibronic" / "data" / "so2_anharmonic.json")
+    written = {}
+    for flags in ([], ["--fixed-cutoffs", "10"], ["--fixed-cutoffs", "10,10"]):
+        out = tmp_path / str(len(written))
+        assert main(["converge", "--problem", problem, "--vary-mode", "1", "--l-cap", "3",
+                     "--threshold", "1e-300", *flags, "--out", str(out)]) == 1
+        written[" ".join(flags)] = ({p.name: p.read_bytes() for p in out.iterdir()},
+                                    capsys.readouterr().out)
+    assert len(written[""][0]) == 2
+    assert written[""] == written["--fixed-cutoffs 10"] == written["--fixed-cutoffs 10,10"]
+    assert written[""][1].count("L_max=") == 2
+    assert main(["converge", "--problem", problem, "--vary-mode", "1",
+                 "--fixed-cutoffs", "8,9,10", "--out", str(tmp_path)]) == 2
+    assert "--fixed-cutoffs has 3 entries for 2 modes" in capsys.readouterr().err
+
+
 def test_converge_bad_fixed_cutoffs_exit_2(so2_file, tmp_path, capsys):
     code = main(["converge", "--problem", so2_file, "--vary-mode", "1",
                  "--fixed-cutoffs", "x", "--out", str(tmp_path)])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,48 @@ def test_sticks_bit_identical_to_dsyevd(name, cutoffs, route):
     assert np.abs(sticks.intensities - np.abs(evecs[0]) ** 2).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name,cutoffs", [
+    ("so2", (20, 20)), ("no2", (36, 40)), ("so2_anharmonic", (8, 6, 6)), ("h2o", (10, 40)),
+])
+def test_sticks_are_the_eigensolves_eigenvalues_and_squared_row_0(name, cutoffs):
+    # one LAPACK: dsyevd's back-transform leaves row 0 of dstedc's Z unchanged
+    h = build_hamiltonian(bundled_problem(name), ModeCutoffs(cutoffs)).hamiltonian
+    sticks = diagonalize_fcp(h)
+    evals, evecs = oracle.eigensolve(h)
+    assert np.array_equal(sticks.energies, evals)
+    assert np.array_equal(sticks.intensities, evecs[0] ** 2)
+
+
+def test_eigensolve_peak_rss_within_its_checked_bytes():
+    # a fresh interpreter, so2 (50,50), D = 2,601: dsyevd in place on the
+    # dense copy grew the peak RSS by 25.1 bytes per entry of H, where
+    # numpy's eigh, with its own copy, grew it by 40.9.  VmHWM is the child's
+    # own peak: ru_maxrss would carry the forking test process's across exec
+    child = """
+from vibronic import oracle
+from vibronic.hamiltonian import build_hamiltonian
+from vibronic.problem import ModeCutoffs, bundled_problem
+def kib(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(field))
+oracle.eigensolve(build_hamiltonian(bundled_problem("so2"), ModeCutoffs((9, 9))).hamiltonian)
+h = build_hamiltonian(bundled_problem("so2"), ModeCutoffs((50, 50))).hamiltonian
+before = kib("VmRSS:")
+oracle.eigensolve(h)
+print(1024 * (kib("VmHWM:") - before))
+"""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads the peak RSS from /proc/self/status")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout)
+    assert 0 < growth <= oracle.EIGH_BYTES_PER_ENTRY * 2601**2 <= 28 * 2601**2
+
+
 def test_sticks_read_the_lower_triangle_of_h_bit_for_bit():
     # the Fortran-order copy must hold H's own elements: dsytrd(lower=1) on
     # H^T's would read H's upper triangle, which differs here in its last bits
@@ -222,16 +268,29 @@ def test_dense_budget_admits_8192_states_and_refuses_8193(dtype, monkeypatch):
 
 
 def test_eigensolve_counts_its_workspace_not_only_the_dense_copy(monkeypatch):
-    # D = 5000: the 16 D^2 dense copy (0.37 GiB) fits the budget, but eigh
-    # holds 48 bytes per entry (1.12 GiB)
+    # D = 6400: the 16 D^2 dense copy (0.61 GiB) fits the budget, but the
+    # eigensolve holds 28 bytes per entry (1.07 GiB)
     def sentinel(self):
         raise DenseCopyMade
 
     monkeypatch.setattr(ManyBodyOperator, "to_dense", sentinel)
-    space = ModeCutoffs((49, 99))
-    assert 16 * space.dimension**2 <= MAX_DENSE_BYTES < 48 * space.dimension**2
-    with pytest.raises(DenseBudgetError, match="5000-state dense eigensolve"):
-        oracle.eigensolve(ManyBodyOperator(space, sp.identity(5000, format="csr")))
+    space = ModeCutoffs((63, 99))
+    assert 16 * space.dimension**2 <= MAX_DENSE_BYTES < 28 * space.dimension**2
+    with pytest.raises(DenseBudgetError, match="6400-state dense eigensolve"):
+        oracle.eigensolve(ManyBodyOperator(space, sp.identity(6400, format="csr")))
+
+
+def test_eigensolve_budget_admits_6192_states_and_refuses_6193(monkeypatch):
+    # 28 bytes per entry: the copy dsyevd overwrites and its 2 D^2 workspace
+    # doubles; numpy's eigh, at 48, stopped at D = 4,729
+    def sentinel(self):
+        raise DenseCopyMade
+
+    monkeypatch.setattr(ManyBodyOperator, "to_dense", sentinel)
+    with pytest.raises(DenseCopyMade):
+        oracle.eigensolve(ManyBodyOperator(ModeCutoffs((6191,)), sp.identity(6192, format="csr")))
+    with pytest.raises(DenseBudgetError, match="6193-state dense eigensolve"):
+        oracle.eigensolve(ManyBodyOperator(ModeCutoffs((6192,)), sp.identity(6193, format="csr")))
 
 
 def test_thermal_oracle_peak_stays_within_its_checked_bytes(monkeypatch):
@@ -406,10 +465,12 @@ def test_broaden_smallest_accepted_sigma_stays_finite():
     (1e5, [1.0]),
     (30.0, [0.5] + [0.0] * 100_000 + [0.5]),
     (3e3, [2e-3] * 500),
-], ids=["one-bin", "wide-histogram", "wide-kernel"])
+    (0.1, [1e-5] * 100_000),
+], ids=["one-bin", "wide-histogram", "wide-kernel", "many-bins"])
 def test_broaden_peak_stays_within_its_checked_bytes(sigma, values, monkeypatch):
     # at most four float arrays no longer than the grid live at once, while
-    # the kernel is built and added and while the writers form the grid
+    # the kernel is built and added and while the writers form the grid; the
+    # occupied bins' offsets and weights are looped over as Python lists
     checked = []
     monkeypatch.setattr(oracle, "check_dense_bytes", lambda n_bytes, what: checked.append(n_bytes))
     binned = binned_from_dense(1.0, 500, values)

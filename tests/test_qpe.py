@@ -344,9 +344,11 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
                  "a 4096-state trotter QPE step", id="unary-cuts1-backend1-4096"),
     pytest.param("binary", (67, 69), EvolutionBackend.exact(), False, "diagonalize_fcp",
                  id="binary-67-69-exact-4760"),
-    pytest.param("binary", (67, 69), EvolutionBackend.exact(), True,
-                 "a 4-qubit x 1-row x 4760-state exact QPE law",
+    pytest.param("binary", (67, 69), EvolutionBackend.exact(), True, "eigensolve",
                  id="binary-67-69-exact-initial-state-4760"),
+    pytest.param("binary", (79, 79), EvolutionBackend.exact(), True,
+                 "a 4-qubit x 1-row x 6400-state exact QPE law",
+                 id="binary-79-79-exact-initial-state-6400"),
     pytest.param("binary", (90, 90), EvolutionBackend.exact(), False,
                  "a 4-qubit x 1-row x 8281-state exact QPE law", id="binary-90-90-exact-8281"),
 ])
@@ -358,7 +360,7 @@ def test_step_estimate_counts_every_array_the_step_holds(variant, cuts, backend,
     # The exact backend never forms U.  From the vacuum it solves for the
     # sticks in 16 bytes per entry of H, so D = 4760 reaches diagonalize_fcp
     # and D = 8281 is refused; from an explicit initial state its eigensolve
-    # holds 48, so D = 4096 reaches the eigensolve and D = 4760 is refused.
+    # holds 28, so D = 4760 reaches the eigensolve and D = 6400 is refused.
     class Reached(Exception):
         pass
 
@@ -467,9 +469,10 @@ def _direct_run(problem, space, **options):
 ], ids=["vacuum-90,90", "thermal-68,68", "direct-150,150"])
 def test_exact_run_past_its_solve_budget_refused_before_the_phase_map(run, cutoffs, monkeypatch):
     # the phase map's Gershgorin pass densifies all D rows (about 30 s at so2
-    # (400,400)), but the solve's 16 D^2 bytes (vacuum, D = 8,281) or 48 D^2
-    # (thermal rows, D = 4,761) already exceed the budget; a direct run_qpe
-    # chooses its own map, after its law check (D = 22,801: 7.7 GiB)
+    # (400,400)), but the solve's 16 D^2 bytes (vacuum, D = 8,281) or the
+    # thermal rows' whole law (D = 4,761: 1.05 GiB) already exceed the budget;
+    # a direct run_qpe chooses its own map, after its law check (D = 22,801:
+    # 7.7 GiB)
     def refuse(*args, **kwargs):
         pytest.fail("the phase map ran although the run's solve exceeds the byte budget")
 
@@ -867,7 +870,7 @@ def _sweep_inputs(cuts, variant, backend, t):
     enc = Encoding(variant, cutoffs)
     layout = QubitLayout.for_encoding(enc)
     _, h, pauli, pmap = qpe._problem_hamiltonian(problem, cutoffs, t, enc, backend, "qp",
-                                                 oracle.eigensolve_bytes)
+                                                 lambda h: None)  # a few states: no check
     code = codespace_indices(enc, layout)
     if backend.kind == "exact":
         evals, evecs = oracle.eigensolve(h)

@@ -112,3 +112,64 @@ def run(x):
         return LeftError
 '''
     assert _unraised_exception_classes({"m.py": source}) == ["m.py: LeftError (line 6)"]
+
+
+#: numpy.linalg's eigensolvers: both dense solves run scipy's LAPACK on one copy of H
+NUMPY_EIGENSOLVERS = {f"numpy.linalg.{name}" for name in ("eig", "eigh", "eigvalsh")}
+
+
+def _numpy_eigensolver_uses(sources: dict[str, str]) -> list[str]:
+    """Names and attributes that resolve, through the module's imports, to a numpy eigensolver."""
+    found = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        aliases = {}  # local name -> dotted name it was imported as
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:  # "import numpy.linalg" binds numpy
+                    top = a.name.split(".")[0]
+                    aliases[a.asname or top] = a.name if a.asname else top
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                aliases.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+
+        def dotted(node) -> str | None:
+            if isinstance(node, ast.Name):
+                return aliases.get(node.id)
+            if isinstance(node, ast.Attribute):
+                base = dotted(node.value)
+                return base and f"{base}.{node.attr}"
+            return None
+
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                    and dotted(node) in NUMPY_EIGENSOLVERS):
+                found.append(f"{name}: {dotted(node)} (line {node.lineno})")
+    return found
+
+
+def test_the_package_calls_no_numpy_eigensolver():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _numpy_eigensolver_uses(sources) == []
+
+
+def test_a_numpy_eigensolver_is_found_under_any_import():
+    # scipy's eigh and numpy's other linalg routines pass; a docstring naming eigh does not count
+    source = '''
+import numpy as np
+import numpy.linalg
+import scipy.linalg
+from numpy import linalg as la
+from numpy.linalg import eigvalsh as values, norm
+
+
+def solve(h):
+    """Not ``np.linalg.eigh``."""
+    w = scipy.linalg.eigh(h)[0] + norm(h) + np.linalg.svd(h)[1]
+    return np.linalg.eigh(h), la.eig(h), values(h), numpy.linalg.eigvalsh(h), w
+'''
+    assert _numpy_eigensolver_uses({"m.py": source}) == [
+        "m.py: numpy.linalg.eigh (line 12)",
+        "m.py: numpy.linalg.eig (line 12)",
+        "m.py: numpy.linalg.eigvalsh (line 12)",
+        "m.py: numpy.linalg.eigvalsh (line 12)",
+    ]
