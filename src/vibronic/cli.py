@@ -19,8 +19,8 @@ import numpy as np
 from . import oracle
 from .hamiltonian import hamiltonian_terms
 from .fock import DenseBudgetError
-from .mapping import (Encoding, QubitLayout, map_second_quantized, pauli_sum_to_text,
-                      resource_count)
+from .mapping import (Encoding, QubitLayout, format_terms, map_second_quantized,
+                      pauli_sum_to_text, resource_count)
 from .problem import (
     ModeCutoffs,
     ProblemFormatError,
@@ -243,6 +243,8 @@ def cmd_map(args) -> int:
     terms = hamiltonian_terms(problem, route="ladder")
     out = _out_dir(args)
     pauli = map_second_quantized(terms, encoding, layout)
+    # one sort: the layering, the file and the echo all read string order
+    pauli.terms = dict(pauli.sorted_terms())
     report = resource_count(pauli)
     header = {
         "problem": problem.label,
@@ -256,8 +258,8 @@ def cmd_map(args) -> int:
     text = pauli_sum_to_text(pauli, header)
     path = out / f"{_slug(problem.label)}_{args.encoding}_pauli.txt"
     path.write_text(text)
-    for string, coeff in pauli.sorted_terms():
-        print(f"({coeff.real:+.6g}{coeff.imag:+.6g}j)*{string}")
+    for block in format_terms("(%+.6g%+.6gj)*%s\n", list(pauli.terms.items())):
+        print(block, end="")
     print(f"wrote {path} ({len(pauli)} Pauli terms on {layout.total_qubits} qubits)")
     return 0
 

@@ -254,11 +254,16 @@ def build_b_dagger(problem: VibronicProblem, space: ModeCutoffs) -> list[ManyBod
     return [assemble_terms(terms, space) for terms in b_dagger_terms(problem)]
 
 
+def check_mode_count(problem: VibronicProblem, cutoffs: ModeCutoffs) -> None:
+    """Refuse cutoffs that do not give each of the problem's modes one level count."""
+    if len(cutoffs) != problem.n_modes:
+        raise ValueError(f"{len(cutoffs)} cutoffs for a {problem.n_modes}-mode problem")
+
+
 def build_hamiltonian(
     problem: VibronicProblem, cutoffs: ModeCutoffs, route: str = "qp"
 ) -> HamiltonianBuildReport:
     """Assemble H, anharmonic terms included, in the route's ordering."""
-    if len(cutoffs) != problem.n_modes:
-        raise ValueError(f"{len(cutoffs)} cutoffs for a {problem.n_modes}-mode problem")
+    check_mode_count(problem, cutoffs)
     h = assemble_terms(hamiltonian_terms(problem, route), cutoffs)
     return HamiltonianBuildReport(space=cutoffs, hamiltonian=h)

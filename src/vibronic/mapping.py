@@ -19,8 +19,8 @@ rendered with qubit 0 leftmost.
 
 from __future__ import annotations
 
-import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -45,18 +45,26 @@ _LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 
-#: Bytes the mapper holds per product of its terms' mode entries: the ids, the
-#: keep masks, np.unique's sort and outputs, and one term's products.  Traced
-#: 51.2-52.0 bytes per product on so2 binary (63,63)-(127,127) and unary
-#: (31,31)-(95,95), and 57.7-59.3 on the hopping list a_0^dag a_1 + a_0 a_1^dag
-#: in unary (31,31)-(95,95) and binary (63,63), whose products are nearly all
-#: distinct keys.
-MAP_BYTES_PER_PRODUCT = 60
+#: Most products the mapper forms at a time: a term's products go in chunks
+#: of at most this many, in product order.
+MAP_CHUNK = 1 << 16
+
+#: Bytes each product of a chunk holds: its coefficients and their
+#: temporaries, the prune mask, the ids and the table lookups.  Traced at most
+#: 81 bytes on hopping terms in binary and unary (127,127).
+MAP_BYTES_PER_CHUNK_PRODUCT = 128
+
+#: Bytes the mapper holds per entry of its id tables: the sorted id, its slot
+#: and its key's sum, and the copies made while a term's new keys are merged
+#: in.  Traced at most 89 bytes a key, chunk included, where one term brings
+#: every key (hopping terms in binary (127,127)).
+MAP_BYTES_PER_ID = 96
 
 #: Bytes each rendered term holds beyond two bytes per qubit (its letters in
-#: the decoded text and in its string): the string's header and list slot, the
-#: coefficient and the dict entry.  Traced at most 2 n_qubits + 124 bytes per
-#: term past the keys' arrays on the same maps and so2 unary (1,511)-(1,1023).
+#: the decoded text and in its string) and eight per mode (its key's digits):
+#: the string's header and list slot, the coefficient and the dict entry.
+#: Traced at most 2 n_qubits + 124 bytes per term past the keys' arrays on so2
+#: binary (63,63)-(127,127), unary (31,31)-(95,95) and (1,511)-(1,1023).
 MAP_BYTES_PER_TERM = 136
 
 #: Bytes the mapper holds per bounded (x, z) key of its modes beside the key's
@@ -266,14 +274,77 @@ def map_single_mode(
     return out
 
 
-def _products(coefficient, factors) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) of a term's products, first mode slowest, rounded as Python's complex product."""
+def _products(coefficient, factors, heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of products, rounded as Python's complex product.
+
+    The first ``heads`` factors hold one gathered entry per head, multiplied
+    elementwise; the rest multiply as outer products, the later factors
+    fastest, so the products run in the term's product order.
+    """
     re, im = np.ones(1), np.zeros(1)
-    for *_, b in factors:
-        re, im = ((np.multiply.outer(re, b.real) - np.multiply.outer(im, b.imag)).ravel(),
-                  (np.multiply.outer(re, b.imag) + np.multiply.outer(im, b.real)).ravel())
+    for i, (*_, b) in enumerate(factors):
+        mul = np.multiply if i < heads else np.multiply.outer
+        re, im = ((mul(re, b.real) - mul(im, b.imag)).ravel(),
+                  (mul(re, b.imag) + mul(im, b.real)).ravel())
     a = complex(coefficient)
     return a.real * re - a.imag * im, a.real * im + a.imag * re
+
+
+def _chunks(factors):
+    """(heads, factors) of each chunk of at most MAP_CHUNK of a term's products, in product order.
+
+    The longest tail of factors whose outer product fits in a chunk stays
+    whole; the flat index over the head factors is cut into slices, and each
+    head factor gathers its entries along its chunk's slice.
+    """
+    shape = [len(ids) for _, ids, _ in factors]
+    heads = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= MAP_CHUNK)
+    count, step = math.prod(shape[:heads]), MAP_CHUNK // max(math.prod(shape[heads:]), 1)
+    for lo in range(0, count, step):
+        digits = np.unravel_index(np.arange(lo, min(lo + step, count)), shape[:heads])
+        yield heads, [(mode, ids[d], values[d])
+                      for (mode, ids, values), d in zip(factors, digits)] + factors[heads:]
+
+
+class _IdTable:
+    """Sorted int64 ids seen so far, each with its slot: ids are numbered as added."""
+
+    def __init__(self) -> None:
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.slots = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def find(self, ids: np.ndarray) -> np.ndarray:
+        """Slot of each id, -1 where it is not in the table."""
+        at = np.searchsorted(self.ids, ids)
+        hit = at < len(self.ids)
+        hit[hit] = self.ids[at[hit]] == ids[hit]
+        out = np.full(len(ids), -1, dtype=np.int64)
+        out[hit] = self.slots[at[hit]]
+        return out
+
+    def add(self, new: np.ndarray) -> None:
+        """Give distinct ids not in the table the next slots, in the given order."""
+        order = np.argsort(new)
+        new = new[order]
+        at = np.searchsorted(self.ids, new)
+        self.slots = np.insert(self.slots, at, len(self.ids) + order)
+        self.ids = np.insert(self.ids, at, new)
+
+    def renumber(self, ids: np.ndarray, grow) -> np.ndarray:
+        """Dense slots of ``ids``, adding the new ones; ``grow(n)`` runs before n are added."""
+        new = np.unique(ids[self.find(ids) < 0])
+        if len(new):
+            grow(len(new))
+            self.add(new)
+        return self.find(ids)
+
+    def by_slot(self) -> np.ndarray:
+        out = np.empty_like(self.ids)
+        out[self.slots] = self.ids
+        return out
 
 
 def map_second_quantized(
@@ -287,12 +358,19 @@ def map_second_quantized(
     (mode, factor kinds) pair is mapped once per call.  A mode's distinct
     (x, z) masks get local ids, 0 the identity; modes have disjoint supports,
     so a term's products are the outer product of its modes' entries, keyed
-    by a mixed-radix id over all modes.  Products above COEFF_PRUNE are summed
-    per id by ``np.add.at`` in term order and keep the order of first
-    occurrence: the keys, order and bits of adding them into a dict one by one.
-    Bytes are checked before each stage: the single-mode matrices with their
-    keys, term by term before each term's products are formed, and the rendered
-    sum beside the keys' arrays.  The modes' key tables are held throughout.
+    by a mixed-radix id over all modes.  Each term's products are formed in
+    product order, MAP_CHUNK at a time, and those above COEFF_PRUNE are looked
+    up in a running table of the ids of earlier terms: a seen id's product is
+    added into its key's sum, and the term's new ids take the next slots, in
+    product order, when the term is done.  A term's ids are distinct, so each
+    sum adds its products in term order, and keys keep the order of their
+    first product: the keys, order and bits of adding them into a dict one
+    by one.  Where the partial ids would pass 2^62 at the next mode, they are
+    renumbered through a running table of their own.  Bytes are checked
+    before each stage: the single-mode matrices with their keys, the id
+    tables beside a chunk before they grow (first with the largest term's
+    kept products, which are distinct keys), and the rendered sum beside the
+    keys' arrays.  The modes' key tables are held throughout.
     """
     _check_layout(encoding, layout)
     cutoffs = encoding.cutoffs.levels
@@ -300,7 +378,7 @@ def map_second_quantized(
     tables: list[dict[tuple[int, int], int]] = [{(0, 0): 0} for _ in cutoffs]
     mapped: dict[tuple[int, tuple[str, ...]], tuple] = {}
     key_bytes = 0  # the keys' tables, ids and coefficients, bounded
-    plan, keep, size = [], [], 0  # plan: (coefficient, factors, span, shape) per term
+    plan = []  # (coefficient, factors, product count) per term
     for term in terms:
         by_mode: dict[int, tuple[str, ...]] = {}
         for kind, mode in term.factors:
@@ -313,7 +391,7 @@ def map_second_quantized(
                 n_keys = _key_bound(kinds, d, encoding, layout.mode_widths[mode])
                 key_bytes += (MAP_BYTES_PER_KEY + n_qubits // 3) * n_keys
                 # the ladder product holds three dense matrices at a time
-                check_dense_bytes(48 * d * d + key_bytes + MAP_BYTES_PER_PRODUCT * size,
+                check_dense_bytes(48 * d * d + key_bytes,
                                   f"a {d}-level single-mode matrix product and {n_keys} keys")
                 ladder = (fock.creation(cutoffs[mode]) if kind == CREATE
                           else fock.annihilation(cutoffs[mode]) for kind in kinds)
@@ -325,53 +403,77 @@ def map_second_quantized(
                 del matrix, single, ids
             factors.append(mapped[mode_kinds])
         factors = factors or [(0, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))]
-        shape = tuple(len(ids) for _, ids, _ in factors)
-        count = size + math.prod(shape)
-        check_dense_bytes(key_bytes + MAP_BYTES_PER_PRODUCT * count, f"a {count}-product Pauli map")
-        plan.append((term.coefficient, factors, slice(size, count), shape))
-        keep.append(np.hypot(*_products(term.coefficient, factors)) > COEFF_PRUNE)
-        size = count
+        plan.append((term.coefficient, factors, math.prod(len(ids) for _, ids, _ in factors)))
 
-    ids = np.zeros(size, dtype=np.int64)
-    for mode, table in enumerate(tables):
-        if (int(ids.max(initial=0)) + 1) * len(table) > 1 << 62:  # renumber before int64 overflows
-            ids = np.unique(ids, return_inverse=True)[1]
-        ids *= len(table)
-        for _, factors, span, shape in plan:
-            for axis, (factor_mode, local, _) in enumerate(factors):
-                if factor_mode == mode:
-                    trailing = [1] * (len(shape) - 1 - axis)
-                    ids[span] += np.broadcast_to(local.reshape(-1, *trailing), shape).ravel()
-    ids[~np.concatenate([np.ones(0, dtype=bool), *keep])] = -1  # pruned: one id, dropped below
-    del keep
-    unique, first, group = np.unique(ids, return_index=True, return_inverse=True)
-    del ids
-    sums = np.zeros(len(unique), dtype=complex)
-    for coefficient, factors, span, _ in plan:
-        re, im = _products(coefficient, factors)
-        np.add.at(sums.real, group[span], re)
-        np.add.at(sums.imag, group[span], im)
-        del re, im  # no product array outlives the sums
-    del group
-    order = np.argsort(first)
-    order = order[(unique[order] >= 0) & (np.abs(sums[order]) > COEFF_PRUNE)]
-    # unique, first, sums and order: at most 40 bytes a key
-    rendered = (2 * n_qubits + MAP_BYTES_PER_TERM) * len(order)
-    check_dense_bytes(key_bytes + 40 * len(unique) + rendered,
-                      f"a {len(order)}-term Pauli sum on {n_qubits} qubits")
+    radices = [len(table) for table in tables]
+    prefixes, bound = {}, 1  # partial ids < bound; renumbered ones are below the product count
+    for mode, radix in enumerate(radices):
+        if bound * radix > 1 << 62:
+            prefixes[mode], bound = _IdTable(), sum(count for *_, count in plan)
+        bound *= radix
+    keys = _IdTable()
+    sums = np.zeros(0, dtype=complex)
+    new = []  # (ids, re, im) of the current term's unseen products
+    coefficient, factors, count = max(plan, key=lambda entry: entry[2], default=(0, [], 0))
+    chunk_bytes = MAP_BYTES_PER_CHUNK_PRODUCT * min(count, MAP_CHUNK)  # no chunk is larger
 
+    def grow(n: int) -> None:
+        held = len(keys) + sum(len(table) for table in prefixes.values())
+        held += sum(len(ids) for ids, _, _ in new) + n
+        check_dense_bytes(key_bytes + MAP_BYTES_PER_ID * held + chunk_bytes,
+                          f"a {held}-key Pauli map")
+
+    # the largest term's kept products are distinct keys, which the sum ends up holding
+    grow(sum(np.count_nonzero(np.hypot(*_products(coefficient, chunk, heads)) > COEFF_PRUNE)
+             for heads, chunk in _chunks(factors)) if factors else 0)
+    for coefficient, factors, _ in plan:
+        for heads, chunk in _chunks(factors):
+            re, im = _products(coefficient, chunk, heads)
+            kept = np.hypot(re, im) > COEFF_PRUNE
+            # the chunk's ids: axis 0 runs over its heads, then one axis per tail factor
+            ids = np.zeros((len(chunk[0][1]), *(len(local) for _, local, _ in chunk[heads:])),
+                           dtype=np.int64)
+            position = {mode: i for i, (mode, _, _) in enumerate(chunk)}
+            for mode, radix in enumerate(radices):
+                if mode in prefixes:
+                    ids = prefixes[mode].renumber(ids.ravel(), grow).reshape(ids.shape)
+                ids *= radix
+                if mode in position:
+                    i = position[mode]
+                    trailing = ids.ndim - 1 - max(i - heads + 1, 0)
+                    ids += chunk[i][1].reshape(-1, *[1] * trailing)
+            ids, re, im = ids.ravel()[kept], re[kept], im[kept]
+            slots = keys.find(ids)
+            seen = slots >= 0
+            sums.real[slots[seen]] += re[seen]
+            sums.imag[slots[seen]] += im[seen]
+            if not seen.all():
+                grow(len(seen) - np.count_nonzero(seen))
+                new.append((ids[~seen], re[~seen], im[~seen]))
+        if new:
+            ids, re, im = map(np.concatenate, zip(*new))
+            new.clear()
+            keys.add(ids)
+            sums = np.concatenate([sums, np.zeros(len(ids), dtype=complex)])
+            sums.real[-len(ids):] += re
+            sums.imag[-len(ids):] += im
+            del ids, re, im
+
+    kept = np.flatnonzero(np.abs(sums) > COEFF_PRUNE)
+    rendered = (2 * n_qubits + 8 * len(cutoffs) + MAP_BYTES_PER_TERM) * len(kept)
+    check_dense_bytes(key_bytes + MAP_BYTES_PER_ID * len(keys) + rendered,
+                      f"a {len(kept)}-term Pauli sum on {n_qubits} qubits")
     # Modes own contiguous qubit ranges, mode 0 leftmost: a key's letters are
-    # its modes' letter rows, read off the first product with its id.
-    first = first[order]
-    local = np.zeros((len(cutoffs), len(order)), dtype=np.int64)
-    for _, factors, span, shape in plan:
-        lo, hi = np.searchsorted(first, (span.start, span.stop))
-        digits = np.unravel_index(first[lo:hi] - span.start, shape)
-        for (mode, ids, _), digit in zip(factors, digits):
-            local[mode, lo:hi] = ids[digit]
+    # its modes' letter rows, read off its id's mixed-radix digits.
+    ids = keys.by_slot()[kept]
+    local = np.zeros((len(cutoffs), len(kept)), dtype=np.int64)
+    for mode in reversed(range(len(cutoffs))):
+        ids, local[mode] = np.divmod(ids, radices[mode])
+        if mode in prefixes:
+            ids = prefixes[mode].by_slot()[ids]
     modes = zip(tables, layout.mode_starts, layout.mode_widths, local)
     out = PauliSum(n_qubits)
-    out.terms = dict(zip(_pauli_strings(len(order), n_qubits, modes), sums[order].tolist()))
+    out.terms = dict(zip(_pauli_strings(len(kept), n_qubits, modes), sums[kept].tolist()))
     return out
 
 
@@ -485,12 +587,19 @@ def resource_count(ps: PauliSum) -> ResourceReport:
 # -- text output -------------------------------------------------------
 
 
+def format_terms(row: str, terms: list[tuple[str, complex]]) -> Iterator[str]:
+    """``row`` % (re, im, string) of each (string, coefficient), 4,096 terms per ``%``.
+
+    ``%`` formats a Python float as ``format`` does with the same spec, and
+    one ``%`` per block saves the per-term call.
+    """
+    for lo in range(0, len(terms), 4096):
+        block = terms[lo : lo + 4096]
+        yield row * len(block) % tuple(v for string, c in block for v in (c.real, c.imag, string))
+
+
 def pauli_sum_to_text(ps: PauliSum, header: dict | None = None) -> str:
     """Stable `re,im,string` listing with `#` header lines."""
-    buf = io.StringIO()
-    for key, value in (header or {}).items():
-        buf.write(f"# {key}={value}\n")
-    buf.write("re,im,string\n")
-    for string, coeff in ps.sorted_terms():
-        buf.write(f"{coeff.real:.16g},{coeff.imag:.16g},{string}\n")
-    return buf.getvalue()
+    lines = [f"# {key}={value}\n" for key, value in (header or {}).items()]
+    lines.append("re,im,string\n")
+    return "".join([*lines, *format_terms("%.16g,%.16g,%s\n", ps.sorted_terms())])

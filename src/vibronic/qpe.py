@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .fock import ManyBodyOperator, check_dense_bytes
-from .hamiltonian import build_hamiltonian, hamiltonian_terms
+from .hamiltonian import assemble_terms, build_hamiltonian, check_mode_count, hamiltonian_terms
 from .mapping import (
     Encoding,
     PauliSum,
@@ -380,16 +380,17 @@ def _problem_hamiltonian(
 
     The Trotter backend evolves under the mapped ladder-route expansion, the
     term list the exact solve assembles, anharmonic terms included; the
-    reference H (hence the phase map) is the ladder route too, since the
-    routes differ near the cutoff.
+    reference H (hence the phase map) is assembled from the same list, since
+    the routes differ near the cutoff.
     """
     pauli = None
-    if backend.kind == "trotter":
-        route = "ladder"
-        pauli = map_second_quantized(
-            hamiltonian_terms(problem, route), encoding, QubitLayout.for_encoding(encoding)
-        )
-    h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian
+    if backend.kind == "trotter":  # one expansion, mapped and assembled
+        check_mode_count(problem, cutoffs)
+        route, terms = "ladder", hamiltonian_terms(problem, "ladder")
+        pauli = map_second_quantized(terms, encoding, QubitLayout.for_encoding(encoding))
+        h = assemble_terms(terms, cutoffs)
+    else:
+        h = build_hamiltonian(problem, cutoffs, route=route).hamiltonian
     if backend.kind == "exact":  # the run's bytes, before the phase map's O(D^2) pass
         check_solve(h)
     if phase_map is None:

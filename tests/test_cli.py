@@ -290,10 +290,11 @@ def test_sparse_assembly_bytes_checked_exit_2(command, toy_file, tmp_path):
 
 
 def test_map_product_bytes_checked_exit_2(so2_file, tmp_path):
-    # binary (511,511): 1.7e8 products, whose ids, masks and sort would take about 8 GiB
+    # binary (511,511): the largest term alone has 2.1e7 products, each a distinct key,
+    # whose table would take about 1.9 GiB; refused before any term is summed
     proc = _run_capped(["map", "--problem", so2_file, "--cutoffs", "511", "--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
-    assert "-product Pauli map" in proc.stderr and "GiB" in proc.stderr
+    assert "a 21233664-key Pauli map" in proc.stderr and "GiB" in proc.stderr
 
 
 def test_tiny_histogram_width_exit_2_with_real_bin_count(so2_file, tmp_path, capsys):
@@ -846,6 +847,48 @@ def test_map_compiles_anharmonic_terms(tmp_path):
     text = (tmp_path / "so2_so2_e_anharmonic_pes_binary_pauli.txt").read_text()
     # 521 ladder-route products, where the harmonic part alone has 25
     assert "# second_quantized_terms=521" in text.splitlines()
+
+
+#: sha256 of `map`'s Pauli file and of its stdout less the closing "wrote" line
+#: (which names the output directory), recorded with products summed after all
+#: were formed
+PINNED_MAPS = {
+    ("so2_anharmonic", "binary", "3,3,3"): (
+        "368243b399b9a98e06908d0aa389a7f4a56ce2210bf25fedf188727d06a660af",
+        "3a696829da2f1b24aab0794e5f80cb5799634d08808592a5ecf5cc05ec912382"),
+    ("so2_anharmonic", "unary", "2,2,2"): (
+        "16e2fb62aa53a009204b2da299d7fcd1fa50bcf57af9f64c2b12d348bb61ae0f",
+        "f9b91b67275df6e5811a8aa970b7f7c8c3b2bd9c0faa072210fab903229a506a"),
+    ("h2o", "binary", "7,7"): (
+        "9805cd67f263b91ec1f28d144138526620a3dd718250ac4f10359a671e45df36",
+        "b2e7405519dfa3fd85ffcdf3fb4e7f05719095a64767125ee5a76cba7a81b53b"),
+}
+
+
+def _map_shas(name, encoding, cutoffs, out, capsys):
+    path = ROOT / "src" / "vibronic" / "data" / f"{name}.json"
+    assert main(["map", "--problem", str(path), "--cutoffs", cutoffs, "--encoding", encoding,
+                 "--out", str(out)]) == 0
+    echo = capsys.readouterr().out.splitlines(keepends=True)
+    assert echo[-1].startswith("wrote ")
+    written = next(out.glob("*_pauli.txt")).read_bytes()
+    return hashlib.sha256(written).hexdigest(), hashlib.sha256("".join(echo[:-1]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,encoding,cutoffs", list(PINNED_MAPS), ids="-".join)
+def test_map_file_and_stdout_match_pins(name, encoding, cutoffs, tmp_path, capsys):
+    assert _map_shas(name, encoding, cutoffs, tmp_path, capsys) == PINNED_MAPS[name, encoding, cutoffs]
+
+
+def test_map_sums_products_as_they_are_formed(tmp_path, capsys, monkeypatch):
+    # so2_anharmonic binary (15,15,15): 50,459 Pauli terms from 8.5e6
+    # products, whose ids and masks held all at once took 420 MB; the running
+    # key table peaks near 20 MB, so the map fits a 128 MiB budget and writes
+    # the bytes recorded under the default one
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 128 << 20)
+    assert _map_shas("so2_anharmonic", "binary", "15,15,15", tmp_path, capsys) == (
+        "c587a1e8edc0fa06963eef20d43e5b0df2a66c98e8a9fc3b93c2ef8c743f5e8d",
+        "815777615da12e0643a372e3480227761157b2c7096feb7f1c148c08cd210461")
 
 
 def test_output_dir_env_var(toy_file, tmp_path, monkeypatch):

@@ -184,18 +184,22 @@ HOPPING = [SecondQuantizedTerm(((CREATE, 0), (DESTROY, 1)), 1.0),
            SecondQuantizedTerm(((DESTROY, 0), (CREATE, 1)), 1.0)]
 
 
-@pytest.mark.parametrize("variant,levels,hopping", [
-    ("binary", 63, False), ("unary", 31, False), ("unary", 63, True),
-], ids=["binary-63", "unary-31", "hopping-unary-63"])
-def test_map_peak_stays_within_its_checked_bytes(variant, levels, hopping, monkeypatch):
-    # the ids, keep masks and np.unique's arrays grow with the product count
-    # (1.2e6, 1.2e5 and 1.3e5 here), the rendered strings with the term count
+@pytest.mark.parametrize("variant,levels,terms", [
+    ("binary", (63, 63), "so2"), ("unary", (31, 31), "so2"), ("unary", (63, 63), "hopping"),
+    ("binary", (7, 7, 7), "so2_anharmonic"),
+], ids=["binary-63", "unary-31", "hopping-unary-63", "anharmonic-binary-7"])
+def test_map_peak_stays_within_its_checked_bytes(variant, levels, terms, monkeypatch):
+    # the id tables grow with the distinct keys (1.5e5, 1.6e4, 6.4e4 and 1.8e4
+    # here), a chunk with the largest term's products up to MAP_CHUNK, the
+    # rendered strings with the term count; the anharmonic map forms 5.1e5
+    # products for 3,612 terms
     checked = []
     check = mapping.check_dense_bytes
     monkeypatch.setattr(mapping, "check_dense_bytes",
                         lambda n_bytes, what: checked.append(n_bytes) or check(n_bytes, what))
-    terms = HOPPING if hopping else ladder_terms(bundled_problem("so2"))
-    enc = Encoding(variant, ModeCutoffs((levels, levels)))
+    terms = (HOPPING if terms == "hopping" else
+             hamiltonian_terms(bundled_problem(terms), route="ladder"))
+    enc = Encoding(variant, ModeCutoffs(levels))
     layout = QubitLayout.for_encoding(enc)
     tracemalloc.start()
     try:
@@ -204,23 +208,31 @@ def test_map_peak_stays_within_its_checked_bytes(variant, levels, hopping, monke
     finally:
         tracemalloc.stop()
     assert peak <= max(checked)
-    if hopping:  # rendering sets the peak, so the rendered sum's check must hold it
+    if terms is HOPPING:  # rendering sets the peak, so the rendered sum's check must hold it
         assert max(checked[:-1]) < peak <= checked[-1]
 
 
-def test_map_refuses_products_and_rendered_sum_over_the_budget(monkeypatch):
+def test_map_refuses_keys_and_rendered_sum_at_their_exact_budgets(monkeypatch):
     # hopping on unary (31,31): four one-ladder (mode, kinds) of 31 entries and
-    # at most four keys each, held beside 30,752 products that fit exactly, and
-    # 7,688 rendered 64-qubit terms beside the keys' arrays that do not; then
-    # one product fewer
+    # at most four keys each; each term's 15,376 products are distinct keys,
+    # shared by the two terms, held beside one 15,376-product chunk, and 7,688
+    # rendered 64-qubit terms beside the key table.  Each check admits at its
+    # exact byte count and refuses one byte below it.
     enc = Encoding("unary", ModeCutoffs((31, 31)))
     layout = QubitLayout.for_encoding(enc)
-    keys = (mapping.MAP_BYTES_PER_KEY + 64 // 3) * 4 * 4 * 31
-    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", keys + mapping.MAP_BYTES_PER_PRODUCT * 30_752)
-    with pytest.raises(DenseBudgetError, match="a 7688-term Pauli sum on 64 qubits"):
-        map_second_quantized(HOPPING, enc, layout)
-    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", keys + mapping.MAP_BYTES_PER_PRODUCT * 30_751)
-    with pytest.raises(DenseBudgetError, match="a 30752-product Pauli map"):
+    modes = (mapping.MAP_BYTES_PER_KEY + 64 // 3) * 4 * 4 * 31
+    keys = modes + (mapping.MAP_BYTES_PER_ID + mapping.MAP_BYTES_PER_CHUNK_PRODUCT) * 15_376
+    rendered = (modes + mapping.MAP_BYTES_PER_ID * 15_376
+                + (2 * 64 + 8 * 2 + mapping.MAP_BYTES_PER_TERM) * 7_688)
+    assert keys < rendered
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", rendered)
+    assert len(map_second_quantized(HOPPING, enc, layout)) == 7_688
+    for budget in (rendered - 1, keys):
+        monkeypatch.setattr(fock, "MAX_DENSE_BYTES", budget)
+        with pytest.raises(DenseBudgetError, match="a 7688-term Pauli sum on 64 qubits"):
+            map_second_quantized(HOPPING, enc, layout)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", keys - 1)
+    with pytest.raises(DenseBudgetError, match="a 15376-key Pauli map"):
         map_second_quantized(HOPPING, enc, layout)
 
 
@@ -379,18 +391,30 @@ def test_map_second_quantized_matches_dict_reference(name, variant, levels, monk
     enc = Encoding(variant, ModeCutoffs(levels))
     layout = QubitLayout.for_encoding(enc)
     renumbered = []
-    unique = np.unique
+    renumber = mapping._IdTable.renumber
 
-    def spy(ids, **kwargs):
-        renumbered.append(not kwargs.get("return_index", False))
-        return unique(ids, **kwargs)
+    def spy(table, ids, grow):
+        renumbered.append(True)
+        return renumber(table, ids, grow)
 
-    monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(mapping._IdTable, "renumber", spy)
     got = map_second_quantized(terms, enc, layout)
     monkeypatch.undo()
     _assert_same_sum(got, map_second_quantized_dicts(terms, enc, layout))
     # 16 modes of 30-odd masks each: the mixed-radix id must be renumbered on the way
     assert any(renumbered) == (name == "rand16")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 300])
+def test_map_second_quantized_matches_dict_reference_in_any_chunks(chunk, monkeypatch):
+    # products of up to four modes' factors, cut into chunks that split the
+    # first factor's entries (40, 300) or the flat index over several (1, 7)
+    terms = hamiltonian_terms(bundled_problem("so2_anharmonic"), route="ladder")
+    enc = Encoding("binary", ModeCutoffs((3, 2, 3)))
+    layout = QubitLayout.for_encoding(enc)
+    monkeypatch.setattr(mapping, "MAP_CHUNK", chunk)
+    _assert_same_sum(map_second_quantized(terms, enc, layout),
+                     map_second_quantized_dicts(terms, enc, layout))
 
 
 def test_map_second_quantized_matches_dict_reference_on_random_terms():

@@ -665,6 +665,22 @@ def test_qpe_trotter_backend_matches_exact_ladder():
     assert tv_distance(pa, pb) < 0.05
 
 
+def test_trotter_run_expands_the_hamiltonian_once(monkeypatch):
+    # the mapped sum and the reference H come from one ladder-route expansion
+    problem, cuts = bundled_problem("so2_anharmonic"), ModeCutoffs((1, 1, 1))
+    calls = []
+    expand = qpe.hamiltonian_terms
+    monkeypatch.setattr(qpe, "hamiltonian_terms", lambda *a: calls.append(a) or expand(*a))
+    _, h, pauli, _ = qpe._problem_hamiltonian(problem, cuts, 6, Encoding("binary", cuts),
+                                               EvolutionBackend.trotter(1, 1), "qp", None)
+    assert len(calls) == 1
+    reference = build_hamiltonian(problem, cuts, route="ladder").hamiltonian
+    assert (h.matrix != reference.matrix).nnz == 0 and len(pauli) > 0
+    with pytest.raises(ValueError, match="2 cutoffs for a 3-mode problem"):
+        qpe._problem_hamiltonian(problem, ModeCutoffs((1, 1)), 6, Encoding("binary", cuts),
+                                 EvolutionBackend.trotter(1, 1), "qp", None)
+
+
 # -- finite temperature ---------------------------------------------------
 
 
