@@ -27,7 +27,7 @@ for variant in ("binary", "unary"):
     layout = QubitLayout.for_encoding(enc)
     ps = map_single_mode(fock.creation(3), 0, enc, layout)
     print(f"{variant}: creation(3) on {layout.total_qubits} qubits, {len(ps)} Pauli terms")
-    for string, coeff in ps.sorted_terms()[:4]:
+    for string, coeff in list(ps.terms.items())[:4]:
         print(f"   ({coeff.real:+.4f}{coeff.imag:+.4f}j) * {string}")
 
     # round trip: restrict the 2^N matrix to the code space

@@ -74,10 +74,7 @@ def _levels(text: str, n_modes: int, flag: str) -> list[int]:
 
 
 def _parse_cutoffs(text: str, n_modes: int) -> ModeCutoffs:
-    try:
-        return ModeCutoffs(tuple(_levels(text, n_modes, "--cutoffs")))
-    except ProblemValidationError as exc:
-        raise CliError(str(exc)) from exc
+    return ModeCutoffs(tuple(_levels(text, n_modes, "--cutoffs")))
 
 
 def _positive_float(text: str) -> float:
@@ -86,16 +83,6 @@ def _positive_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
-
-
-def _sigma(text: str) -> float:
-    """argparse type: a width whose variance and one-bin grid suit both conventions."""
-    try:
-        sig = oracle.sigma_from_convention(float(text), "fwhm")  # the narrower convention
-        oracle.kernel_half_width(sig, oracle.DEFAULT_BIN_WIDTH, 1)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return float(text)
 
 
 def _stdev(args) -> float:
@@ -243,8 +230,6 @@ def cmd_map(args) -> int:
     terms = hamiltonian_terms(problem, route="ladder")
     out = _out_dir(args)
     pauli = map_second_quantized(terms, encoding, layout)
-    # one sort: the layering, the file and the echo all read string order
-    pauli.terms = dict(pauli.sorted_terms())
     report = resource_count(pauli)
     header = {
         "problem": problem.label,
@@ -378,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         if route:
             p.add_argument("--route", choices=("qp", "ladder"), default="qp")
         if sigma:
-            p.add_argument("--sigma", type=_sigma, default=oracle.DEFAULT_SIGMA,
+            p.add_argument("--sigma", type=_positive_float, default=oracle.DEFAULT_SIGMA,
                            help="Gaussian broadening width, cm^-1")
             p.add_argument("--sigma-convention", choices=("stdev", "fwhm"), default="stdev")
         p.add_argument("--out", default=None,
@@ -440,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "sigma" in args:  # read in its convention: its variance and one-bin grid must suit it
+        try:
+            oracle.kernel_half_width(_stdev(args), oracle.DEFAULT_BIN_WIDTH, 1)
+        except ValueError as exc:
+            parser.error(f"argument --sigma: {args.sigma!r} as a {args.sigma_convention}: {exc}")
     try:
         return args.func(args)
     except (CliError, ProblemFormatError, ProblemValidationError, DenseBudgetError) as exc:

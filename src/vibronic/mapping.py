@@ -118,25 +118,20 @@ class QubitLayout:
 
 
 class PauliSum:
-    """Weighted sum of Pauli strings over a fixed qubit count, deduplicated."""
+    """Weighted sum of distinct Pauli strings over a fixed qubit count, in string order.
+
+    The terms are sorted by string once, here, and never reassigned: string
+    order is the order of the text output, the first-fit layering and the
+    Trotter product.
+    """
 
     def __init__(self, n_qubits: int, terms: dict[str, complex] | None = None):
         self.n_qubits = n_qubits
-        self.terms: dict[str, complex] = {}
-        if terms:
-            for string, coeff in terms.items():
-                self.add_term(string, coeff)
-
-    def add_term(self, string: str, coeff: complex) -> None:
-        if len(string) != self.n_qubits:
-            raise EncodingError(
-                f"Pauli string length {len(string)} != qubit count {self.n_qubits}"
-            )
-        self.terms[string] = self.terms.get(string, 0.0) + coeff
-
-    def sorted_terms(self) -> list[tuple[str, complex]]:
-        """Terms in stable string order (the text-output and Trotter order)."""
-        return sorted(self.terms.items(), key=lambda item: item[0])
+        terms = terms or {}
+        for string in terms:
+            if len(string) != n_qubits:
+                raise EncodingError(f"Pauli string length {len(string)} != qubit count {n_qubits}")
+        self.terms: dict[str, complex] = {string: terms[string] for string in sorted(terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -211,9 +206,9 @@ def _transition(bra: int, ket: int, qubits: tuple[int, ...]) -> dict[tuple[int, 
     Per qubit |b><b| = (I + (-1)^b Z)/2 and |b><1-b| = (X + i (-1)^b Y)/2, so
     with x = bra ^ ket and w qubits the product is
     2^-w sum_{z in support} (-1)^|z & bra| i^|z & x| P(x, z).
-    The z run in product order, the first qubit slowest; it fixes the
-    insertion order of the mapped sums, hence the rounding of dense
-    matrices summed from them.
+    The z run in product order, the first qubit slowest; it fixes the order
+    in which a mapped key's products are added, hence the rounding of its
+    coefficient.
     """
     x = bra ^ ket
     scale = 0.5 ** len(qubits)
@@ -267,11 +262,10 @@ def map_single_mode(
 ) -> PauliSum:
     """Pauli sum of a single-mode matrix, identity on the other modes."""
     _check_layout(encoding, layout)
-    out = PauliSum(layout.total_qubits)
+    n_qubits = layout.total_qubits
     terms = _mode_terms(matrix, mode, encoding, layout)
-    strings = _pauli_strings(len(terms), out.n_qubits, [(terms, 0, out.n_qubits, slice(None))])
-    out.terms = dict(zip(strings, terms.values()))
-    return out
+    strings = _pauli_strings(len(terms), n_qubits, [(terms, 0, n_qubits, slice(None))])
+    return PauliSum(n_qubits, dict(zip(strings, terms.values())))
 
 
 def _products(coefficient, factors, heads: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,12 +355,12 @@ def map_second_quantized(
     by a mixed-radix id over all modes.  Each term's products are formed in
     product order, MAP_CHUNK at a time, and those above COEFF_PRUNE are looked
     up in a running table of the ids of earlier terms: a seen id's product is
-    added into its key's sum, and the term's new ids take the next slots, in
-    product order, when the term is done.  A term's ids are distinct, so each
-    sum adds its products in term order, and keys keep the order of their
-    first product: the keys, order and bits of adding them into a dict one
+    added into its key's sum, and the term's new ids take the next slots
+    when the term is done.  A term's ids are distinct, so each sum adds its
+    products in term order: the keys and bits of adding them into a dict one
     by one.  Where the partial ids would pass 2^62 at the next mode, they are
-    renumbered through a running table of their own.  Bytes are checked
+    renumbered through a running table of their own.  The id tables are
+    freed before ``PauliSum`` sorts the rendered strings.  Bytes are checked
     before each stage: the single-mode matrices with their keys, the id
     tables beside a chunk before they grow (first with the largest term's
     kept products, which are distinct keys), and the rendered sum beside the
@@ -472,9 +466,9 @@ def map_second_quantized(
         if mode in prefixes:
             ids = prefixes[mode].by_slot()[ids]
     modes = zip(tables, layout.mode_starts, layout.mode_widths, local)
-    out = PauliSum(n_qubits)
-    out.terms = dict(zip(_pauli_strings(len(kept), n_qubits, modes), sums[kept].tolist()))
-    return out
+    terms = dict(zip(_pauli_strings(len(kept), n_qubits, modes), sums[kept].tolist()))
+    del keys, prefixes, sums, kept, ids, local  # before the sum's sort adds its list and dict
+    return PauliSum(n_qubits, terms)
 
 
 def pauli_to_matrix(ps: PauliSum) -> np.ndarray:
@@ -553,7 +547,7 @@ class ResourceReport:
 def resource_count(ps: PauliSum) -> ResourceReport:
     """Exact term/weight counts plus a greedy disjoint-support depth estimate.
 
-    The depth is one concrete schedule (first-fit layering, in sorted string
+    The depth is one concrete schedule (first-fit layering, in the sum's string
     order, of terms whose qubit supports do not overlap), an upper-bound
     realization rather than an optimized circuit schedule.  Each qubit keeps
     a bitmask of the layers holding it: a term joins the lowest layer clear
@@ -561,7 +555,7 @@ def resource_count(ps: PauliSum) -> ResourceReport:
     Supports are read off the strings in blocks of 4,096.
     """
     n = ps.n_qubits
-    strings = sorted(ps.terms)
+    strings = list(ps.terms)
     check_dense_bytes(n * len(strings) // 8, f"first-fit layer masks of {len(strings)} terms")
     weights = np.zeros(n + 1, dtype=np.int64)
     masks = [0] * n
@@ -602,4 +596,4 @@ def pauli_sum_to_text(ps: PauliSum, header: dict | None = None) -> str:
     """Stable `re,im,string` listing with `#` header lines."""
     lines = [f"# {key}={value}\n" for key, value in (header or {}).items()]
     lines.append("re,im,string\n")
-    return "".join([*lines, *format_terms("%.16g,%.16g,%s\n", ps.sorted_terms())])
+    return "".join([*lines, *format_terms("%.16g,%.16g,%s\n", list(ps.terms.items()))])

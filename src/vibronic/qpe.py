@@ -209,7 +209,7 @@ def shot_uniforms(seed: int, shots: int) -> np.ndarray:
 def trotter_step_unitary(
     ps: PauliSum, dt: float, order: int, basis: np.ndarray | None = None
 ) -> np.ndarray:
-    """Dense unitary of one Trotter substep in the mapper's stable term order.
+    """Dense unitary of one Trotter substep, its rotations in the sum's string order.
 
     It acts on the sorted basis indices ``basis``, an invariant sector of the
     sum (default: the whole register).  Each term's rotation exp(-i theta P)
@@ -220,7 +220,7 @@ def trotter_step_unitary(
     """
     if ps.max_imag_coeff() > 1e-10:
         raise ValueError("Trotter evolution requires a Hermitian Pauli sum (real coefficients)")
-    terms = ps.sorted_terms()
+    terms = list(ps.terms.items())
     if order == 2:
         sequence = [(s, c, dt / 2) for s, c in terms + terms[::-1]]
     else:
@@ -247,6 +247,11 @@ def trotter_unitary(
 # -- core QPE engine ---------------------------------------------------
 
 
+def _check_step(side: int) -> None:
+    """Check a Trotter step on a ``side``-state sector, which holds the D code states."""
+    check_dense_bytes(STEP_BYTES_PER_ENTRY * side * side, f"a {side}-state trotter QPE step")
+
+
 def _step_unitary(
     phase_map: PhaseMap, backend: EvolutionBackend, pauli: PauliSum | None, code: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +266,7 @@ def _step_unitary(
     if pauli is None:
         raise ValueError("trotter backend needs the mapped Pauli-sum Hamiltonian")
     reps, generators = invariant_sector(pauli, code)
-    side = len(reps) << len(generators)
-    check_dense_bytes(STEP_BYTES_PER_ENTRY * side * side, f"a {side}-state trotter QPE step")
+    _check_step(len(reps) << len(generators))
     sector = sector_states(reps, generators)
     u = trotter_unitary(pauli, phase_map.tau, backend.order, backend.steps, sector)
     u *= np.exp(-1j * phase_map.tau * phase_map.energy_shift)
@@ -386,6 +390,7 @@ def _problem_hamiltonian(
     pauli = None
     if backend.kind == "trotter":  # one expansion, mapped and assembled
         check_mode_count(problem, cutoffs)
+        _check_step(cutoffs.dimension)  # the sector's floor, before the expansion and map
         route, terms = "ladder", hamiltonian_terms(problem, "ladder")
         pauli = map_second_quantized(terms, encoding, QubitLayout.for_encoding(encoding))
         h = assemble_terms(terms, cutoffs)
@@ -497,6 +502,8 @@ def run_qpe(
     vacuum = initial_state is None and not return_state  # W[0, i] = |<v_i|0>|^2: the sticks
     if backend.kind == "exact":  # the law's bytes, before the phase map's O(D^2) pass
         _check_law(h, t, 1, shots, stick_solve_bytes(h) if vacuum else eigensolve_bytes(h))
+    else:  # the step's floor, as early
+        _check_step(dim)
     if phase_map is None:
         phase_map = choose_phase_map(h, t)
     code = codespace_indices(encoding, layout)

@@ -139,7 +139,7 @@ def trotter_register_step(ps: PauliSum, dt: float, order: int) -> np.ndarray:
     r ^ x, with P's phase (-i)^|x & z| (-1)^|r & z|.
     """
     rows = np.arange(1 << ps.n_qubits)
-    terms = ps.sorted_terms()
+    terms = list(ps.terms.items())
     if order == 2:
         sequence = [(s, c, dt / 2) for s, c in terms + terms[::-1]]
     else:
@@ -279,9 +279,8 @@ def map_second_quantized_dicts(terms, encoding: Encoding, layout: QubitLayout) -
             c = term.coefficient * c
             if abs(c) > COEFF_PRUNE:
                 total[key] = total.get(key, 0.0) + c
-    out = PauliSum(layout.total_qubits)
-    out.terms = {render(x, z, out.n_qubits): c for (x, z), c in total.items() if abs(c) > COEFF_PRUNE}
-    return out
+    n = layout.total_qubits
+    return PauliSum(n, {render(x, z, n): c for (x, z), c in total.items() if abs(c) > COEFF_PRUNE})
 
 
 def converge_sweep_held(

@@ -531,6 +531,21 @@ def test_bad_numeric_flags_exit_2(argv, toy_file, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sigma_is_checked_in_its_own_convention(so2_file, tmp_path, capsys):
+    # 1.5e-154 cm^-1 has a normal variance as a standard deviation, so it runs;
+    # as a FWHM it is a 6.4e-155 standard deviation, refused quoting the value given
+    out = tmp_path / "out"
+    assert main(["exact", "--problem", so2_file, "--cutoffs", "2", "--sigma", "1.5e-154",
+                 "--out", str(out)]) == 0
+    assert all(math.isfinite(x) for x in _written_numbers(out))
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--problem", so2_file, "--cutoffs", "2", "--sigma", "1.5e-154",
+              "--sigma-convention", "fwhm", "--out", str(tmp_path / "fwhm")])
+    assert exc.value.code == 2
+    assert "--sigma: 1.5e-154 as a fwhm" in capsys.readouterr().err
+    assert not (tmp_path / "fwhm").exists()
+
+
 #: tiny, subnormal, huge, boundary and invalid spellings of a float flag
 _FLOATS = ["0", "-1", "5e-324", "1e-310", "2.2250738585072014e-308", "1e-300", "3e-154",
            "1e-12", "1e300", "1e308", "1.7976931348623157e308", "inf", "nan"]
@@ -672,7 +687,8 @@ def test_repro_rejects_route_exit_2():
 def test_converge_held_spectra_bytes_checked_exit_2(so2_file, tmp_path, capsys, monkeypatch):
     # at sigma = 1e5 each cutoff's grid is 9.7 MB and broadening it is checked
     # at 39 MB.  The sweep holds one grid and each cutoff's occupied bins, so
-    # all eight cutoffs fit a 40 MB budget; under 38 MB the first grid does not
+    # all eight cutoffs fit a 40 MB budget; under 38.5 MB the first grid does
+    # not, while --sigma's own one-bin grid (38.4 MB) still passes
     argv = ["converge", "--problem", so2_file, "--vary-mode", "1", "--fixed-cutoffs", "1",
             "--l-cap", "8", "--sigma", "1e5", "--threshold", "1e-300", "--out", str(tmp_path)]
     ref = converge_sweep_held(bundled_problem("so2"), 0, {1: 1}, 1e-300, 1, 8, "qp", 1e5)
@@ -683,7 +699,7 @@ def test_converge_held_spectra_bytes_checked_exit_2(so2_file, tmp_path, capsys, 
     for name, rows in (("converge_trace", ref.trace), ("l1_vs_exact", ref.vs_exact)):
         text = (tmp_path / f"so2_so2_e_{name}.csv").read_text().splitlines()[1:]
         assert text == [f"{l},{d:.10g}" for l, d in rows]
-    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 38_000_000)
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 38_500_000)
     assert main(argv) == 2
     assert "a 1.204e+06-point broadened grid" in capsys.readouterr().err
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import embed, map_second_quantized_dicts
 from vibronic import fock, mapping
@@ -148,6 +150,23 @@ def test_map_identity_either_encoding():
             code = codespace_indices(enc, layout)
             m = pauli_to_matrix(ps)
             assert np.allclose(m[np.ix_(code, code)], np.eye(4), atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), data=st.data())
+def test_pauli_sum_is_built_in_string_order(n, data):
+    # any insertion order gives the same sum: its strings sorted, each value's bits kept
+    strings = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), unique=True))
+    values = data.draw(st.lists(st.complex_numbers(allow_nan=False), min_size=len(strings),
+                                max_size=len(strings)))
+    terms = dict(zip(strings, values))
+    for order in (terms, dict(data.draw(st.permutations(list(terms.items()))))):
+        ps = PauliSum(n, order)
+        assert list(ps.terms) == sorted(terms)
+        assert [_bits(c) for c in ps.terms.values()] == [_bits(terms[s]) for s in sorted(terms)]
+    wrong = data.draw(st.text("IXYZ", min_size=0, max_size=6).filter(lambda s: len(s) != n))
+    with pytest.raises(EncodingError, match=f"Pauli string length {len(wrong)} != qubit count {n}"):
+        PauliSum(n, {**terms, wrong: 1.0})
 
 
 def test_pauli_to_matrix_all_identity():
@@ -361,8 +380,9 @@ def _bits(coeff):
 
 
 def _assert_same_sum(got, expected):
-    """Same keys in the same insertion order, and the same value bits."""
+    """Same keys in the same string order, and the same value bits."""
     assert got.n_qubits == expected.n_qubits
+    assert list(got.terms) == sorted(got.terms)
     assert list(got.terms) == list(expected.terms)
     assert [_bits(c) for c in got.terms.values()] == [_bits(c) for c in expected.terms.values()]
 
@@ -502,7 +522,7 @@ def test_resource_count_single_term():
 def _set_first_fit_report(ps):
     weights = {}
     layers = []
-    for string, _ in ps.sorted_terms():
+    for string in sorted(ps.terms):
         support = {q for q, letter in enumerate(string) if letter != "I"}
         weights[len(support)] = weights.get(len(support), 0) + 1
         for layer in layers:
@@ -529,9 +549,8 @@ def test_resource_count_matches_set_first_fit_on_maps(problem, variant, levels):
 
 def _depth_81_sum():
     """The 81 strings over {X, Y, Z} on qubits 1-4 of 6, plus one on qubits 0 and 5."""
-    ps = PauliSum(6, {f"I{''.join(p)}I": 1.0 for p in itertools.product("XYZ", repeat=4)})
-    ps.add_term("ZIIIIX", 0.5)
-    return ps
+    terms = {f"I{''.join(p)}I": 1.0 for p in itertools.product("XYZ", repeat=4)}
+    return PauliSum(6, {**terms, "ZIIIIX": 0.5})
 
 
 def test_resource_count_depth_past_one_machine_word():
@@ -564,10 +583,12 @@ def test_resource_count_matches_set_first_fit(n):
     # strings, so the resumed first-fit scans are exercised
     rng = np.random.default_rng(n)
     supports = [rng.random(n) < 0.5 for _ in range(9)] + [np.zeros(n, dtype=bool)]
-    ps = PauliSum(n)
+    terms: dict[str, complex] = {}
     for _ in range(800):
         mask = supports[rng.integers(len(supports))]
-        ps.add_term("".join(rng.choice(list("XYZ")) if m else "I" for m in mask), 1.0)
+        string = "".join(rng.choice(list("XYZ")) if m else "I" for m in mask)
+        terms[string] = terms.get(string, 0.0) + 1.0
+    ps = PauliSum(n, terms)
     report = resource_count(ps)
     assert report == _set_first_fit_report(ps)
     assert len(ps) > 100

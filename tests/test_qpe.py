@@ -17,7 +17,7 @@ from dense_reference import (controlled_power_state, outcome_distribution, qpe_k
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vibronic import fock, oracle, qpe
+from vibronic import cli, fock, oracle, qpe
 from vibronic.fock import MAX_DENSE_BYTES, DenseBudgetError, ManyBodyOperator
 from vibronic.hamiltonian import build_hamiltonian, hamiltonian_terms, ladder_terms
 from vibronic.mapping import (
@@ -337,6 +337,25 @@ def test_byte_estimate_checked_before_allocation(backend, monkeypatch):
         run_qpe(h, Encoding("binary", cuts), t=6, shots=1, phase_map=pmap)
 
 
+def test_trotter_run_is_sized_before_it_is_mapped_or_calibrated(monkeypatch, tmp_path, capsys):
+    # a step's sector holds the D code states, so 72 D^2 bytes is its floor: so2
+    # at (200,200), D = 40,401, needs 110 GiB and binary (127,127) 18 GiB, refused
+    # before the expansion, the map and the O(D^2) Gershgorin pass
+    def refuse(*args, **kwargs):
+        pytest.fail("a Trotter run was mapped or calibrated before its step's floor was checked")
+
+    for name in ("hamiltonian_terms", "map_second_quantized", "gershgorin_bounds"):
+        monkeypatch.setattr(qpe, name, refuse)
+    so2 = Path(qpe.__file__).parent / "data" / "so2.json"
+    assert cli.main(["qpe", "--problem", str(so2), "--cutoffs", "200,200", "--backend",
+                     "trotter:1:1", "--t", "4", "--shots", "10", "--out", str(tmp_path)]) == 2
+    assert "a 40401-state trotter QPE step" in capsys.readouterr().err
+    cuts = ModeCutoffs((127, 127))
+    h = ManyBodyOperator(cuts, sp.identity(cuts.dimension, format="csr"))
+    with pytest.raises(DenseBudgetError, match="a 16384-state trotter QPE step"):
+        run_qpe(h, Encoding("binary", cuts), t=4, shots=10, backend=EvolutionBackend.trotter(1, 1))
+
+
 @pytest.mark.parametrize("variant, cuts, backend, from_state, outcome", [
     pytest.param("binary", (63, 63), EvolutionBackend.exact(), True, "eigensolve",
                  id="binary-cuts0-backend0-4096"),
@@ -541,7 +560,7 @@ def test_trotter_step_matches_dense_rotation_product(order):
     strings |= {"".join(rng.choice(list("IXYZ"), 4)) for _ in range(12)}
     ps = PauliSum(4, {s: rng.normal() for s in strings})
     dt = 0.37
-    terms = ps.sorted_terms()
+    terms = list(ps.terms.items())
     if order == 2:
         sequence = [(s, c, dt / 2) for s, c in terms + terms[::-1]]
     else:

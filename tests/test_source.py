@@ -173,3 +173,61 @@ def solve(h):
         "m.py: numpy.linalg.eigvalsh (line 12)",
         "m.py: numpy.linalg.eigvalsh (line 12)",
     ]
+
+
+def _terms_stores(sources: dict[str, str]) -> list[str]:
+    """Stores to an attribute named ``terms``, or to its items, outside ``PauliSum.__init__``.
+
+    A ``PauliSum`` sorts its terms by string once, in its constructor; a
+    store anywhere else could leave them in another order.  Deleting the
+    attribute counts as a store.
+    """
+    found = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "PauliSum"
+                   for init in cls.body
+                   if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                   for node in ast.walk(init)}
+        for node in ast.walk(tree):
+            target = node.value if isinstance(node, ast.Subscript) else node
+            if (isinstance(node, (ast.Attribute, ast.Subscript))
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(target, ast.Attribute) and target.attr == "terms"
+                    and id(node) not in allowed):
+                found.append((name, node.lineno))
+    return [f"{name}: .terms (line {line})" for name, line in sorted(found)]
+
+
+def test_only_the_pauli_sum_constructor_stores_its_terms():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _terms_stores(sources) == []
+
+
+def test_a_store_to_terms_is_found_in_any_form():
+    # the constructor may store; reads, and stores to other attributes, pass
+    source = '''
+class PauliSum:
+    def __init__(self, n, terms):
+        self.terms = dict(sorted(terms.items()))
+        self.terms["I" * n] = 0.0
+
+    def add(self, string, c):
+        self.terms[string] = c
+
+
+def reorder(ps, other):
+    ps.terms = dict(reversed(ps.terms.items()))
+    ps.n, other.terms = 1, {}
+    ps.terms |= other.terms
+    del other.terms
+    return sorted(ps.terms), other.n_qubits
+'''
+    assert _terms_stores({"m.py": source}) == [
+        "m.py: .terms (line 8)",
+        "m.py: .terms (line 12)",
+        "m.py: .terms (line 13)",
+        "m.py: .terms (line 14)",
+        "m.py: .terms (line 15)",
+    ]
