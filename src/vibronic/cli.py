@@ -19,8 +19,8 @@ import numpy as np
 from . import oracle
 from .hamiltonian import hamiltonian_terms
 from .fock import DenseBudgetError
-from .mapping import (Encoding, QubitLayout, format_terms, map_second_quantized,
-                      pauli_sum_to_text, resource_count)
+from .mapping import (Encoding, QubitLayout, map_second_quantized, pauli_listing, pauli_rows,
+                      resource_count)
 from .problem import (
     ModeCutoffs,
     ProblemFormatError,
@@ -240,10 +240,10 @@ def cmd_map(args) -> int:
         "pauli_terms": len(pauli),
         "greedy_depth": report.greedy_depth,
     }
-    text = pauli_sum_to_text(pauli, header)
     path = out / f"{_slug(problem.label)}_{args.encoding}_pauli.txt"
-    path.write_text(text)
-    for block in format_terms("(%+.6g%+.6gj)*%s\n", list(pauli.terms.items())):
+    with open(path, "w") as fh:
+        fh.writelines(pauli_listing(pauli, header))
+    for block in pauli_rows(pauli, "(%+.6g%+.6gj)*%s\n"):
         print(block, end="")
     print(f"wrote {path} ({len(pauli)} Pauli terms on {layout.total_qubits} qubits)")
     return 0

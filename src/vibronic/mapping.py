@@ -3,7 +3,7 @@
 Two level encodings are supported: ``binary`` packs level l into
 ceil(log2(L_max+1)) qubits as the little-endian bits of l; ``unary`` uses
 one-hot strings over L_max+1 qubits with a dedicated vacuum qubit.  A matrix
-element |l><l'| is one closed-form sum of Pauli products (``_transition``) on
+element |l><l'| is one closed-form sum of Pauli products (``_mode_terms``) on
 the mode's qubits in binary, and on the one or two qubits where the unary
 codewords are set, which keeps the one-hot code sector invariant.
 
@@ -30,6 +30,7 @@ import numpy as np
 from . import fock
 from .fock import check_dense_bytes
 from .hamiltonian import COEFF_PRUNE, CREATE
+from .oracle import BLOCK_ROWS, text_blocks
 from .problem import ModeCutoffs
 
 PAULI_MATRICES = {
@@ -39,8 +40,6 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# i^k for k = 0..3
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
@@ -200,47 +199,87 @@ def _pauli_strings(n_terms: int, n_qubits: int, modes) -> list[str]:
     return [blob[i : i + n_qubits] for i in range(0, len(blob), n_qubits)]
 
 
-def _transition(bra: int, ket: int, qubits: tuple[int, ...]) -> dict[tuple[int, int], complex]:
-    """|bra><ket| on the one-bit masks ``qubits`` as {(x, z): coefficient}.
+def _rotations(coeffs: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """coeff * i^k * scale for k = 0..3, a row per coefficient, rounded as Python's product."""
+    a, b = coeffs.real[:, None], coeffs.imag[:, None]
+    cr, ci = scale[:, None] * [1.0, 0.0, -1.0, 0.0], scale[:, None] * [0.0, 1.0, 0.0, -1.0]
+    out = np.empty((len(coeffs), 4), dtype=complex)
+    out.real, out.imag = a * cr - b * ci, a * ci + b * cr
+    return out
 
-    Per qubit |b><b| = (I + (-1)^b Z)/2 and |b><1-b| = (X + i (-1)^b Y)/2, so
-    with x = bra ^ ket and w qubits the product is
-    2^-w sum_{z in support} (-1)^|z & bra| i^|z & x| P(x, z).
-    The z run in product order, the first qubit slowest; it fixes the order
-    in which a mapped key's products are added, hence the rounding of its
-    coefficient.
-    """
-    x = bra ^ ket
-    scale = 0.5 ** len(qubits)
-    zs = [0]
-    for q in qubits:
-        zs = [z | b for z in zs for b in (0, q)]
-    return {(x, z): _PHASES[(2 * (z & bra).bit_count() + (z & x).bit_count()) % 4] * scale
-            for z in zs}
+
+def _by_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values in the order they first occur, and the index of each value among them."""
+    distinct, first = np.unique(values, return_index=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[np.searchsorted(distinct, values)]
 
 
 def _mode_terms(
     matrix: np.ndarray, mode: int, encoding: Encoding, layout: QubitLayout
 ) -> dict[tuple[int, int], complex]:
-    """Masks and coefficients of a single-mode matrix, summed over (l, l') row-major."""
+    """Masks and coefficients of a single-mode matrix, summed over (l, l') row-major.
+
+    Per qubit |b><b| = (I + (-1)^b Z)/2 and |b><1-b| = (X + i (-1)^b Y)/2, so
+    |bra><ket| on w qubits, with x = bra ^ ket, is
+    2^-w sum_z (-1)^|z & bra| i^|z & x| P(x, z).  In binary z runs over the
+    mode's qubits, the first slowest; in unary over the codewords' set
+    qubits, bra first, and a key is held by its levels, never by a word that
+    could pass 64 bits.  The products are added into their keys by
+    ``np.add.at`` with the entries in row-major order, so each key adds in
+    the order, and with the bits, of adding the products into a dict one by
+    one, and the keys come out in the order of their first product.
+    """
     d = encoding.cutoffs.local_dims[mode]
     if matrix.shape != (d, d):
         raise EncodingError(
             f"matrix shape {matrix.shape} does not match mode {mode} dimension {d}"
         )
-    words = [_level_word(l, mode, encoding, layout) for l in range(d)]
-    mode_qubits = tuple(1 << q for q in layout.mode_range(mode))
-    out: dict[tuple[int, int], complex] = {}
+    start = layout.mode_starts[mode]
     rows, cols = np.nonzero(np.abs(matrix) > COEFF_PRUNE)
-    for l, lp in zip(rows.tolist(), cols.tolist()):
-        coeff = complex(matrix[l, lp])
-        if encoding.variant == "binary":
-            qubits = mode_qubits
-        else:  # the codewords' set qubits, bra first
-            qubits = (words[l],) if l == lp else (words[l], words[lp])
-        for key, c in _transition(words[l], words[lp], qubits).items():
-            out[key] = out.get(key, 0.0) + coeff * c
-    return {key: c for key, c in out.items() if abs(c) > COEFF_PRUNE}
+    coeffs = matrix[rows, cols].astype(complex)
+    if encoding.variant == "binary":
+        # an entry's products are the 2^w keys of its x, so the sums are a row per distinct x
+        w = layout.mode_widths[mode]
+        j = np.arange(1 << w)
+        zs = sum(((j >> (w - 1 - q)) & 1) << q for q in range(w))  # the first qubit slowest
+        x = rows ^ cols
+        xs, row_of = _by_first(x)
+        rotations = _rotations(coeffs, np.full(len(coeffs), 0.5**w))
+        sums = np.zeros((len(xs), 1 << w), dtype=complex)
+        step = max(MAP_CHUNK >> w, 1)  # entries per pass
+        for lo in range(0, len(rows), step):
+            e = slice(lo, lo + step)
+            phase = 2 * np.bitwise_count(zs & rows[e, None]) + np.bitwise_count(zs & x[e, None])
+            np.add.at(sums, row_of[e], np.take_along_axis(rotations[e], phase & 3, axis=1))
+        x_at, z_at = np.nonzero(np.abs(sums) > COEFF_PRUNE)
+        keys = [(a << start, b << start) for a, b in zip(xs[x_at].tolist(), zs[z_at].tolist())]
+        return dict(zip(keys, sums[x_at, z_at].tolist()))
+    # unary, a column per product: z = 0, l', l, both with x = l ^ l', or z = 0, l on the
+    # diagonal (x = 0); the key is ((lo * d + hi) * 4 + z's (lo, hi) bits) * 2 + (x != 0)
+    diagonal = rows == cols
+    low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+    codes = ((low * d + high)[:, None] * 4 + np.where((rows < cols)[:, None], [0, 2, 1, 3],
+                                                       [0, 1, 2, 3])) * 2 + 1
+    codes[diagonal, 0] = 0  # the identity
+    codes[diagonal, 1] -= 1
+    phase = np.where(diagonal[:, None], [0, 2, 0, 0], [0, 1, 3, 0])
+    rotations = _rotations(coeffs, np.where(diagonal, 0.5, 0.25))
+    held = np.ones(codes.shape, dtype=bool)
+    held[diagonal, 2:] = False
+    codes, key_of = _by_first(codes[held])
+    sums = np.zeros(len(codes), dtype=complex)
+    np.add.at(sums, key_of, np.take_along_axis(rotations, phase, axis=1)[held])
+    kept = np.flatnonzero(np.abs(sums) > COEFF_PRUNE)
+    keys = []
+    for code in codes[kept].tolist():
+        lo, hi = divmod(code >> 3, d)
+        x = (1 << start + lo | 1 << start + hi) if code & 1 else 0
+        z = (code >> 1 & 1) << start + lo | (code >> 2 & 1) << start + hi
+        keys.append((x, z))
+    return dict(zip(keys, sums[kept].tolist()))
 
 
 def _key_bound(kinds: tuple[str, ...], d: int, encoding: Encoding, width: int) -> int:
@@ -552,7 +591,7 @@ def resource_count(ps: PauliSum) -> ResourceReport:
     realization rather than an optimized circuit schedule.  Each qubit keeps
     a bitmask of the layers holding it: a term joins the lowest layer clear
     in the OR of its qubits' masks, at O(weight x depth / 64) word operations.
-    Supports are read off the strings in blocks of 4,096.
+    Supports are read off the strings BLOCK_ROWS at a time.
     """
     n = ps.n_qubits
     strings = list(ps.terms)
@@ -560,8 +599,8 @@ def resource_count(ps: PauliSum) -> ResourceReport:
     weights = np.zeros(n + 1, dtype=np.int64)
     masks = [0] * n
     used = 0
-    for lo in range(0, len(strings), 4096):
-        text = "".join(strings[lo : lo + 4096]).encode("ascii")
+    for lo in range(0, len(strings), BLOCK_ROWS):
+        text = "".join(strings[lo : lo + BLOCK_ROWS]).encode("ascii")
         support = np.frombuffer(text, dtype=np.uint8).reshape(-1, n) != ord("I")
         sizes = support.sum(axis=1)
         weights += np.bincount(sizes, minlength=n + 1)
@@ -581,19 +620,24 @@ def resource_count(ps: PauliSum) -> ResourceReport:
 # -- text output -------------------------------------------------------
 
 
-def format_terms(row: str, terms: list[tuple[str, complex]]) -> Iterator[str]:
-    """``row`` % (re, im, string) of each (string, coefficient), 4,096 terms per ``%``.
+#: Escapes of the characters ``str.splitlines`` breaks a line at, so that a
+#: header value (a problem label) stays on its one ``#`` line.
+_LINE_BREAKS = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
-    ``%`` formats a Python float as ``format`` does with the same spec, and
-    one ``%`` per block saves the per-term call.
-    """
-    for lo in range(0, len(terms), 4096):
-        block = terms[lo : lo + 4096]
-        yield row * len(block) % tuple(v for string, c in block for v in (c.real, c.imag, string))
+
+def pauli_rows(ps: PauliSum, row: str) -> Iterator[str]:
+    """``row`` % (re, im, string) of each term, in blocks, from the sum's strings and values."""
+    values = np.fromiter(ps.terms.values(), dtype=complex, count=len(ps))
+    return text_blocks(row, values.real, values.imag, list(ps.terms))
+
+
+def pauli_listing(ps: PauliSum, header: dict | None = None) -> Iterator[str]:
+    """The `re,im,string` listing with `#` header lines, in blocks to be written as they come."""
+    yield "".join(f"# {key}={str(value).translate(_LINE_BREAKS)}\n"
+                  for key, value in (header or {}).items()) + "re,im,string\n"
+    yield from pauli_rows(ps, "%.16g,%.16g,%s\n")
 
 
 def pauli_sum_to_text(ps: PauliSum, header: dict | None = None) -> str:
-    """Stable `re,im,string` listing with `#` header lines."""
-    lines = [f"# {key}={value}\n" for key, value in (header or {}).items()]
-    lines.append("re,im,string\n")
-    return "".join([*lines, *format_terms("%.16g,%.16g,%s\n", list(ps.terms.items()))])
+    """Stable `re,im,string` listing with `#` header lines: ``pauli_listing``'s blocks joined."""
+    return "".join(pauli_listing(ps, header))

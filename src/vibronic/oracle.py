@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -463,21 +464,44 @@ def rebin(binned: BinnedSpectrum, new_width: float) -> BinnedSpectrum:
 # -- file output -------------------------------------------------------
 
 
-def write_csv(path, header: str, xs: np.ndarray, ys: np.ndarray, tail: str = "\r\n") -> None:
-    """Write ``header``, then one row f"{x:.10g},{y:.10g}{tail}" per (x, y).
+#: Rows per block of every text output, each block formatted by one ``%``
+#: (and strings per support block of ``mapping.resource_count``).  A block
+#: being written holds about three times its text (its Python floats and
+#: argument tuple, the formatter's buffer, then the encoded copy): at 1,024
+#: rows, writing and echoing the 0.86 MB so2 unary (31,31) Pauli listing
+#: peaks at 0.53 MB traced, where 4,096 rows took 1.40 MB, at the same speed.
+BLOCK_ROWS = 1024
 
-    The default tail is the csv module's line terminator.  Rows go out in
-    blocks of 4,096, each formatted by one ``%`` over its interleaved Python
-    floats (``%.10g`` formats as ``{:.10g}`` does): formatting numpy scalars
-    one by one is slow, and lists of a whole spectrum would raise the peak
-    memory.
+
+def text_blocks(row: str, *columns) -> Iterator[str]:
+    """``row`` % (the row's value of each column) for every row, BLOCK_ROWS rows per ``%``.
+
+    The columns are numpy arrays or lists of one length.  A block's slices go
+    into one interleaved list as Python values (``%.10g`` formats a Python
+    float as ``{:.10g}`` does), so no row makes a tuple, and the caller
+    writes each block before the next is formatted: formatting numpy
+    scalars one by one is slow, and whole-output lists would hold every row.
     """
-    row = "%.10g,%.10g" + tail.replace("%", "%%")
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        yield _format_block(row, [column[lo : lo + BLOCK_ROWS] for column in columns])
+
+
+def _format_block(row: str, parts: list) -> str:
+    """One block's text; its Python values are freed on return, before the caller writes it."""
+    values = [None] * (len(parts) * len(parts[0]))
+    for i, part in enumerate(parts):
+        values[i :: len(parts)] = part.tolist() if isinstance(part, np.ndarray) else part
+    return row * len(parts[0]) % tuple(values)
+
+
+def write_csv(path, header: str, xs: np.ndarray, ys: np.ndarray, tail: str = "\r\n") -> None:
+    """Write ``header``, then one row f"{x:.10g},{y:.10g}{tail}" per (x, y), block by block.
+
+    The default tail is the csv module's line terminator.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(header)
-        for lo in range(0, len(xs), 4096):
-            block = np.column_stack((xs[lo : lo + 4096], ys[lo : lo + 4096]))
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        fh.writelines(text_blocks("%.10g,%.10g" + tail.replace("%", "%%"), xs, ys))
 
 
 def read_spectrum_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,9 @@ L1 distance
 that resamples both spectra onto their union grid with ``np.interp``; and
 the term mapper that adds every Pauli product into a dict one at a time and
 renders each key one qubit at a time, which ``mapping.map_second_quantized``
-must reproduce bit for bit; the cutoff sweep that holds every cutoff's
+must reproduce bit for bit, with its single-mode stage as one ``transition``
+per matrix entry, whose keys, key order and bits ``mapping._mode_terms``
+must reproduce; the cutoff sweep that holds every cutoff's
 broadened grid until its L1-vs-largest curve, which ``oracle.converge_sweep``
 must reproduce exactly from each cutoff's occupied bins; and the
 thermofield double built as a D x D (initial, system) matrix from each mode's
@@ -38,7 +40,6 @@ from vibronic.mapping import (
     Encoding,
     PauliSum,
     QubitLayout,
-    _mode_terms,
     pauli_masks,
 )
 from vibronic.oracle import (
@@ -247,6 +248,50 @@ def render(x: int, z: int, n: int) -> str:
     return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
 
 
+def transition(bra: int, ket: int, qubits: tuple[int, ...]) -> dict[tuple[int, int], complex]:
+    """|bra><ket| on the one-bit masks ``qubits`` as {(x, z): coefficient}.
+
+    Per qubit |b><b| = (I + (-1)^b Z)/2 and |b><1-b| = (X + i (-1)^b Y)/2, so
+    with x = bra ^ ket and w qubits the product is
+    2^-w sum_{z in support} (-1)^|z & bra| i^|z & x| P(x, z),
+    with the z in product order, the first qubit slowest.
+    """
+    x = bra ^ ket
+    scale = 0.5 ** len(qubits)
+    zs = [0]
+    for q in qubits:
+        zs = [z | b for z in zs for b in (0, q)]
+    phases = (1 + 0j, 1j, -1 + 0j, -1j)
+    return {(x, z): phases[(2 * (z & bra).bit_count() + (z & x).bit_count()) % 4] * scale
+            for z in zs}
+
+
+def mode_terms_loop(
+    matrix: np.ndarray, mode: int, encoding: Encoding, layout: QubitLayout
+) -> dict[tuple[int, int], complex]:
+    """Masks and coefficients of a single-mode matrix, one ``transition`` per entry.
+
+    The entries run row-major and each adds its products into a dict one at
+    a time, so a key's first product fixes its place and the adds fix its
+    bits.  A unary entry acts on the codewords' set qubits, bra first.
+    """
+    start, width = layout.mode_starts[mode], layout.mode_widths[mode]
+    d = encoding.cutoffs.local_dims[mode]
+    words = [l << start if encoding.variant == "binary" else 1 << (start + l) for l in range(d)]
+    mode_qubits = tuple(1 << q for q in range(start, start + width))
+    out: dict[tuple[int, int], complex] = {}
+    rows, cols = np.nonzero(np.abs(matrix) > COEFF_PRUNE)
+    for l, lp in zip(rows.tolist(), cols.tolist()):
+        coeff = complex(matrix[l, lp])
+        if encoding.variant == "binary":
+            qubits = mode_qubits
+        else:
+            qubits = (words[l],) if l == lp else (words[l], words[lp])
+        for key, c in transition(words[l], words[lp], qubits).items():
+            out[key] = out.get(key, 0.0) + coeff * c
+    return {key: c for key, c in out.items() if abs(c) > COEFF_PRUNE}
+
+
 def map_second_quantized_dicts(terms, encoding: Encoding, layout: QubitLayout) -> PauliSum:
     """Map a list of SecondQuantizedTerm to one deduplicated Pauli sum.
 
@@ -268,7 +313,8 @@ def map_second_quantized_dicts(terms, encoding: Encoding, layout: QubitLayout) -
                 mode, kinds = mode_kinds
                 ladder = [fock.creation(cutoffs[mode]) if kind == CREATE
                           else fock.annihilation(cutoffs[mode]) for kind in kinds]
-                mapped[mode_kinds] = _mode_terms(reduce(np.matmul, ladder), mode, encoding, layout)
+                mapped[mode_kinds] = mode_terms_loop(reduce(np.matmul, ladder), mode, encoding,
+                                                     layout)
             single = mapped[mode_kinds]
             product = {
                 (xa | xb, za | zb): ca * cb

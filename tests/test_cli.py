@@ -9,7 +9,9 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -20,7 +22,7 @@ from dense_reference import converge_sweep_held
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vibronic import cli, fock, qpe
+from vibronic import cli, fock, mapping, qpe
 from vibronic.cli import main
 from vibronic.problem import bundled_problem, serialize_problem
 
@@ -905,6 +907,69 @@ def test_map_sums_products_as_they_are_formed(tmp_path, capsys, monkeypatch):
     assert _map_shas("so2_anharmonic", "binary", "15,15,15", tmp_path, capsys) == (
         "c587a1e8edc0fa06963eef20d43e5b0df2a66c98e8a9fc3b93c2ef8c743f5e8d",
         "815777615da12e0643a372e3480227761157b2c7096feb7f1c148c08cd210461")
+
+
+def _map_with_sum(problem_path, cutoffs, encoding, out, monkeypatch):
+    """Run `map` with its echo in a file; returns (the mapped sum, the Pauli file, the echo)."""
+    mapped = []
+    map_terms = cli.map_second_quantized
+    monkeypatch.setattr(cli, "map_second_quantized",
+                        lambda *args: mapped.append(map_terms(*args)) or mapped[-1])
+    with open(out / "echo.txt", "w") as echo, contextlib.redirect_stdout(echo):
+        assert main(["map", "--problem", str(problem_path), "--cutoffs", cutoffs,
+                     "--encoding", encoding, "--out", str(out / "map")]) == 0
+    return mapped[0], next((out / "map").glob("*_pauli.txt")), out / "echo.txt"
+
+
+@pytest.mark.parametrize("name,encoding,cutoffs", [("h2o", "binary", "31,31"),
+                                                   ("so2", "unary", "31,31")], ids="-".join)
+def test_map_file_is_the_text_of_its_sum(name, encoding, cutoffs, tmp_path, monkeypatch):
+    # the benchmark's two maps, 7,307 and 9,849 terms: several blocks each
+    path = ROOT / "src" / "vibronic" / "data" / f"{name}.json"
+    pauli, listing, echo = _map_with_sum(path, cutoffs, encoding, tmp_path, monkeypatch)
+    text = listing.read_text()
+    header = dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+    assert mapping.pauli_sum_to_text(pauli, header).encode() == listing.read_bytes()
+    rows = "".join(f"({c.real:+.6g}{c.imag:+.6g}j)*{s}\n" for s, c in pauli.terms.items())
+    wrote = f"wrote {listing} ({len(pauli)} Pauli terms on {header['qubits']} qubits)\n"
+    assert echo.read_text() == rows + wrote
+
+
+def test_map_streams_its_listing(tmp_path, monkeypatch):
+    # so2 unary (31,31): once the sum is counted, `map` writes its 0.86 MB
+    # listing and echo a block at a time, never holding either whole (the
+    # joined text and a tuple per term peaked at several times the listing)
+    count = cli.resource_count
+
+    def count_then_trace(pauli):
+        report = count(pauli)
+        tracemalloc.start()
+        return report
+
+    monkeypatch.setattr(cli, "resource_count", count_then_trace)
+    try:
+        _, listing, _ = _map_with_sum(ROOT / "src" / "vibronic" / "data" / "so2.json", "31,31",
+                                      "unary", tmp_path, monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(listing.read_text()) > 850_000
+    assert peak < len(listing.read_text())
+
+
+def test_map_label_cannot_inject_rows(tmp_path, monkeypatch):
+    # a label's line break is escaped on its `#` line: the file's rows read
+    # back as the sum's terms, and no header line holds a row
+    path = tmp_path / "so2.json"
+    path.write_text(serialize_problem(replace(bundled_problem("so2"), label="so2\n1,0,ZZZZ")))
+    pauli, listing, _ = _map_with_sum(path, "2,2", "binary", tmp_path, monkeypatch)
+    lines = listing.read_text().splitlines()
+    assert lines[0] == "# problem=so2\\n1,0,ZZZZ"
+    assert lines.index("re,im,string") == 7 and all(line.startswith("# ") for line in lines[:7])
+    rows = [line.split(",") for line in lines[8:]]
+    assert {s: complex(float(re), float(im)) for re, im, s in rows} == {
+        s: complex(float(f"{c.real:.16g}"), float(f"{c.imag:.16g}")) for s, c in pauli.terms.items()}
+    assert len(rows) == len(pauli)
 
 
 def test_output_dir_env_var(toy_file, tmp_path, monkeypatch):

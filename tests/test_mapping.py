@@ -1,14 +1,15 @@
 import itertools
 import re
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import embed, map_second_quantized_dicts
+from dense_reference import embed, map_second_quantized_dicts, mode_terms_loop
 from vibronic import fock, mapping
 from vibronic.fock import DenseBudgetError
 from vibronic.hamiltonian import (CREATE, DESTROY, SecondQuantizedTerm, assemble_terms,
@@ -167,6 +168,46 @@ def test_pauli_sum_is_built_in_string_order(n, data):
     wrong = data.draw(st.text("IXYZ", min_size=0, max_size=6).filter(lambda s: len(s) != n))
     with pytest.raises(EncodingError, match=f"Pauli string length {len(wrong)} != qubit count {n}"):
         PauliSum(n, {**terms, wrong: 1.0})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(["binary", "unary"]),
+       levels=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+       pick=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0),
+       real=st.booleans())
+@example(variant="unary", levels=(1, 95), pick=1, seed=5, density=1.0, real=False)
+@example(variant="unary", levels=(1, 95), pick=1, seed=6, density=0.05, real=True)
+def test_single_mode_stage_matches_the_loop_form(variant, levels, pick, seed, density, real):
+    # random complex entries over many magnitudes, signed zeros, entries at
+    # the prune threshold and cancelling pairs; the (1,95) unary mode sits on
+    # qubits 2-97, past a 64-bit word per level
+    mode = pick % len(levels)
+    d = levels[mode] + 1
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4, (d, d))
+    if not real:
+        matrix = matrix + 1j * rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4, (d, d))
+    matrix[rng.random((d, d)) > density] = 0.0
+    matrix[0, 1], matrix[1, 0] = 0.75, -0.75  # |0><1| and |1><0| cancel on their x's z = 0
+    specials = [-0.0, COEFF_PRUNE, 2 * COEFF_PRUNE, complex(-0.0, 1.5), complex(1.0, -0.0)]
+    matrix.ravel()[rng.integers(0, d * d, len(specials))] = (np.real(specials) if real
+                                                              else specials)
+    enc = Encoding(variant, ModeCutoffs(levels))
+    layout = QubitLayout.for_encoding(enc)
+    got = mapping._mode_terms(matrix, mode, enc, layout)
+    expected = mode_terms_loop(matrix, mode, enc, layout)
+    assert list(got) == list(expected)
+    assert [_bits(c) for c in got.values()] == [_bits(c) for c in expected.values()]
+
+
+def test_header_values_stay_on_their_line():
+    # every character str.splitlines breaks at is escaped; other text keeps its bytes
+    breaks = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) > 1]
+    label = "SO2- -> SO2 + e-\\" + "".join(breaks) + "\r\n1,0,Z"
+    text = pauli_sum_to_text(PauliSum(1, {"Z": 0.5}), {"problem": label, "qubits": 1})
+    escaped = "".join(ascii(c)[1:-1] for c in breaks)
+    assert text.splitlines() == [f"# problem=SO2- -> SO2 + e-\\{escaped}\\r\\n1,0,Z", "# qubits=1",
+                                 "re,im,string", "0.5,0,Z"]
 
 
 def test_pauli_to_matrix_all_identity():

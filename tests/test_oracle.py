@@ -737,7 +737,7 @@ def test_csv_roundtrip(tmp_path):
 @pytest.mark.parametrize("tail", ["\r\n", ",100000\n", ",5%d%%s\n"], ids=["crlf", "shots", "percent"])
 def test_write_csv_rows_match_the_f_string_form(tail, tmp_path):
     # one % per block formats as {:.10g}, on special values, subnormals, huge
-    # magnitudes and 10-digit rounding, and past the first 4,096-row block
+    # magnitudes and 10-digit rounding, over several blocks and a partial one
     rng = np.random.default_rng(11)
     edge = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e-300,
             123456789012.5, 0.1, 1 / 3, 2.0**53, -7.0]
